@@ -49,11 +49,12 @@ race-assert:
 race-parallel:
 	$(GO) test -race -run 'TestEngine|TestSharded|TestCrossShard' ./internal/sim ./internal/netem ./internal/experiments
 
-# topo-equivalence is the topology-graph layer's contract gate: the legacy
-# hand-wired builders (preserved as test-only references) versus topo.Build
-# must produce byte-identical figure CSVs at 1/2/4/8 workers, for the
-# dumbbell and the test-bed, and the new multi-bottleneck generators must
-# hold serial ≡ sharded — all under the race detector.
+# topo-equivalence is the topology-graph layer's contract gate: topo.Build
+# runs of the dumbbell and the test-bed must match each other at 1/2/4/8
+# workers and hash to the digests the retired hand-wired builders recorded
+# (internal/experiments/testdata/topo.sha256), the shard plan must match its
+# pinned table, and the multi-bottleneck generators must hold serial ≡
+# sharded — all under the race detector.
 topo-equivalence:
 	$(GO) test -race -count=1 \
 		-run 'TestSharded|TestTestbed|TestPlan|TestParkingLot|TestCrossTraffic|TestBuild' \
@@ -69,14 +70,15 @@ topo-equivalence:
 fusion-equivalence:
 	$(GO) test -race -count=1 -run TestFusionEquivalence ./internal/experiments
 
-# figure-equivalence is the figure pipeline's migration contract gate: every
+# figure-equivalence is the figure pipeline's byte-identity gate: every
 # figure regenerated through the scenario-native path (documents → run cache
-# → artifact assembly, internal/figures) must equal its legacy
-# internal/experiments driver byte for byte, and a warm AllFigures replay
-# must be served entirely from the content-addressed cache. Under the race
-# detector.
+# → artifact assembly, internal/figures) must hash to its pinned digest in
+# internal/figures/testdata/figures.sha256 (recorded from the retired
+# experiments drivers), every figure must have exactly one pin per pinned
+# scale, and a warm AllFigures replay must be served entirely from the
+# content-addressed cache. Under the race detector.
 figure-equivalence:
-	$(GO) test -race -count=1 -run 'TestFigureEquivalence|TestAllFiguresWarmCache' ./internal/figures
+	$(GO) test -race -count=1 -run 'TestFigureEquivalence|TestPinsCoverRegistry|TestAllFiguresWarmCache' ./internal/figures
 
 # bench-smoke runs the hot-path micro-benchmarks once — enough to catch an
 # allocation or throughput regression without the full figure benches.

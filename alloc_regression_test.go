@@ -7,6 +7,7 @@ import (
 
 	"pulsedos/internal/experiments"
 	"pulsedos/internal/sim"
+	"pulsedos/internal/topo"
 )
 
 // TestTCPFlowAllocRegression guards the per-packet allocation budget of a
@@ -158,7 +159,7 @@ func TestMillionFlowAllocRegression(t *testing.T) {
 // packet, same as serial.
 func TestShardedAllocRegression(t *testing.T) {
 	cfg := experiments.DefaultDumbbellConfig(100)
-	sd, err := experiments.BuildShardedDumbbell(cfg, 4)
+	sd, err := topo.Build(topo.Dumbbell(cfg), topo.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

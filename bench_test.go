@@ -7,6 +7,7 @@
 package pulsedos
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"pulsedos/internal/attack"
 	"pulsedos/internal/detect"
 	"pulsedos/internal/experiments"
+	"pulsedos/internal/figures"
 	"pulsedos/internal/model"
 	"pulsedos/internal/netem"
 	"pulsedos/internal/rng"
@@ -31,6 +33,17 @@ func benchScale() experiments.Scale {
 		FlowCounts:   []int{15},
 		Seed:         1,
 	}
+}
+
+// benchFigure regenerates one figure through the scenario-native pipeline,
+// uncached, at bench scale.
+func benchFigure(b *testing.B, id string) *experiments.FigureResult {
+	b.Helper()
+	fig, err := figures.Run(context.Background(), id, benchScale(), figures.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fig
 }
 
 // benchSweep runs one reduced gain sweep and reports its peak measured gain.
@@ -72,28 +85,18 @@ func benchSweep(b *testing.B, rate float64, extent time.Duration, flows int, tes
 
 // BenchmarkFig1CwndTrace regenerates the Fig. 1 congestion-window sawtooth.
 func BenchmarkFig1CwndTrace(b *testing.B) {
-	scale := benchScale()
 	var samples int
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure1(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples = len(fig.Series[0].Points)
+		samples = len(benchFigure(b, "fig1").Series[0].Points)
 	}
 	b.ReportMetric(float64(samples), "cwnd_samples")
 }
 
 // BenchmarkFig2TrafficPattern regenerates the periodic-traffic figure.
 func BenchmarkFig2TrafficPattern(b *testing.B) {
-	scale := benchScale()
 	var bins int
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure2(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bins = len(fig.Series[0].Points)
+		bins = len(benchFigure(b, "fig2").Series[0].Points)
 	}
 	b.ReportMetric(float64(bins), "rate_bins")
 }
@@ -145,9 +148,7 @@ func BenchmarkFig3bSyncTestbed(b *testing.B) {
 // BenchmarkFig4RiskCurves regenerates the analytic risk-preference family.
 func BenchmarkFig4RiskCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure4(benchScale()); err != nil {
-			b.Fatal(err)
-		}
+		benchFigure(b, "fig4")
 	}
 }
 
@@ -650,11 +651,7 @@ func BenchmarkTimeoutModel(b *testing.B) {
 func BenchmarkAblationAttackPacketSize(b *testing.B) {
 	var fig *experiments.FigureResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = experiments.AblationAttackPacketSize(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = benchFigure(b, "ablation-pktsize")
 	}
 	if fig != nil && len(fig.Series) == 2 {
 		big, small := fig.Series[0].Points, fig.Series[1].Points

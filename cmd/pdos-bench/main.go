@@ -640,7 +640,7 @@ func serveByteIdentity(client *http.Client, base string, docs []string, statuses
 		if err != nil {
 			return false, fmt.Errorf("doc %d: %w", i, err)
 		}
-		direct, err := serve.ComputeArtifacts(context.Background(), cfg, nil)
+		direct, err := scenario.ComputeArtifacts(context.Background(), cfg, nil)
 		if err != nil {
 			return false, fmt.Errorf("doc %d: recompute: %w", i, err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,11 +9,11 @@ import (
 	"pulsedos/internal/runcache"
 )
 
-// This file wires the content-addressed run cache into the two sweep-scale
-// pipelines: figure regeneration (RunFigureJobsCached) and the scaling sweep
-// (ScaleSweepConfig.Cache). Both memoize under keys derived from the full
+// This file wires the content-addressed run cache into the scaling sweep
+// (ScaleSweepConfig.Cache). Points memoize under keys derived from the full
 // parameter set plus EngineVersion, so a cache can never serve results from
-// a semantically different configuration or an older engine.
+// a semantically different configuration or an older engine. (Figures cache
+// per scenario point under scenario.Key; see internal/figures.)
 
 // cacheKey hashes a namespaced parameter document into a runcache key:
 // SHA-256(EngineVersion \x00 namespace \x00 params-JSON). The params value
@@ -31,112 +30,6 @@ func cacheKey(namespace string, params any) (string, error) {
 	h.Write([]byte{0})
 	h.Write(doc)
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// figureKeyDoc is the hashed parameter set of one figure job: its ID plus
-// every Scale knob that reaches the series. Parallel is deliberately
-// excluded — worker counts change wall-clock only, and a sweep re-run with
-// more cores must hit the same entries.
-type figureKeyDoc struct {
-	ID         string    `json:"id"`
-	WarmupNs   int64     `json:"warmupNs"`
-	MeasureNs  int64     `json:"measureNs"`
-	SyncNs     int64     `json:"syncNs"`
-	Gammas     []float64 `json:"gammas"`
-	FlowCounts []int     `json:"flowCounts"`
-	ScaleFlows []int     `json:"scaleFlows"`
-	Seed       uint64    `json:"seed"`
-}
-
-// FigureKey is the content address of one (figure job, scale) pair on the
-// current engine version.
-func FigureKey(id string, scale Scale) (string, error) {
-	return cacheKey("figure", figureKeyDoc{
-		ID:         id,
-		WarmupNs:   scale.Warmup.Nanoseconds(),
-		MeasureNs:  scale.Measure.Nanoseconds(),
-		SyncNs:     scale.SyncDuration.Nanoseconds(),
-		Gammas:     scale.Gammas,
-		FlowCounts: scale.FlowCounts,
-		ScaleFlows: scale.ScaleFlows,
-		Seed:       scale.Seed,
-	})
-}
-
-// figureArtifact is the figure.json cache artifact: the FigureResult in
-// full-precision JSON (encoding/json renders float64 shortest-round-trip, so
-// decode reproduces the computed series bit for bit).
-const figureArtifact = "figure.json"
-
-// seriesArtifact is the human-readable series.csv convenience artifact,
-// identical to what pdos-bench writes into results/.
-const seriesArtifact = "series.csv"
-
-// encodeFigure renders a figure as its cacheable artifact set.
-func encodeFigure(fig *FigureResult) (map[string][]byte, error) {
-	raw, err := json.MarshalIndent(fig, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	var csv bytes.Buffer
-	if err := WriteSeriesCSV(&csv, fig.Series); err != nil {
-		return nil, err
-	}
-	return map[string][]byte{
-		figureArtifact: append(raw, '\n'),
-		seriesArtifact: csv.Bytes(),
-	}, nil
-}
-
-// decodeFigure reconstructs the FigureResult from a cache entry.
-func decodeFigure(files map[string][]byte) (*FigureResult, error) {
-	raw, ok := files[figureArtifact]
-	if !ok {
-		return nil, fmt.Errorf("experiments: cache entry missing %s", figureArtifact)
-	}
-	var fig FigureResult
-	if err := json.Unmarshal(raw, &fig); err != nil {
-		return nil, fmt.Errorf("experiments: cached figure: %w", err)
-	}
-	return &fig, nil
-}
-
-// RunFigureJobsCached is RunFigureJobs routed through a content-addressed
-// cache: a job whose (ID, scale, engine version) key is cached decodes from
-// disk instead of rebuilding its kernels. A nil cache degrades to the
-// uncached path. Concurrent jobs with identical keys share one compute
-// (runcache singleflight), and every miss is persisted for the next sweep.
-func RunFigureJobsCached(jobs []FigureJob, scale Scale, parallel int, cache *runcache.Store) ([]*FigureResult, error) {
-	if cache == nil {
-		return RunFigureJobs(jobs, scale, parallel)
-	}
-	out := make([]*FigureResult, len(jobs))
-	err := RunTasks(parallel, len(jobs), func(i int) error {
-		key, err := FigureKey(jobs[i].ID, scale)
-		if err != nil {
-			return fmt.Errorf("%s: %w", jobs[i].ID, err)
-		}
-		files, _, err := cache.GetOrCompute(key, "figure:"+jobs[i].ID, EngineVersion, func() (map[string][]byte, error) {
-			fig, err := jobs[i].Build(scale)
-			if err != nil {
-				return nil, err
-			}
-			return encodeFigure(fig)
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", jobs[i].ID, err)
-		}
-		fig, err := decodeFigure(files)
-		if err != nil {
-			return fmt.Errorf("%s: %w", jobs[i].ID, err)
-		}
-		out[i] = fig
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // scaleKeyDoc is the hashed parameter set of one scaling-sweep point.

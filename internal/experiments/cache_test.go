@@ -157,124 +157,6 @@ func TestRunCtxCancelAborts(t *testing.T) {
 	}
 }
 
-// TestFigureKeyDiscriminates checks the figure cache key covers every knob
-// that can change a series, and excludes the one that cannot (Parallel).
-func TestFigureKeyDiscriminates(t *testing.T) {
-	base := QuickScale()
-	k0, err := FigureKey("fig6", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !runcache.IsKey(k0) {
-		t.Fatalf("FigureKey %q is not a valid cache key", k0)
-	}
-
-	perturbed := map[string]Scale{}
-	s := base
-	s.Measure += time.Second
-	perturbed["measure"] = s
-	s = base
-	s.Warmup += time.Second
-	perturbed["warmup"] = s
-	s = base
-	s.Seed++
-	perturbed["seed"] = s
-	s = base
-	s.Gammas = append([]float64{0.11}, base.Gammas...)
-	perturbed["gammas"] = s
-	for name, sc := range perturbed {
-		k, err := FigureKey("fig6", sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == k0 {
-			t.Errorf("perturbing %s did not change the figure key", name)
-		}
-	}
-
-	if k, _ := FigureKey("fig7", base); k == k0 {
-		t.Error("different figure ids share a key")
-	}
-
-	par := base
-	par.Parallel = 8
-	if k, _ := FigureKey("fig6", par); k != k0 {
-		t.Error("Parallel changed the key; worker count must not affect the content address")
-	}
-}
-
-// TestRunFigureJobsCached checks the memoized figure pipeline: the first
-// sweep computes and populates the store, the second decodes from disk
-// without invoking any Build, and both return identical figures. A nil
-// store degrades to the uncached path.
-func TestRunFigureJobsCached(t *testing.T) {
-	store, err := runcache.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var builds atomic.Int64
-	job := func(id string, value float64) FigureJob {
-		return FigureJob{ID: id, Build: func(sc Scale) (*FigureResult, error) {
-			builds.Add(1)
-			return &FigureResult{
-				ID:     id,
-				Title:  "synthetic " + id,
-				Series: []Series{{Label: id, Points: []Point{{X: 1, Y: value}, {X: 2, Y: value * 2}}}},
-				Notes:  []string{"synthetic"},
-			}, nil
-		}}
-	}
-	jobs := []FigureJob{job("syn-a", 1.5), job("syn-b", 2.5)}
-	scale := QuickScale()
-
-	cold, err := RunFigureJobsCached(jobs, scale, 2, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Fatalf("cold sweep ran %d builds, want 2", n)
-	}
-
-	warm, err := RunFigureJobsCached(jobs, scale, 2, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Fatalf("warm sweep re-ran builds (%d total), want cache hits", n)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Errorf("cached figures diverge from computed:\ncold %+v\nwarm %+v", cold[0], warm[0])
-	}
-	if st := store.Stats(); st.Hits < 2 || st.Misses < 2 {
-		t.Errorf("stats = %+v, want >= 2 hits and >= 2 misses", st)
-	}
-
-	builds.Store(0)
-	if _, err := RunFigureJobsCached(jobs, scale, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Errorf("nil store ran %d builds, want the uncached path (2)", n)
-	}
-}
-
-// TestRunFigureJobsCachedPropagatesErrors checks a failing Build surfaces
-// instead of poisoning the store.
-func TestRunFigureJobsCachedPropagatesErrors(t *testing.T) {
-	store, err := runcache.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("build exploded")
-	jobs := []FigureJob{{ID: "syn-err", Build: func(Scale) (*FigureResult, error) { return nil, boom }}}
-	if _, err := RunFigureJobsCached(jobs, QuickScale(), 1, store); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the build error", err)
-	}
-	if st := store.Stats(); st.Entries != 0 {
-		t.Errorf("failed build left %d cache entries", st.Entries)
-	}
-}
-
 // TestScalePointCacheRoundTrip checks the sweep-point artifact round-trips
 // bit for bit and that the key separates populations and physics knobs.
 func TestScalePointCacheRoundTrip(t *testing.T) {

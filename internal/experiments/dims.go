@@ -2,12 +2,10 @@ package experiments
 
 import "time"
 
-// The paper's fixed experiment dimensions, centralized. These used to be
-// re-derived ad hoc inside the figure drivers, which meant the quick/full
-// Scale presets and any alternative pipeline (the scenario-native compilers
-// in internal/figures) could silently drift from the legacy drivers. Every
-// dimension that is not part of Scale now has exactly one definition, shared
-// by both sides of the figure-equivalence contract.
+// The paper's fixed experiment dimensions, centralized: every dimension that
+// is not part of Scale has exactly one definition here, read by the
+// scenario-native figure compilers in internal/figures and by the study
+// drivers of this package, so the two cannot drift apart.
 
 // GainSetting pairs an attack rate with a pulse width.
 type GainSetting struct {

@@ -20,12 +20,8 @@ func DefaultDumbbellConfig(flows int) DumbbellConfig {
 	return topo.DefaultDumbbellConfig(flows)
 }
 
-// Dumbbell is a fully wired instance of the Fig. 5 topology — since the
-// topology-graph refactor, the generic graph environment.
-type Dumbbell = topo.Environment
-
 // BuildDumbbell constructs and wires the serial Fig. 5 topology. Flows are
 // created but not started; call StartFlows.
-func BuildDumbbell(cfg DumbbellConfig) (*Dumbbell, error) {
+func BuildDumbbell(cfg DumbbellConfig) (*topo.Environment, error) {
 	return topo.Build(topo.Dumbbell(cfg), topo.Options{})
 }

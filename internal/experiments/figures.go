@@ -1,14 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"math"
 	"runtime"
 	"time"
-
-	"pulsedos/internal/attack"
-	"pulsedos/internal/optimize"
-	"pulsedos/internal/sim"
 )
 
 // Scale trades fidelity for wall-clock time when regenerating figures. Full
@@ -59,611 +53,4 @@ type FigureResult struct {
 	Title  string
 	Series []Series
 	Notes  []string
-}
-
-// note appends a formatted summary row.
-func (f *FigureResult) note(format string, args ...any) {
-	f.Notes = append(f.Notes, fmt.Sprintf(format, args...))
-}
-
-// Figure1 regenerates the cwnd sawtooth of Fig. 1: one victim flow under a
-// fixed-period attack, showing the transient step-down and steady sawtooth.
-func Figure1(scale Scale) (*FigureResult, error) {
-	cfg := DefaultDumbbellConfig(1)
-	cfg.Seed = scale.Seed
-	cfg.RTTMin = Fig1RTT
-	cfg.RTTMax = Fig1RTT
-	env, err := BuildDumbbell(cfg)
-	if err != nil {
-		return nil, err
-	}
-	period := Fig1Period
-	train, err := attack.AIMDTrain(sim.FromDuration(Fig1Extent), Fig1Rate,
-		sim.FromDuration(period), PulsesFor(scale.Measure, period))
-	if err != nil {
-		return nil, err
-	}
-	samples, err := CwndTrace(env, train, 0, scale.Warmup, scale.Measure)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{ID: "fig1", Title: "cwnd under fixed-period AIMD attack"}
-	s := Series{Label: "cwnd"}
-	for _, smp := range ResampleCwnd(samples, 0.05, (scale.Warmup + scale.Measure).Seconds()) {
-		s.Points = append(s.Points, Point{X: smp.TimeSec, Y: smp.Cwnd})
-	}
-	res.Series = append(res.Series, s)
-
-	wc := env.ModelParams().ConvergedWindow(period.Seconds(), cfg.RTTMin.Seconds())
-	res.note("analytic converged window Wc = %.2f segments (Eq. 1) at T_AIMD = %v", wc, period)
-	// Mean cwnd over the attacked steady half of the trace.
-	var sum float64
-	var n int
-	for _, smp := range samples {
-		if smp.TimeSec > (scale.Warmup + scale.Measure/2).Seconds() {
-			sum += smp.Cwnd
-			n++
-		}
-	}
-	if n > 0 {
-		res.note("measured steady-phase mean cwnd = %.2f segments", sum/float64(n))
-	}
-	return res, nil
-}
-
-// Figure2 regenerates the periodic incoming-traffic pattern of Fig. 2.
-func Figure2(scale Scale) (*FigureResult, error) {
-	cfg := DefaultDumbbellConfig(15)
-	cfg.Seed = scale.Seed
-	env, err := BuildDumbbell(cfg)
-	if err != nil {
-		return nil, err
-	}
-	period := Fig2Period
-	train, err := attack.AIMDTrain(sim.FromDuration(Fig2Extent), Fig2Rate,
-		sim.FromDuration(period), PulsesFor(scale.Measure, period))
-	if err != nil {
-		return nil, err
-	}
-	run, err := Run(env, RunOptions{
-		Warmup:  scale.Warmup,
-		Measure: scale.Measure,
-		Train:   &train,
-		RateBin: Fig2RateBin,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{ID: "fig2", Title: "periodic incoming traffic during a PDoS attack"}
-	s := Series{Label: "incoming rate (bps)"}
-	for i, r := range run.Rate.Rates() {
-		s.Points = append(s.Points, Point{X: float64(i) * 0.05, Y: r})
-	}
-	res.Series = append(res.Series, s)
-	res.note("attack period T_AIMD = %v; expect rate peaks every period", period)
-	return res, nil
-}
-
-// syncFigure is shared by Figures 3(a) and 3(b).
-func syncFigure(
-	id, title string,
-	env Environment,
-	extent time.Duration, rate float64, space time.Duration,
-	scale Scale,
-) (*FigureResult, error) {
-	period := extent + space
-	train := attack.Uniform(sim.FromDuration(extent), rate, sim.FromDuration(space),
-		PulsesFor(scale.SyncDuration, period))
-	frames := int(scale.SyncDuration / SyncFrameStep)
-	sync, err := SyncSnapshot(env, train, scale.Warmup, scale.SyncDuration,
-		SyncRateBin, frames)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{ID: id, Title: title}
-	s := Series{Label: "normalized PAA incoming traffic"}
-	frameSec := scale.SyncDuration.Seconds() / float64(len(sync.Frames))
-	for i, v := range sync.Frames {
-		s.Points = append(s.Points, Point{X: float64(i) * frameSec, Y: v})
-	}
-	res.Series = append(res.Series, s)
-	res.note("attack period T_AIMD = %v", period)
-	res.note("pinnacles counted: %d over %.0f s => period %.2f s (paper counts duration/T_AIMD)",
-		sync.Peaks, sync.DurationSec, sync.PeakPeriodSec)
-	if sync.AutoPeriodSec > 0 {
-		res.note("autocorrelation period estimate: %.2f s", sync.AutoPeriodSec)
-	}
-	return res, nil
-}
-
-// Figure3a regenerates the ns-2 synchronization snapshot: 24 victim flows,
-// T_extent = 50 ms, T_space = 1950 ms, R_attack = 100 Mbps ⇒ period 2 s.
-func Figure3a(scale Scale) (*FigureResult, error) {
-	st := Fig3aSetting()
-	cfg := DefaultDumbbellConfig(st.Flows)
-	cfg.Seed = scale.Seed
-	env, err := BuildDumbbell(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return syncFigure("fig3a", "quasi-global synchronization (ns-2 dumbbell)",
-		env, st.Extent, st.Rate, st.Space, scale)
-}
-
-// Figure3b regenerates the test-bed synchronization snapshot: 15 flows,
-// T_extent = 100 ms, T_space = 2400 ms, R_attack = 50 Mbps ⇒ period 2.5 s.
-func Figure3b(scale Scale) (*FigureResult, error) {
-	st := Fig3bSetting()
-	cfg := DefaultTestbedConfig(st.Flows)
-	cfg.Seed = scale.Seed
-	env, err := BuildTestbed(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return syncFigure("fig3b", "quasi-global synchronization (test-bed)",
-		env, st.Extent, st.Rate, st.Space, scale)
-}
-
-// Figure4 regenerates the risk-preference curves (1-γ)^κ.
-func Figure4(Scale) (*FigureResult, error) {
-	res := &FigureResult{ID: "fig4", Title: "risk preference (1-gamma)^kappa"}
-	res.Series = RiskCurves([]float64{0.3, 1, 3}, 100)
-	res.note("kappa < 1 risk-loving, kappa = 1 risk-neutral, kappa > 1 risk-averse")
-	return res, nil
-}
-
-// gainFigure regenerates one of Figs. 6–9: gain-vs-γ curves for each flow
-// count and pulse width at the given attack rate.
-func gainFigure(id string, rate float64, scale Scale) (*FigureResult, error) {
-	res := &FigureResult{
-		ID:    id,
-		Title: fmt.Sprintf("attack gain vs gamma, R_attack = %.0f Mbps", rate/1e6),
-	}
-	extents := GainFigureExtents()
-	for _, flows := range scale.FlowCounts {
-		for _, extent := range extents {
-			label := fmt.Sprintf("flows=%d Textent=%dms", flows, extent.Milliseconds())
-			points, err := GainSweep(SweepConfig{
-				Factory: func() (Environment, error) {
-					cfg := DefaultDumbbellConfig(flows)
-					cfg.Seed = scale.Seed
-					return BuildDumbbell(cfg)
-				},
-				AttackRate: rate,
-				Extent:     extent,
-				Kappa:      1,
-				Gammas:     scale.Gammas,
-				Warmup:     scale.Warmup,
-				Measure:    scale.Measure,
-				Parallel:   scale.Parallel,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", id, label, err)
-			}
-			analytic, measured := GainSeries(label, points)
-			res.Series = append(res.Series, analytic, measured)
-
-			peak, err := PeakPoint(points)
-			if err != nil {
-				return nil, err
-			}
-			res.note("%s: class=%s, measured peak gain %.3f at gamma=%.2f",
-				label, ClassifyGain(points, 0.05), peak.MeasuredGain, peak.Gamma)
-		}
-	}
-	return res, nil
-}
-
-// Figure6 regenerates Fig. 6 (R_attack = 25 Mbps).
-func Figure6(scale Scale) (*FigureResult, error) {
-	return gainFigure("fig6", GainFigureRates()[0], scale)
-}
-
-// Figure7 regenerates Fig. 7 (R_attack = 30 Mbps).
-func Figure7(scale Scale) (*FigureResult, error) {
-	return gainFigure("fig7", GainFigureRates()[1], scale)
-}
-
-// Figure8 regenerates Fig. 8 (R_attack = 35 Mbps).
-func Figure8(scale Scale) (*FigureResult, error) {
-	return gainFigure("fig8", GainFigureRates()[2], scale)
-}
-
-// Figure9 regenerates Fig. 9 (R_attack = 40 Mbps).
-func Figure9(scale Scale) (*FigureResult, error) {
-	return gainFigure("fig9", GainFigureRates()[3], scale)
-}
-
-// Figure10 regenerates the shrew-resonance study: the paper's three
-// (R_attack, T_extent) settings with the γ grid augmented by the exact
-// minRTO/n harmonics, flagging points whose measured gain exceeds the AIMD
-// analysis.
-func Figure10(scale Scale) (*FigureResult, error) {
-	res := &FigureResult{ID: "fig10", Title: "PDoS attacks vs shrew resonances"}
-	settings := ShrewFigureSettings()
-	const minRTO = ShrewFigureMinRTO // ns-2 stack RTO_min
-	bottleneck := DefaultDumbbellConfig(15).BottleneckRate
-	for _, st := range settings {
-		label := fmt.Sprintf("R=%.0fM Textent=%dms", st.Rate/1e6, st.Extent.Milliseconds())
-		gammas := append(append([]float64(nil), scale.Gammas...),
-			ShrewGammas(st.Rate, st.Extent, bottleneck, minRTO, ShrewFigureMaxHarmonic)...)
-		points, err := ShrewStudy(ShrewStudyConfig{
-			Sweep: SweepConfig{
-				Factory: func() (Environment, error) {
-					cfg := DefaultDumbbellConfig(15)
-					cfg.Seed = scale.Seed
-					return BuildDumbbell(cfg)
-				},
-				AttackRate: st.Rate,
-				Extent:     st.Extent,
-				Kappa:      1,
-				Gammas:     gammas,
-				Warmup:     scale.Warmup,
-				Measure:    scale.Measure,
-				Parallel:   scale.Parallel,
-			},
-			MinRTO:      minRTO,
-			MaxHarmonic: ShrewFigureMaxHarmonic,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig10 %s: %w", label, err)
-		}
-		analytic := Series{Label: label + " analytic"}
-		measured := Series{Label: label + " measured"}
-		shrew := Series{Label: label + " shrew-points"}
-		for _, p := range points {
-			analytic.Points = append(analytic.Points, Point{X: p.Gamma, Y: p.AnalyticGain})
-			measured.Points = append(measured.Points, Point{X: p.Gamma, Y: p.MeasuredGain})
-			if p.Shrew {
-				shrew.Points = append(shrew.Points, Point{X: p.Gamma, Y: p.MeasuredGain})
-				res.note("%s: shrew point T_AIMD=%.3fs (minRTO/%d): measured %.3f vs analytic %.3f",
-					label, p.PeriodSec, p.Harmonic, p.MeasuredGain, p.AnalyticGain)
-			}
-		}
-		res.Series = append(res.Series, analytic, measured, shrew)
-	}
-	return res, nil
-}
-
-// Figure12 regenerates the test-bed gain curves: 10 flows, T_extent = 150 ms,
-// R_attack ∈ {15, 20, 30} Mbps.
-func Figure12(scale Scale) (*FigureResult, error) {
-	res := &FigureResult{ID: "fig12", Title: "test-bed attack gain vs gamma"}
-	for _, rate := range TestbedFigureRates() {
-		label := fmt.Sprintf("R=%.0fM", rate/1e6)
-		points, err := GainSweep(SweepConfig{
-			Factory: func() (Environment, error) {
-				cfg := DefaultTestbedConfig(TestbedFigureFlows)
-				cfg.Seed = scale.Seed
-				return BuildTestbed(cfg)
-			},
-			AttackRate: rate,
-			Extent:     TestbedFigureExtent,
-			Kappa:      1,
-			Gammas:     scale.Gammas,
-			Warmup:     scale.Warmup,
-			Measure:    scale.Measure,
-			Parallel:   scale.Parallel,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig12 %s: %w", label, err)
-		}
-		analytic, measured := GainSeries(label, points)
-		res.Series = append(res.Series, analytic, measured)
-		peak, err := PeakPoint(points)
-		if err != nil {
-			return nil, err
-		}
-		res.note("%s: class=%s, measured peak gain %.3f at gamma=%.2f",
-			label, ClassifyGain(points, 0.05), peak.MeasuredGain, peak.Gamma)
-	}
-	return res, nil
-}
-
-// OptimalityCheck cross-validates Proposition 3 numerically for a spread of
-// (C_Ψ, κ) pairs: the closed form must agree with golden-section search on
-// the gain function (§3.2).
-func OptimalityCheck() (*FigureResult, error) {
-	res := &FigureResult{ID: "prop3", Title: "closed-form gamma* vs numeric maximizer"}
-	s := Series{Label: "gamma* closed-form vs numeric"}
-	for _, cPsi := range []float64{0.01, 0.05, 0.1, 0.2, 0.4} {
-		for _, kappa := range []float64{0.3, 0.5, 1, 2, 5} {
-			closed, err := optimize.OptimalGamma(cPsi, kappa)
-			if err != nil {
-				return nil, err
-			}
-			numeric, err := optimize.GoldenSection(func(g float64) float64 {
-				return (1 - cPsi/g) * riskPow(1-g, kappa)
-			}, cPsi+1e-9, 1-1e-9, 1e-10)
-			if err != nil {
-				return nil, err
-			}
-			s.Points = append(s.Points, Point{X: closed, Y: numeric})
-			res.note("CPsi=%.2f kappa=%.1f: closed=%.5f numeric=%.5f", cPsi, kappa, closed, numeric)
-		}
-	}
-	res.Series = append(res.Series, s)
-	return res, nil
-}
-
-// riskPow computes base^kappa clamped to base in [0,1].
-func riskPow(base, kappa float64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	if base >= 1 {
-		return 1
-	}
-	return math.Pow(base, kappa)
-}
-
-// AblationREDvsDropTail quantifies the paper's §5 observation that PDoS
-// attacks gain more against RED than drop-tail bottlenecks, and adds the §5
-// enhancement candidate (Adaptive RED) as a third arm.
-func AblationREDvsDropTail(scale Scale) (*FigureResult, error) {
-	res := &FigureResult{ID: "ablation-aqm", Title: "RED vs drop-tail vs Adaptive RED under PDoS"}
-	for _, name := range []string{"red", "droptail", "adaptive-red"} {
-		name := name
-		points, err := GainSweep(SweepConfig{
-			Factory: func() (Environment, error) {
-				cfg := DefaultDumbbellConfig(15)
-				cfg.Seed = scale.Seed
-				cfg.DropTail = name == "droptail"
-				cfg.AdaptiveRED = name == "adaptive-red"
-				return BuildDumbbell(cfg)
-			},
-			AttackRate: AblationRate,
-			Extent:     AblationExtent,
-			Kappa:      1,
-			Gammas:     scale.Gammas,
-			Warmup:     scale.Warmup,
-			Measure:    scale.Measure,
-			Parallel:   scale.Parallel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		_, measured := GainSeries(name, points)
-		res.Series = append(res.Series, measured)
-		peak, err := PeakPoint(points)
-		if err != nil {
-			return nil, err
-		}
-		res.note("%s: peak measured gain %.3f at gamma=%.2f", name, peak.MeasuredGain, peak.Gamma)
-	}
-	return res, nil
-}
-
-// AblationDelayedACK compares d = 1 vs d = 2 victims (the d in Eq. 1).
-func AblationDelayedACK(scale Scale) (*FigureResult, error) {
-	res := &FigureResult{ID: "ablation-dack", Title: "delayed-ACK ratio d under PDoS"}
-	for _, d := range []int{1, 2} {
-		points, err := GainSweep(SweepConfig{
-			Factory: func() (Environment, error) {
-				cfg := DefaultDumbbellConfig(15)
-				cfg.Seed = scale.Seed
-				cfg.TCP.AckEvery = d
-				return BuildDumbbell(cfg)
-			},
-			AttackRate: AblationRate,
-			Extent:     AblationExtent,
-			Kappa:      1,
-			Gammas:     scale.Gammas,
-			Warmup:     scale.Warmup,
-			Measure:    scale.Measure,
-			Parallel:   scale.Parallel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		label := fmt.Sprintf("d=%d", d)
-		analytic, measured := GainSeries(label, points)
-		res.Series = append(res.Series, analytic, measured)
-	}
-	res.note("Eq. 1: Wc scales as 1/d, so d=2 victims hold smaller windows and degrade more")
-	return res, nil
-}
-
-// AblationAIMD compares AIMD(1, 0.5) with a gentler AIMD(0.5, 0.875)
-// (TCP-friendly style) victim population.
-func AblationAIMD(scale Scale) (*FigureResult, error) {
-	res := &FigureResult{ID: "ablation-aimd", Title: "AIMD(a,b) variants under PDoS"}
-	settings := []struct {
-		a, b  float64
-		label string
-	}{
-		{1, 0.5, "AIMD(1,0.5)"},
-		{0.5, 0.875, "AIMD(0.5,0.875)"},
-	}
-	for _, st := range settings {
-		points, err := GainSweep(SweepConfig{
-			Factory: func() (Environment, error) {
-				cfg := DefaultDumbbellConfig(15)
-				cfg.Seed = scale.Seed
-				cfg.TCP.IncreaseA = st.a
-				cfg.TCP.DecreaseB = st.b
-				return BuildDumbbell(cfg)
-			},
-			AttackRate: AblationRate,
-			Extent:     AblationExtent,
-			Kappa:      1,
-			Gammas:     scale.Gammas,
-			Warmup:     scale.Warmup,
-			Measure:    scale.Measure,
-			Parallel:   scale.Parallel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		analytic, measured := GainSeries(st.label, points)
-		res.Series = append(res.Series, analytic, measured)
-	}
-	return res, nil
-}
-
-// AllFigures regenerates every figure at the given scale, in paper order.
-// Figures run sequentially; use RunFigureJobs(PaperFigures(), scale, n) to
-// fan them across workers.
-func AllFigures(scale Scale) ([]*FigureResult, error) {
-	return RunFigureJobs(PaperFigures(), scale, 1)
-}
-
-// DefenseFigure wraps the §1.1 defense study as a regenerable result.
-func DefenseFigure(scale Scale) (*FigureResult, error) {
-	cfg := DefaultDefenseStudyConfig()
-	cfg.Warmup = scale.Warmup
-	cfg.Measure = scale.Measure
-	cfg.Seed = scale.Seed
-	results, err := DefenseStudy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{ID: "ext-defense", Title: "RTO randomization & Adaptive RED vs both attack archetypes"}
-	byAttack := map[string]*Series{}
-	for _, r := range results {
-		s, ok := byAttack[r.Attack]
-		if !ok {
-			s = &Series{Label: r.Attack + " degradation"}
-			byAttack[r.Attack] = s
-		}
-		s.Points = append(s.Points, Point{X: float64(len(s.Points)), Y: r.Degradation})
-		res.note("%s vs %s: degradation %.3f (TO=%d FR=%d)",
-			r.Defense, r.Attack, r.Degradation, r.Timeouts, r.FastRecoveries)
-	}
-	for _, name := range []string{"aimd", "shrew"} {
-		if s := byAttack[name]; s != nil {
-			res.Series = append(res.Series, *s)
-		}
-	}
-	return res, nil
-}
-
-// MiceFigure wraps the mice-vs-elephants FCT study as a regenerable result.
-func MiceFigure(scale Scale) (*FigureResult, error) {
-	cfg := DefaultMiceConfig()
-	cfg.Warmup = scale.Warmup
-	cfg.Measure = scale.Measure
-	cfg.Seed = scale.Seed
-	base, err := MiceStudy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	period := MiceAttackPeriod
-	train, err := attack.AIMDTrain(sim.FromDuration(MiceAttackExtent), MiceAttackRate,
-		sim.FromDuration(period), PulsesFor(cfg.Measure, period))
-	if err != nil {
-		return nil, err
-	}
-	cfg.Train = &train
-	attacked, err := MiceStudy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{ID: "ext-mice", Title: "short-flow completion times under PDoS"}
-	res.Series = append(res.Series,
-		Series{Label: "baseline FCT (s)", Points: fctPoints(base.FCTs)},
-		Series{Label: "attacked FCT (s)", Points: fctPoints(attacked.FCTs)})
-	res.note("baseline: %d/%d completed, mean FCT %.2fs, p95 %.2fs",
-		base.Completed, base.Started, base.MeanFCT, base.P95FCT)
-	res.note("attacked: %d/%d completed, mean FCT %.2fs, p95 %.2fs",
-		attacked.Completed, attacked.Started, attacked.MeanFCT, attacked.P95FCT)
-	return res, nil
-}
-
-// fctPoints renders completion times as an indexed series.
-func fctPoints(fcts []float64) []Point {
-	out := make([]Point, len(fcts))
-	for i, f := range fcts {
-		out[i] = Point{X: float64(i), Y: f}
-	}
-	return out
-}
-
-// AblationAttackPacketSize compares full-size (1000 B) against tiny (50 B)
-// attack packets at the same pulse bit rate. Packet-mode RED accounts queue
-// occupancy in slots, so a tiny-packet pulse of equal bits occupies 20×
-// the slots and evicts far more victim traffic — the reason real attack
-// tools favour small packets, and a behaviour byte-mode RED removes.
-func AblationAttackPacketSize(scale Scale) (*FigureResult, error) {
-	res := &FigureResult{ID: "ablation-pktsize", Title: "attack packet size vs gain (packet-mode RED)"}
-	for _, size := range []int{1000, 50} {
-		size := size
-		points, err := GainSweep(SweepConfig{
-			Factory: func() (Environment, error) {
-				cfg := DefaultDumbbellConfig(15)
-				cfg.Seed = scale.Seed
-				cfg.AttackPacketSize = size
-				return BuildDumbbell(cfg)
-			},
-			AttackRate: AblationRate,
-			Extent:     AblationExtent,
-			Kappa:      1,
-			Gammas:     scale.Gammas,
-			Warmup:     scale.Warmup,
-			Measure:    scale.Measure,
-			Parallel:   scale.Parallel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		label := fmt.Sprintf("pkt=%dB", size)
-		_, measured := GainSeries(label, points)
-		res.Series = append(res.Series, measured)
-		peak, err := PeakPoint(points)
-		if err != nil {
-			return nil, err
-		}
-		res.note("%s: peak measured gain %.3f at gamma=%.2f", label, peak.MeasuredGain, peak.Gamma)
-	}
-	return res, nil
-}
-
-// MaximizationFigure wraps the §4.1.2 comparison as a regenerable result:
-// analytic γ* against the measured gain peak per setting.
-func MaximizationFigure(scale Scale) (*FigureResult, error) {
-	cfg := DefaultMaximizationStudyConfig()
-	cfg.Gammas = scale.Gammas
-	cfg.Warmup = scale.Warmup
-	cfg.Measure = scale.Measure
-	cfg.Seed = scale.Seed
-	points, err := MaximizationStudy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{ID: "ext-maximization", Title: "analytic gamma* vs measured gain peak (§4.1.2)"}
-	s := Series{Label: "measured peak vs analytic gamma*"}
-	for _, p := range points {
-		s.Points = append(s.Points, Point{X: p.AnalyticGammaStar, Y: p.MeasuredPeakGamma})
-		res.note("%s: gamma*=%.3f measured-peak=%.2f (±%.2f grid) gains %.3f/%.3f class=%s",
-			p.Label, p.AnalyticGammaStar, p.MeasuredPeakGamma, p.GridStep,
-			p.AnalyticPeakGain, p.MeasuredPeakGain, p.Class)
-	}
-	res.Series = append(res.Series, s)
-	return res, nil
-}
-
-// SensitivityFigure wraps the plan-robustness analysis (regret of planning
-// on a mis-estimated C_Ψ) as a regenerable result. Analytic-only.
-func SensitivityFigure(Scale) (*FigureResult, error) {
-	res := &FigureResult{ID: "ext-sensitivity", Title: "plan regret under C_Psi estimation error"}
-	factors := []float64{0.125, 0.25, 0.5, 1, 2, 4, 8}
-	for _, cPsi := range []float64{0.02, 0.1, 0.3} {
-		points, err := optimize.Sensitivity(cPsi, 1, factors)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Label: fmt.Sprintf("CPsi=%.2f regret fraction", cPsi)}
-		for _, p := range points {
-			frac := 0.0
-			if p.OptimalGain > 0 {
-				frac = p.Regret / p.OptimalGain
-			}
-			s.Points = append(s.Points, Point{X: p.ErrorFactor, Y: frac})
-		}
-		res.Series = append(res.Series, s)
-		res.note("CPsi=%.2f: 2x over-estimate costs %.1f%% of the optimal gain",
-			cPsi, 100*s.Points[4].Y)
-	}
-	res.note("the gain surface is flat around gamma*: the paper's perfect-knowledge assumption is cheap")
-	return res, nil
 }

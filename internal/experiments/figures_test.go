@@ -9,56 +9,6 @@ import (
 	"pulsedos/internal/sim"
 )
 
-func TestFigure4RiskCurves(t *testing.T) {
-	fig, err := Figure4(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.ID != "fig4" || len(fig.Series) != 3 {
-		t.Fatalf("fig4: %s with %d series", fig.ID, len(fig.Series))
-	}
-}
-
-func TestOptimalityCheckAgrees(t *testing.T) {
-	fig, err := OptimalityCheck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range fig.Series[0].Points {
-		if math.Abs(p.X-p.Y) > 1e-4 {
-			t.Errorf("closed form %.6f vs numeric %.6f", p.X, p.Y)
-		}
-	}
-}
-
-func TestFigure1TransientAndSteady(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	scale := QuickScale()
-	fig, err := Figure1(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 1 || len(fig.Series[0].Points) == 0 {
-		t.Fatal("no cwnd series")
-	}
-	// During the attacked half, cwnd must stay far below the warm-up peak.
-	var preMax, postMax float64
-	warmup := scale.Warmup.Seconds()
-	for _, p := range fig.Series[0].Points {
-		if p.X < warmup && p.Y > preMax {
-			preMax = p.Y
-		}
-		if p.X > warmup+scale.Measure.Seconds()/2 && p.Y > postMax {
-			postMax = p.Y
-		}
-	}
-	if postMax >= preMax {
-		t.Errorf("attack did not constrain cwnd: pre %0.1f post %0.1f", preMax, postMax)
-	}
-}
-
 func TestSyncSnapshotRecoversPeriod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")

@@ -106,7 +106,7 @@ func runFusionScenario(t *testing.T, c fusionCase, golden bool, workers int) sha
 		t.Fatalf("%s: build golden=%v workers=%d: %v", c.name, golden, workers, err)
 	}
 	defer env.Close()
-	sc := collectScenario(t, env, c.flows, c.opt, env.Processed, env.Unrouted)
+	sc := collectScenario(t, env, c.flows, c.opt)
 	sc.kernelEvents = env.KernelEvents()
 	skipped := env.SkippedEvents()
 	if golden && skipped != 0 {

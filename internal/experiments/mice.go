@@ -8,6 +8,7 @@ import (
 	"pulsedos/internal/attack"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/stats"
+	"pulsedos/internal/topo"
 	"pulsedos/internal/workload"
 )
 
@@ -173,11 +174,12 @@ type MiceRunConfig struct {
 }
 
 // RunMiceCtx executes the mice study's flow schedule on env: the same draw
-// order, start choreography, and accounting as MiceStudy — the two are held
-// byte-identical by the figure-equivalence contract — but on an environment
+// order, start choreography, and accounting as MiceStudy — the ext-mice
+// figure pin, recorded from MiceStudy, holds the two byte-identical — but on
+// an environment
 // the caller built (so a scenario document supplies the topology) and with
 // the timeline sliced for cancellation like RunCtx.
-func RunMiceCtx(ctx context.Context, env *Dumbbell, cfg MiceRunConfig) (*MiceResult, error) {
+func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceRunConfig) (*MiceResult, error) {
 	if cfg.Elephants < 1 || cfg.Mice < 1 || cfg.MiceSegments < 1 {
 		return nil, errors.New("experiments: mice study needs elephants, mice, and a size")
 	}

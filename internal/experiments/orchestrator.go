@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -81,71 +80,4 @@ dispatch:
 		}
 	}
 	return ctx.Err()
-}
-
-// FigureJob names one regenerable figure. Build must be a pure function of
-// the scale: every invocation constructs a private kernel and environment,
-// which is what lets RunFigureJobs fan jobs out across workers without
-// perturbing the series they produce.
-type FigureJob struct {
-	ID    string
-	Build func(Scale) (*FigureResult, error)
-}
-
-// PaperFigures returns the paper-order figure jobs: Figs. 1–4, the gain
-// curves of Figs. 6–9, the shrew study of Fig. 10, the test-bed curves of
-// Fig. 12, and the Proposition 3 optimality cross-check.
-func PaperFigures() []FigureJob {
-	return []FigureJob{
-		{ID: "fig1", Build: Figure1},
-		{ID: "fig2", Build: Figure2},
-		{ID: "fig3a", Build: Figure3a},
-		{ID: "fig3b", Build: Figure3b},
-		{ID: "fig4", Build: Figure4},
-		{ID: "fig6", Build: Figure6},
-		{ID: "fig7", Build: Figure7},
-		{ID: "fig8", Build: Figure8},
-		{ID: "fig9", Build: Figure9},
-		{ID: "fig10", Build: Figure10},
-		{ID: "fig12", Build: Figure12},
-		{ID: "prop3", Build: func(Scale) (*FigureResult, error) { return OptimalityCheck() }},
-	}
-}
-
-// ExtendedFigures returns the ablation and extension studies that go beyond
-// the paper's own plots.
-func ExtendedFigures() []FigureJob {
-	return []FigureJob{
-		{ID: "ablation-aqm", Build: AblationREDvsDropTail},
-		{ID: "ablation-dack", Build: AblationDelayedACK},
-		{ID: "ablation-aimd", Build: AblationAIMD},
-		{ID: "ablation-pktsize", Build: AblationAttackPacketSize},
-		{ID: "ext-defense", Build: DefenseFigure},
-		{ID: "ext-mice", Build: MiceFigure},
-		{ID: "ext-maximization", Build: MaximizationFigure},
-		{ID: "ext-sensitivity", Build: SensitivityFigure},
-		{ID: "scale", Build: ScaleFigure},
-	}
-}
-
-// RunFigureJobs regenerates the given figures at the given scale, fanning
-// the jobs across up to parallel workers. The result slice is ordered like
-// jobs, independent of completion order; with parallel <= 1 the jobs run
-// strictly sequentially. Figure-level parallelism composes with the
-// sweep-level parallelism of scale.Parallel — both layers own per-run
-// kernels, so any combination yields identical series.
-func RunFigureJobs(jobs []FigureJob, scale Scale, parallel int) ([]*FigureResult, error) {
-	out := make([]*FigureResult, len(jobs))
-	err := RunTasks(parallel, len(jobs), func(i int) error {
-		fig, err := jobs[i].Build(scale)
-		if err != nil {
-			return fmt.Errorf("%s: %w", jobs[i].ID, err)
-		}
-		out[i] = fig
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -54,50 +53,6 @@ func TestRunTasksErrorPropagation(t *testing.T) {
 func TestRunTasksZeroTasks(t *testing.T) {
 	if err := RunTasks(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunFigureJobsPreservesOrder(t *testing.T) {
-	jobs := make([]FigureJob, 8)
-	for i := range jobs {
-		id := fmt.Sprintf("job-%d", i)
-		jobs[i] = FigureJob{ID: id, Build: func(Scale) (*FigureResult, error) {
-			return &FigureResult{ID: id}, nil
-		}}
-	}
-	figs, err := RunFigureJobs(jobs, Scale{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fig := range figs {
-		if fig.ID != jobs[i].ID {
-			t.Errorf("slot %d holds %s, want %s", i, fig.ID, jobs[i].ID)
-		}
-	}
-}
-
-func TestRunFigureJobsErrorNamesJob(t *testing.T) {
-	jobs := []FigureJob{
-		{ID: "good", Build: func(Scale) (*FigureResult, error) { return &FigureResult{ID: "good"}, nil }},
-		{ID: "bad", Build: func(Scale) (*FigureResult, error) { return nil, errors.New("boom") }},
-	}
-	_, err := RunFigureJobs(jobs, Scale{}, 2)
-	if err == nil || err.Error() != "bad: boom" {
-		t.Errorf("err = %v, want \"bad: boom\"", err)
-	}
-}
-
-func TestPaperFiguresCoverRegistry(t *testing.T) {
-	want := map[string]bool{
-		"fig1": true, "fig2": true, "fig3a": true, "fig3b": true, "fig4": true,
-		"fig6": true, "fig7": true, "fig8": true, "fig9": true, "fig10": true,
-		"fig12": true, "prop3": true,
-	}
-	for _, j := range PaperFigures() {
-		delete(want, j.ID)
-	}
-	if len(want) != 0 {
-		t.Errorf("PaperFigures missing %v", want)
 	}
 }
 

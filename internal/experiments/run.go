@@ -11,6 +11,7 @@ import (
 	"pulsedos/internal/netem"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/tcp"
+	"pulsedos/internal/topo"
 	"pulsedos/internal/trace"
 )
 
@@ -41,7 +42,7 @@ type Environment interface {
 
 // Interface conformance: the graph layer's environment is the one
 // implementation behind every topology.
-var _ Environment = (*Dumbbell)(nil)
+var _ Environment = (*topo.Environment)(nil)
 
 // engineEnv is implemented by environments that may be driven by the
 // conservative parallel engine rather than a single kernel. Run probes for

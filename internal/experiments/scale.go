@@ -14,7 +14,7 @@ import (
 	"pulsedos/internal/perf/clock"
 	"pulsedos/internal/runcache"
 	"pulsedos/internal/sim"
-	"pulsedos/internal/trace"
+	"pulsedos/internal/topo"
 )
 
 // ScaleSweepConfig parameterizes the many-flow scaling study: the same pulsed
@@ -367,19 +367,6 @@ type attackedScale struct {
 	lookahead sim.Time // parallel engine window width (0 when serial)
 }
 
-// scaleRunEnv is the surface runAttackedScale needs from either the serial
-// dumbbell or its sharded counterpart.
-type scaleRunEnv interface {
-	Attach(train attack.Train) (*attack.Generator, error)
-	Goodput() *trace.FlowAccount
-	StartFlows() error
-	StopFlows()
-	RunUntil(t sim.Time) error
-	Processed() uint64
-	BottleStats() netem.LinkStats
-	Close()
-}
-
 // runAttackedScale executes one pulsed run and instruments the measurement
 // window only. The pulse train starts halfway through the warm-up — not at
 // its end as Run does — so every capacity high-water mark the attack provokes
@@ -387,21 +374,9 @@ type scaleRunEnv interface {
 // start, leaving the window itself allocation-free. shards > 1 runs the
 // scenario on the conservative parallel engine.
 func runAttackedScale(dcfg DumbbellConfig, cfg ScaleSweepConfig, attackRate float64, period time.Duration, measure time.Duration, shards int) (attackedScale, error) {
-	var env scaleRunEnv
-	var eng *sim.Engine
-	if shards > 1 {
-		sd, err := BuildShardedDumbbell(dcfg, shards)
-		if err != nil {
-			return attackedScale{}, err
-		}
-		env = sd
-		eng = sd.Engine()
-	} else {
-		d, err := BuildDumbbell(dcfg)
-		if err != nil {
-			return attackedScale{}, err
-		}
-		env = d
+	env, err := topo.Build(topo.Dumbbell(dcfg), topo.Options{Workers: shards})
+	if err != nil {
+		return attackedScale{}, err
 	}
 	defer env.Close()
 	warmup := sim.FromDuration(cfg.Warmup)
@@ -449,7 +424,7 @@ func runAttackedScale(dcfg DumbbellConfig, cfg ScaleSweepConfig, attackRate floa
 		wall:      wall,
 		delivered: env.Goodput().Total(),
 	}
-	if eng != nil {
+	if eng := env.Engine(); eng != nil {
 		out.windows = eng.Windows()
 		out.lookahead = eng.Lookahead()
 	}
@@ -481,7 +456,7 @@ func peakRSSBytes() uint64 {
 	return 0
 }
 
-// ScaleFigure is the "scale" FigureJob: the sweep restricted to the figure
+// ScaleFigure is the "scale" figure: the sweep restricted to the figure
 // scale's populations and windows (so quick regression runs stay quick),
 // rendered as flows-vs-metric curves. The full BENCH_2 sweep — 60 virtual
 // seconds at up to 50k flows — runs through pdos-bench's -scale-bench mode
@@ -521,10 +496,10 @@ func ScaleFigure(scale Scale) (*FigureResult, error) {
 		fig.Series = append(fig.Series, s)
 	}
 	for _, p := range points {
-		fig.note("flows=%d: %.2fM events/sec (heap %.2fM, %.2fx), %.1f ns/flow/vsec, %.4f allocs/packet, degradation %.3f vs model %.3f, identical-goodput=%v",
+		fig.Notes = append(fig.Notes, fmt.Sprintf("flows=%d: %.2fM events/sec (heap %.2fM, %.2fx), %.1f ns/flow/vsec, %.4f allocs/packet, degradation %.3f vs model %.3f, identical-goodput=%v",
 			p.Flows, p.EventsPerSec/1e6, p.HeapEventsPerSec/1e6, p.SpeedupVsHeap,
 			p.NsPerFlowPerSec, p.AllocsPerPacket, p.MeasuredDegradation, p.AnalyticDegradation,
-			p.DeliveredMatch)
+			p.DeliveredMatch))
 	}
 	return fig, nil
 }

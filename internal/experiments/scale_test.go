@@ -47,7 +47,7 @@ func TestScaleSweepSmall(t *testing.T) {
 	}
 }
 
-// TestScaleFigure checks the FigureJob wrapper produces the expected curves.
+// TestScaleFigure checks the "scale" figure produces the expected curves.
 func TestScaleFigure(t *testing.T) {
 	scale := QuickScale()
 	scale.ScaleFlows = []int{25}

@@ -3,51 +3,44 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"pulsedos/internal/attack"
+	"pulsedos/internal/pins"
 	"pulsedos/internal/rng"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/topo"
 )
 
-// TestPlanMatchesLegacyDumbbellPlan pins the generalized planner against the
-// retired dumbbell-specific one: on a dumbbell graph, topo.Plan must
-// reproduce the legacy shard assignment exactly (same cores, same per-flow
-// shards, same clamping), because the equivalence contract depends on the
-// flow→shard map being unchanged.
+// TestPlanMatchesLegacyDumbbellPlan pins the generalized planner's dumbbell
+// shard assignment (cores, per-flow shards, clamping) across a table of flow
+// and worker counts. The digest was recorded from the retired
+// dumbbell-specific planner, and the equivalence contract depends on the
+// flow→shard map staying unchanged.
 func TestPlanMatchesLegacyDumbbellPlan(t *testing.T) {
+	var table strings.Builder
 	for _, flows := range []int{1, 2, 5, 17, 100} {
 		for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-			legacy := legacyPlanDumbbell(flows, workers)
 			plan, err := topo.Plan(topo.Dumbbell(DefaultDumbbellConfig(flows)), workers)
 			if err != nil {
 				t.Fatalf("flows %d workers %d: %v", flows, workers, err)
 			}
-			if plan.Workers != legacy.Workers {
-				t.Errorf("flows %d workers %d: plan kept %d shards, legacy %d",
-					flows, workers, plan.Workers, legacy.Workers)
-			}
-			if plan.AttackShard[0] != legacy.AttackShard {
-				t.Errorf("flows %d workers %d: attack shard %d, legacy %d",
-					flows, workers, plan.AttackShard[0], legacy.AttackShard)
-			}
-			// The dumbbell has one trunk: trunk 0 fwd is the legacy fwd core,
-			// rev the legacy rev core.
-			if plan.TrunkFwd[0] != legacy.FwdCore || plan.TrunkRev[0] != legacy.RevCore {
-				t.Errorf("flows %d workers %d: trunk on shards %d/%d, legacy %d/%d",
-					flows, workers, plan.TrunkFwd[0], plan.TrunkRev[0], legacy.FwdCore, legacy.RevCore)
-			}
-			for i, s := range plan.FlowShard {
-				if s != legacy.FlowShard[i] {
-					t.Fatalf("flows %d workers %d: flow %d on shard %d, legacy %d",
-						flows, workers, i, s, legacy.FlowShard[i])
-				}
-			}
+			// The dumbbell has one trunk and one attack point.
+			fmt.Fprintf(&table, "flows=%d workers=%d shards=%d attack=%d fwd=%d rev=%d flow-shards=%v\n",
+				flows, workers, plan.Workers, plan.AttackShard[0], plan.TrunkFwd[0], plan.TrunkRev[0], plan.FlowShard)
 		}
 	}
+	pins.Load(t, topoPinFile).Check(t, "plan/dumbbell", table.String())
 }
+
+// topoPinFile holds one committed SHA-256 per equivalence case below, over
+// the case's canonical rendering. The digests were recorded from the
+// hand-wired builders the graph layer replaced (all links on the golden
+// two-event schedule), so the pins carry the same byte-identity contract
+// those builders enforced as a live oracle.
+const topoPinFile = "testdata/topo.sha256"
 
 // shardedScenario holds everything observable from one run.
 type shardedScenario struct {
@@ -62,14 +55,13 @@ type shardedScenario struct {
 // collectScenario runs one built environment and snapshots every observable
 // the equivalence contract compares, including the figure CSV bytes exactly
 // as the figure pipeline would emit them.
-func collectScenario(t *testing.T, env Environment, flows int, opt RunOptions,
-	processed, unrouted func() uint64) shardedScenario {
+func collectScenario(t *testing.T, env *topo.Environment, flows int, opt RunOptions) shardedScenario {
 	t.Helper()
 	res, err := Run(env, opt)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	out := shardedScenario{res: res, processed: processed(), unrouted: unrouted()}
+	out := shardedScenario{res: res, processed: env.Processed(), unrouted: env.Unrouted()}
 
 	if res.Rate != nil {
 		s := Series{Label: "bottleneck-rate"}
@@ -94,26 +86,54 @@ func collectScenario(t *testing.T, env Environment, flows int, opt RunOptions,
 	return out
 }
 
-// runScenario executes one dumbbell scenario. workers == 0 selects the
-// legacy hand-wired serial builder — the fixed reference implementation the
-// graph layer must reproduce; workers >= 1 selects the topo path (serial
-// construction at 1 worker, the parallel engine above that).
+// render is the canonical text of one run: every observable
+// compareScenarios checks, in a fixed order. Its digest is the pinned form.
+func (s shardedScenario) render() string {
+	r := s.res
+	var b strings.Builder
+	fmt.Fprintf(&b, "delivered %d\n", r.Delivered)
+	fmt.Fprintf(&b, "timeouts %d fast-recoveries %d\n", r.Timeouts, r.FastRecoveries)
+	fmt.Fprintf(&b, "retransmits %d segments-sent %d\n", r.Retransmits, r.SegmentsSent)
+	fmt.Fprintf(&b, "attack %+v\n", r.AttackStats)
+	fmt.Fprintf(&b, "drops %d\n", r.Drops.Total)
+	fmt.Fprintf(&b, "processed %d\n", s.processed)
+	fmt.Fprintf(&b, "per-flow %v\n", r.PerFlow)
+	b.Write(s.rateCSV)
+	b.Write(s.flowCSV)
+	return b.String()
+}
+
+// runScenario executes one dumbbell scenario on the graph layer: serial
+// construction at 1 worker, the parallel engine above that.
 func runScenario(t *testing.T, cfg DumbbellConfig, workers int, opt RunOptions) shardedScenario {
 	t.Helper()
-	if workers == 0 {
-		d, err := buildLegacyDumbbell(cfg)
-		if err != nil {
-			t.Fatalf("build legacy serial: %v", err)
-		}
-		unrouted := func() uint64 { return d.RouterS.Unrouted() + d.RouterR.Unrouted() }
-		return collectScenario(t, d, cfg.Flows, opt, d.Processed, unrouted)
-	}
-	env, err := BuildShardedDumbbell(cfg, workers)
+	return runEnv(t, topo.Dumbbell(cfg), cfg.Flows, workers, opt)
+}
+
+// runEnv builds one graph over the given worker count and runs it.
+func runEnv(t *testing.T, g topo.Graph, flows, workers int, opt RunOptions) shardedScenario {
+	t.Helper()
+	env, err := topo.Build(g, topo.Options{Workers: workers})
 	if err != nil {
 		t.Fatalf("build graph (%d workers): %v", workers, err)
 	}
 	defer env.Close()
-	return collectScenario(t, env, cfg.Flows, opt, env.Processed, env.Unrouted)
+	return collectScenario(t, env, flows, opt)
+}
+
+// checkWorkers runs one case at 1 worker, pins it, and requires every other
+// worker count to reproduce the 1-worker run exactly.
+func checkWorkers(t *testing.T, set pins.Set, name string, workers []int,
+	run func(workers int) shardedScenario) {
+	t.Helper()
+	ref := run(1)
+	if ref.unrouted != 0 {
+		t.Errorf("%s: %d unrouted packets", name, ref.unrouted)
+	}
+	set.Check(t, name, ref.render())
+	for _, w := range workers {
+		compareScenarios(t, fmt.Sprintf("%s workers %d", name, w), ref, run(w))
+	}
 }
 
 func compareScenarios(t *testing.T, label string, want, got shardedScenario) {
@@ -187,19 +207,17 @@ func randomShardedConfig(seed uint64) (DumbbellConfig, RunOptions) {
 // TestShardedDumbbellEquivalence is the topology-level determinism contract:
 // pulsed dumbbell scenarios must produce identical results — delivered
 // bytes, per-flow accounts, TCP state statistics, drop counts, processed
-// event totals, and byte-identical figure CSVs — on the legacy hand-wired
-// serial builder and on the graph layer at 1, 2, 4, and 8 workers.
+// event totals, and byte-identical figure CSVs — on the graph layer at 1, 2,
+// 4, and 8 workers, and the 1-worker run must match its pinned digest.
 func TestShardedDumbbellEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second virtual scenarios")
 	}
+	set := pins.Load(t, topoPinFile)
 	for seed := uint64(1); seed <= 6; seed++ {
 		cfg, opt := randomShardedConfig(seed)
-		legacy := runScenario(t, cfg, 0, opt)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := runScenario(t, cfg, workers, opt)
-			compareScenarios(t, fmt.Sprintf("seed %d workers %d", seed, workers), legacy, got)
-		}
+		checkWorkers(t, set, fmt.Sprintf("dumbbell/seed=%d", seed), []int{2, 4, 8},
+			func(workers int) shardedScenario { return runScenario(t, cfg, workers, opt) })
 		if t.Failed() {
 			t.Fatalf("divergence at seed %d (cfg %+v)", seed, cfg)
 		}
@@ -211,44 +229,19 @@ func TestShardedDumbbellEquivalence(t *testing.T) {
 func TestShardedDumbbellBaselineEquivalence(t *testing.T) {
 	cfg, opt := randomShardedConfig(42)
 	opt.Train = nil
-	legacy := runScenario(t, cfg, 0, opt)
-	for _, workers := range []int{2, 4} {
-		got := runScenario(t, cfg, workers, opt)
-		compareScenarios(t, fmt.Sprintf("baseline workers %d", workers), legacy, got)
-	}
+	checkWorkers(t, pins.Load(t, topoPinFile), "dumbbell-baseline/seed=42", []int{2, 4},
+		func(workers int) shardedScenario { return runScenario(t, cfg, workers, opt) })
 }
 
-// runTestbedScenario executes one test-bed scenario. workers == 0 selects
-// the legacy hand-wired Dummynet builder; workers >= 1 the graph layer.
-// Sharded test-beds are new with the graph layer, so the legacy serial run
-// is the reference at every worker count.
-func runTestbedScenario(t *testing.T, cfg TestbedConfig, workers int, opt RunOptions) shardedScenario {
-	t.Helper()
-	if workers == 0 {
-		tb, err := buildLegacyTestbed(cfg)
-		if err != nil {
-			t.Fatalf("build legacy testbed: %v", err)
-		}
-		unrouted := func() uint64 { return 0 }
-		return collectScenario(t, tb, cfg.Flows, opt, tb.Processed, unrouted)
-	}
-	env, err := topo.Build(topo.Testbed(cfg), topo.Options{Workers: workers})
-	if err != nil {
-		t.Fatalf("build graph testbed (%d workers): %v", workers, err)
-	}
-	defer env.Close()
-	return collectScenario(t, env, cfg.Flows, opt, env.Processed, env.Unrouted)
-}
-
-// TestTestbedEquivalence extends the contract to the Fig. 11 test-bed: the
-// graph layer must reproduce the legacy Dummynet wiring byte-identically,
-// including the quirk that the legacy pipe constructor consumed one rng
-// split even for DropTail queues (the DropTail case exercises
+// TestTestbedEquivalence extends the contract to the Fig. 11 test-bed,
+// including the quirk that the original Dummynet pipe constructor consumed
+// one rng split even for DropTail queues (the DropTail case exercises
 // QueueSpec.ReserveRand).
 func TestTestbedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second virtual scenarios")
 	}
+	set := pins.Load(t, topoPinFile)
 	for _, dropTail := range []bool{false, true} {
 		cfg := DefaultTestbedConfig(5)
 		cfg.Seed = 7
@@ -266,11 +259,8 @@ func TestTestbedEquivalence(t *testing.T) {
 		}
 		opt.Train = &train
 
-		legacy := runTestbedScenario(t, cfg, 0, opt)
-		for _, workers := range []int{1, 2, 4} {
-			got := runTestbedScenario(t, cfg, workers, opt)
-			compareScenarios(t, fmt.Sprintf("testbed dropTail=%v workers %d", dropTail, workers), legacy, got)
-		}
+		checkWorkers(t, set, fmt.Sprintf("testbed/droptail=%v", dropTail), []int{2, 4},
+			func(workers int) shardedScenario { return runEnv(t, topo.Testbed(cfg), cfg.Flows, workers, opt) })
 		if t.Failed() {
 			t.Fatalf("divergence at dropTail=%v", dropTail)
 		}

@@ -10,12 +10,8 @@ func DefaultTestbedConfig(flows int) TestbedConfig {
 	return topo.DefaultTestbedConfig(flows)
 }
 
-// Testbed is a wired instance of the Fig. 11 topology — since the
-// topology-graph refactor, the generic graph environment.
-type Testbed = topo.Environment
-
 // BuildTestbed constructs and wires the test-bed. Flows are created but not
 // started; call StartFlows.
-func BuildTestbed(cfg TestbedConfig) (*Testbed, error) {
+func BuildTestbed(cfg TestbedConfig) (*topo.Environment, error) {
 	return topo.Build(topo.Testbed(cfg), topo.Options{})
 }

@@ -7,12 +7,11 @@
 // pure arithmetic over result.json, srtt.json, sync.json, and friends — so a
 // warm cache replays an entire AllFigures sweep without touching a kernel.
 //
-// The legacy drivers in internal/experiments survive one release as the
-// fixed side of a byte-identity equivalence contract: for every migrated
-// figure, the FigureResult assembled here equals the legacy driver's output
-// bit for bit (TestFigureEquivalence). Both sides draw their fixed dimensions
-// from the same experiments/dims.go definitions, so they cannot drift apart
-// silently.
+// Every figure's output is pinned: testdata/figures.sha256 holds the SHA-256
+// of each FigureResult at two scales, recorded from the experiments drivers
+// this pipeline replaced, and TestFigureEquivalence holds the pipeline to
+// those bytes. The fixed dimensions (rates, extents, settings) come from
+// experiments/dims.go.
 package figures
 
 import (
@@ -73,16 +72,14 @@ func Registry() []Def {
 		{ID: "fig2", plan: fig2Plan},
 		{ID: "fig3a", plan: fig3aPlan},
 		{ID: "fig3b", plan: fig3bPlan},
-		{ID: "fig4", direct: experiments.Figure4},
+		{ID: "fig4", direct: fig4},
 		{ID: "fig6", plan: gainFigurePlan("fig6", experiments.GainFigureRates()[0])},
 		{ID: "fig7", plan: gainFigurePlan("fig7", experiments.GainFigureRates()[1])},
 		{ID: "fig8", plan: gainFigurePlan("fig8", experiments.GainFigureRates()[2])},
 		{ID: "fig9", plan: gainFigurePlan("fig9", experiments.GainFigureRates()[3])},
 		{ID: "fig10", plan: fig10Plan},
 		{ID: "fig12", plan: fig12Plan},
-		{ID: "prop3", direct: func(experiments.Scale) (*experiments.FigureResult, error) {
-			return experiments.OptimalityCheck()
-		}},
+		{ID: "prop3", direct: prop3},
 		{ID: "ablation-aqm", plan: aqmPlan},
 		{ID: "ablation-dack", plan: dackPlan},
 		{ID: "ablation-aimd", plan: aimdPlan},
@@ -90,7 +87,7 @@ func Registry() []Def {
 		{ID: "ext-defense", plan: defensePlan},
 		{ID: "ext-mice", plan: micePlan},
 		{ID: "ext-maximization", plan: maximizationPlan},
-		{ID: "ext-sensitivity", direct: experiments.SensitivityFigure},
+		{ID: "ext-sensitivity", direct: sensitivity},
 		// The scaling sweep is a performance study, not a paper figure; it
 		// keeps its own pipeline (experiments.ScaleSweep with per-point
 		// ScaleKey caching) because its observables include wall-clock and
@@ -162,9 +159,9 @@ func run(ctx context.Context, def Def, scale experiments.Scale, opt Options) (*e
 		return def.direct(scale)
 	}
 	if scale.Seed == 0 {
-		// The legacy drivers stamp scale.Seed into every topology config
-		// unconditionally; a scenario document treats seed 0 as "kind
-		// default". Requiring a nonzero seed keeps the two sides identical.
+		// A figure stamps scale.Seed into every topology it builds, while a
+		// scenario document treats seed 0 as "kind default": a zero seed
+		// cannot be stated in a document, so it is rejected.
 		return nil, errors.New("figures: scale needs a nonzero seed")
 	}
 	p, err := def.plan(scale)
@@ -192,8 +189,8 @@ func RunJobs(ctx context.Context, ids []string, scale experiments.Scale, opt Opt
 	return out, nil
 }
 
-// AllFigures regenerates the paper figures at the given scale, paper order —
-// the scenario-native counterpart of experiments.AllFigures.
+// AllFigures regenerates the paper figures (Figs. 1–4, 6–10, 12 and the
+// Proposition 3 cross-check) at the given scale, paper order.
 func AllFigures(ctx context.Context, scale experiments.Scale, opt Options) ([]*experiments.FigureResult, error) {
 	return RunJobs(ctx, IDs()[:paperCount], scale, opt)
 }

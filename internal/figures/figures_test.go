@@ -9,12 +9,30 @@ import (
 
 	"pulsedos/internal/experiments"
 	"pulsedos/internal/figures"
+	"pulsedos/internal/pins"
 	"pulsedos/internal/runcache"
 )
 
-// equivalenceScale shrinks every dimension so the full legacy-vs-scenario
-// comparison stays fast enough for -race CI runs. Three gammas keep the
-// maximization study's grid guard satisfied.
+// pinFile holds one committed SHA-256 per figure output, named
+// "<id>@<scale>": every registry figure except "scale" at equivalenceScale,
+// and the paper set at QuickScale. Each digest covers the figure's %#v
+// rendering — exact through shortest-round-trip floats, and NaN-safe unlike
+// JSON (the maximization figure's analytic γ* is NaN when no optimum
+// exists). The digests were recorded from the internal/experiments driver
+// each figure replaced, so the pins carry the same byte-identity contract
+// those drivers enforced as a live oracle.
+const pinFile = "testdata/figures.sha256"
+
+// paperIDs is the paper set AllFigures regenerates: Figs. 1–4, 6–10, 12 and
+// the Proposition 3 cross-check.
+var paperIDs = []string{
+	"fig1", "fig2", "fig3a", "fig3b", "fig4", "fig6", "fig7", "fig8", "fig9",
+	"fig10", "fig12", "prop3",
+}
+
+// equivalenceScale shrinks every dimension so the full pinned sweep stays
+// fast enough for -race CI runs. Three gammas keep the maximization study's
+// grid guard satisfied.
 func equivalenceScale() experiments.Scale {
 	return experiments.Scale{
 		Warmup:       2 * time.Second,
@@ -28,25 +46,15 @@ func equivalenceScale() experiments.Scale {
 	}
 }
 
-// legacyJobs indexes the legacy drivers by figure ID.
-func legacyJobs(t *testing.T) map[string]func(experiments.Scale) (*experiments.FigureResult, error) {
-	t.Helper()
-	out := map[string]func(experiments.Scale) (*experiments.FigureResult, error){}
-	for _, job := range append(experiments.PaperFigures(), experiments.ExtendedFigures()...) {
-		out[job.ID] = job.Build
-	}
-	return out
-}
-
-// TestFigureEquivalence is the migration contract: every figure regenerated
-// through the scenario-native pipeline — documents, cached artifacts, decode,
-// assemble — must equal the legacy driver's FigureResult byte for byte. The
-// comparison uses %#v, whose shortest-round-trip float formatting makes it
-// exact (and NaN-safe, unlike JSON: the maximization figure's AnalyticGammaStar
-// is NaN when no analytic optimum exists).
+// TestFigureEquivalence is the figure pipeline's byte-identity contract:
+// every figure regenerated through the scenario-native pipeline — documents,
+// cached artifacts, decode, assemble — must hash to its pinned digest.
 func TestFigureEquivalence(t *testing.T) {
+	set := pins.Load(t, pinFile)
+	if !set.Native() {
+		t.Skip("no figure pins for this GOARCH")
+	}
 	scale := equivalenceScale()
-	legacy := legacyJobs(t)
 	store, err := runcache.Open(t.TempDir(), 1<<30)
 	if err != nil {
 		t.Fatal(err)
@@ -54,36 +62,49 @@ func TestFigureEquivalence(t *testing.T) {
 	opt := figures.Options{Cache: store, Parallel: scale.Parallel}
 	for _, id := range figures.IDs() {
 		if id == "scale" {
-			// The scaling sweep delegates to the same ScaleFigure on both
-			// sides (its observables include wall-clock timings a document
-			// cannot cache); running it twice here proves nothing.
+			// The scaling sweep's observables include wall-clock timings, so
+			// it has no reproducible digest.
 			continue
 		}
 		id := id
 		t.Run(id, func(t *testing.T) {
-			build, ok := legacy[id]
-			if !ok {
-				t.Fatalf("no legacy driver for %s", id)
-			}
-			want, err := build(scale)
-			if err != nil {
-				t.Fatalf("legacy %s: %v", id, err)
-			}
-			got, err := figures.Run(context.Background(), id, scale, opt)
+			fig, err := figures.Run(context.Background(), id, scale, opt)
 			if err != nil {
 				t.Fatalf("figures.Run(%s): %v", id, err)
 			}
-			a, b := fmt.Sprintf("%#v", want), fmt.Sprintf("%#v", got)
-			if a != b {
-				t.Errorf("figure %s diverged from legacy driver\nlegacy: %s\nnew:    %s", id, a, b)
-			}
+			set.Check(t, id+"@equivalence", fmt.Sprintf("%#v", fig))
 		})
+	}
+}
+
+// TestPinsCoverRegistry: every registry figure except "scale" has exactly
+// one equivalence-scale pin, every paper figure one QuickScale pin, and no
+// pin names an unknown figure or scale.
+func TestPinsCoverRegistry(t *testing.T) {
+	want := map[string]bool{}
+	for _, id := range figures.IDs() {
+		if id != "scale" {
+			want[id+"@equivalence"] = true
+		}
+	}
+	for _, id := range paperIDs {
+		want[id+"@quick"] = true
+	}
+	for name := range pins.Load(t, pinFile).Sums {
+		if !want[name] {
+			t.Errorf("pin %s names no registry figure at a pinned scale", name)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("%s has no pin", name)
 	}
 }
 
 // TestAllFiguresWarmCache asserts the pipeline's replay property: a second
 // AllFigures pass at the same scale computes nothing — every expanded point
-// is served from the content-addressed cache.
+// is served from the content-addressed cache. The cold pass doubles as the
+// QuickScale pin check of the paper set.
 func TestAllFiguresWarmCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QuickScale figure sweep in -short mode")
@@ -103,6 +124,13 @@ func TestAllFiguresWarmCache(t *testing.T) {
 	coldStats := store.Stats()
 	if coldStats.Misses == 0 {
 		t.Fatal("cold run computed nothing — cache keys are not reaching the store")
+	}
+	set := pins.Load(t, pinFile)
+	for i, fig := range cold {
+		if i < len(paperIDs) && fig.ID != paperIDs[i] {
+			t.Errorf("AllFigures slot %d holds %s, want %s", i, fig.ID, paperIDs[i])
+		}
+		set.Check(t, fig.ID+"@quick", fmt.Sprintf("%#v", fig))
 	}
 
 	warm, err := figures.AllFigures(context.Background(), scale, opt)
@@ -159,15 +187,16 @@ func TestDocumentsAreSelfContained(t *testing.T) {
 	}
 }
 
-// TestRunRequiresSeed pins the seed-zero guard: the legacy drivers stamp
-// Scale.Seed into every topology unconditionally, while a scenario document
-// treats seed 0 as "kind default" — so a zero seed cannot be represented
-// equivalently and must be rejected.
+// TestRunRequiresSeed pins the seed-zero guard: a figure stamps Scale.Seed
+// into every topology it builds, while a scenario document treats seed 0 as
+// "kind default" — so a zero seed cannot be stated in a document and must be
+// rejected.
 func TestRunRequiresSeed(t *testing.T) {
 	scale := equivalenceScale()
 	scale.Seed = 0
-	if _, err := figures.Run(context.Background(), "fig2", scale, figures.Options{}); err == nil {
-		t.Fatal("Run with zero seed succeeded; want error")
+	_, err := figures.Run(context.Background(), "fig2", scale, figures.Options{})
+	if want := "fig2: figures: scale needs a nonzero seed"; err == nil || err.Error() != want {
+		t.Fatalf("Run with zero seed: err = %v, want %q (errors name their figure)", err, want)
 	}
 	// Analytic figures run no simulation and need no seed.
 	if _, err := figures.Run(context.Background(), "fig4", scale, figures.Options{}); err != nil {

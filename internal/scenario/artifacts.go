@@ -69,8 +69,8 @@ type RunSummary struct {
 
 // SyncArtifact is the JSON shape of sync.json: the §2.3 post-processing of
 // the incoming-traffic series (zero-mean PAA compression, pinnacle count,
-// autocorrelation period), computed by the same code path as the legacy
-// SyncSnapshot so the figure assembled from it is byte-identical.
+// autocorrelation period), computed by the same code path as
+// experiments.SyncSnapshot so the figure assembled from it is byte-identical.
 type SyncArtifact struct {
 	Frames        []float64 `json:"frames"`
 	Peaks         int       `json:"peaks"`
@@ -219,8 +219,8 @@ func encodeTaps(cfg Config, res *experiments.RunResult, files map[string][]byte)
 	return nil
 }
 
-// encodeSync post-processes the rate series exactly as the legacy
-// SyncSnapshot does: zero-mean PAA compression, pinnacles above half the
+// encodeSync post-processes the rate series exactly as
+// experiments.SyncSnapshot does: zero-mean PAA compression, pinnacles above half the
 // maximum, autocorrelation on the raw bins.
 func encodeSync(cfg Config, res *experiments.RunResult) (*SyncArtifact, error) {
 	frames := cfg.Measure.syncFrames(cfg.MeasureSec)

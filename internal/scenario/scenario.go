@@ -585,7 +585,7 @@ func (c Config) RunContext(ctx context.Context, progress func(frac float64)) (*e
 // its own flow schedule (Poisson short-flow arrivals over elephants), so it
 // bypasses RunCtx's start/stop choreography.
 func (c Config) runWorkload(ctx context.Context, env experiments.Environment, train *attack.Train) (*experiments.RunResult, error) {
-	denv, ok := env.(*experiments.Dumbbell)
+	denv, ok := env.(*topo.Environment)
 	if !ok {
 		return nil, errors.New("scenario: mice workload needs a serial dumbbell environment")
 	}

@@ -40,7 +40,7 @@ func batchBody(docs ...string) string {
 func TestBatchSubmit(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2})
 	s.computeFn = func(ctx context.Context, cfg scenario.Config, progress func(float64)) (map[string][]byte, error) {
-		return map[string][]byte{ArtifactResult: []byte(`{"ok": true}`)}, nil
+		return map[string][]byte{scenario.ArtifactResult: []byte(`{"ok": true}`)}, nil
 	}
 	entries, code := postBatch(t, ts, batchBody(smallDoc(1), smallDoc(2), smallDoc(3)), "?wait=1")
 	if code != http.StatusOK {
@@ -76,7 +76,7 @@ func TestBatchSubmit(t *testing.T) {
 func TestBatchMixedAdmission(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	s.computeFn = func(ctx context.Context, cfg scenario.Config, progress func(float64)) (map[string][]byte, error) {
-		return map[string][]byte{ArtifactResult: []byte(`{}`)}, nil
+		return map[string][]byte{scenario.ArtifactResult: []byte(`{}`)}, nil
 	}
 	bad := `{"topology": {"kind": "donut"}, "measureSec": 1}`
 	entries, code := postBatch(t, ts, batchBody(smallDoc(1), bad, smallDoc(2)), "?wait=1")
@@ -111,14 +111,14 @@ func TestBatchCacheFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Cache().Put(key, cfg.Name, "test", map[string][]byte{ArtifactResult: []byte(`{"cached": true}`)}); err != nil {
+	if err := s.Cache().Put(key, cfg.Name, "test", map[string][]byte{scenario.ArtifactResult: []byte(`{"cached": true}`)}); err != nil {
 		t.Fatal(err)
 	}
 	s.computeFn = func(ctx context.Context, cfg scenario.Config, progress func(float64)) (map[string][]byte, error) {
 		if cfg.Seed == 42 {
 			return nil, fmt.Errorf("compute invoked for the cached key")
 		}
-		return map[string][]byte{ArtifactResult: []byte(`{}`)}, nil
+		return map[string][]byte{scenario.ArtifactResult: []byte(`{}`)}, nil
 	}
 	entries, code := postBatch(t, ts, batchBody(cachedDoc, smallDoc(7)), "?wait=1")
 	if code != http.StatusOK {
@@ -180,7 +180,7 @@ func TestBatchExpandsSweepDocument(t *testing.T) {
 			gammas = append(gammas, cfg.Attack.Gamma)
 			mu.Unlock()
 		}
-		return map[string][]byte{ArtifactResult: []byte(`{}`)}, nil
+		return map[string][]byte{scenario.ArtifactResult: []byte(`{}`)}, nil
 	}
 	entries, code := postBatch(t, ts, batchBody(sweepDoc(0.3, 0.5, 0.8), smallDoc(1)), "?wait=1")
 	if code != http.StatusOK {

@@ -135,7 +135,7 @@ func (j *job) snapshot(withResult bool) JobStatus {
 		}
 		sort.Strings(st.Artifacts)
 		if withResult {
-			st.Result = json.RawMessage(j.artifacts[ArtifactResult])
+			st.Result = json.RawMessage(j.artifacts[scenario.ArtifactResult])
 		}
 	}
 	return st

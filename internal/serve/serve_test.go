@@ -155,7 +155,7 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := ComputeArtifacts(context.Background(), cfg, nil)
+	direct, err := scenario.ComputeArtifacts(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +169,12 @@ func TestServeSmoke(t *testing.T) {
 			t.Errorf("artifact %s differs from direct recompute", name)
 		}
 	}
-	if _, ok := direct[ArtifactRate]; !ok {
+	if _, ok := direct[scenario.ArtifactRate]; !ok {
 		t.Error("fig8-style requests a rate series; rate.csv missing from recompute")
 	}
 
-	var sum RunSummary
-	if err := json.Unmarshal(getArtifact(t, ts, second.ID, ArtifactResult), &sum); err != nil {
+	var sum scenario.RunSummary
+	if err := json.Unmarshal(getArtifact(t, ts, second.ID, scenario.ArtifactResult), &sum); err != nil {
 		t.Fatalf("result.json does not parse: %v", err)
 	}
 	if sum.Delivered == 0 || sum.SegmentsSent == 0 {
@@ -348,7 +348,7 @@ func TestCachedFastPathSkipsWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := map[string][]byte{ArtifactResult: []byte(`{"delivered": 7}`)}
+	files := map[string][]byte{scenario.ArtifactResult: []byte(`{"delivered": 7}`)}
 	if err := s.Cache().Put(key, cfg.Name, "test", files); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestCachedFastPathSkipsWorker(t *testing.T) {
 	if st.State != StateDone || !st.Cached || st.Progress != 1 {
 		t.Fatalf("fast path: %+v", st)
 	}
-	if got := getArtifact(t, ts, st.ID, ArtifactResult); !bytes.Equal(got, files[ArtifactResult]) {
+	if got := getArtifact(t, ts, st.ID, scenario.ArtifactResult); !bytes.Equal(got, files[scenario.ArtifactResult]) {
 		t.Errorf("served %q, want the seeded artifact", got)
 	}
 }
@@ -374,7 +374,7 @@ func TestEventsStream(t *testing.T) {
 		for frac := range advance {
 			progress(frac)
 		}
-		return map[string][]byte{ArtifactResult: []byte(`{"delivered": 1}`)}, nil
+		return map[string][]byte{scenario.ArtifactResult: []byte(`{"delivered": 1}`)}, nil
 	}
 	st, _ := postRun(t, ts, smallDoc(1), "")
 
@@ -443,7 +443,7 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 		mu.Unlock()
 		started <- struct{}{}
 		<-release
-		return map[string][]byte{ArtifactResult: []byte(`{"delivered": 1}`)}, nil
+		return map[string][]byte{scenario.ArtifactResult: []byte(`{"delivered": 1}`)}, nil
 	}
 	doc := smallDoc(1)
 	a, _ := postRun(t, ts, doc, "")

@@ -134,7 +134,7 @@ func New(opts Options) (*Server, error) {
 		baseCtx:   ctx,
 		stop:      stop,
 		jobs:      make(map[string]*job),
-		computeFn: ComputeArtifacts,
+		computeFn: scenario.ComputeArtifacts,
 		started:   clock.Wall.Now(), //pdos:wallclock — uptime reporting
 	}
 	s.routes()
@@ -546,7 +546,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case name == ArtifactResult:
+	case name == scenario.ArtifactResult:
 		w.Header().Set("Content-Type", "application/json")
 	default:
 		w.Header().Set("Content-Type", "text/csv")

@@ -106,7 +106,7 @@ func compareSnapshots(t *testing.T, label string, want, got snapshot) {
 }
 
 // TestParkingLotEquivalence: the multi-bottleneck chain — the first topology
-// the legacy builders could not express — must itself hold the serial ≡
+// the original hand-wired builders could not express — must itself hold the serial ≡
 // sharded contract at every worker count.
 func TestParkingLotEquivalence(t *testing.T) {
 	if testing.Short() {

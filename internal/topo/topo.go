@@ -12,14 +12,15 @@
 // generators.go; they only return Graphs — every environment in the repo is
 // produced by the single Build path.
 //
-// Equivalence contract: Build reproduces the legacy hand-wired builders
+// Equivalence contract: Build reproduces the hand-wired builders it replaced
 // byte-identically (CSV-level) at any worker count. That pins down the parts
 // of Build that look arbitrary: the rng draw order (one child rng per
 // RED/ARED trunk queue, in trunk declaration order, forward before reverse;
 // start jitter drawn in global flow order), the integer arithmetic deriving
 // per-flow access delays, and the per-flow wiring order. The contract is
-// enforced by the legacy-vs-graph suites in internal/experiments and
-// internal/topo.
+// enforced by digests those builders recorded
+// (internal/experiments/testdata/topo.sha256) and by the serial ≡ sharded
+// suites in internal/experiments and internal/topo.
 package topo
 
 import (

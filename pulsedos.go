@@ -42,6 +42,7 @@ import (
 	"pulsedos/internal/optimize"
 	"pulsedos/internal/rng"
 	"pulsedos/internal/sim"
+	"pulsedos/internal/topo"
 )
 
 // Core analytic-model surface.
@@ -190,7 +191,7 @@ func DefaultTestbedConfig(flows int) TestbedConfig {
 }
 
 // BuildDumbbell wires a Fig. 5 dumbbell environment.
-func BuildDumbbell(cfg DumbbellConfig) (*experiments.Dumbbell, error) {
+func BuildDumbbell(cfg DumbbellConfig) (*topo.Environment, error) {
 	return experiments.BuildDumbbell(cfg)
 }
 
@@ -198,12 +199,12 @@ func BuildDumbbell(cfg DumbbellConfig) (*experiments.Dumbbell, error) {
 // the conservative parallel engine. Results are bit-identical to the serial
 // BuildDumbbell at any worker count; call Close when done to join the shard
 // goroutines.
-func BuildShardedDumbbell(cfg DumbbellConfig, workers int) (*experiments.ShardedDumbbell, error) {
-	return experiments.BuildShardedDumbbell(cfg, workers)
+func BuildShardedDumbbell(cfg DumbbellConfig, workers int) (*topo.Environment, error) {
+	return topo.Build(topo.Dumbbell(cfg), topo.Options{Workers: workers})
 }
 
 // BuildTestbed wires a Fig. 11 test-bed environment.
-func BuildTestbed(cfg TestbedConfig) (*experiments.Testbed, error) {
+func BuildTestbed(cfg TestbedConfig) (*topo.Environment, error) {
 	return experiments.BuildTestbed(cfg)
 }
 
