@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json race-assert race-parallel topo-equivalence fusion-equivalence figure-equivalence bench-smoke figures scale-bench parallel-bench million-bench scale-smoke serve-smoke serve-bench fusion-bench fusion-smoke profile clean
+.PHONY: all build test race vet lint lint-json race-assert race-parallel topo-equivalence fusion-equivalence figure-equivalence bench-smoke bench bench-compare figures serve-smoke profile clean
 
 all: build
 
@@ -85,71 +85,31 @@ figure-equivalence:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelEvents|BenchmarkLinkDropTail|BenchmarkLinkRED|BenchmarkREDEnqueue|BenchmarkTCPLoopbackSecond' -benchtime 1s .
 
-# figures regenerates the quick-scale figure set with the hot-path benchmark
-# report alongside.
+# bench runs the repository's one benchmark (benchmark/, its own module):
+# four named workloads on the production scenario path, end-to-end and
+# per-layer metrics, one JSON result per run. Pass flags through ARGS, e.g.
+# `make bench ARGS="--workload attack-10k --seed 1 --seconds 20 --out /tmp/new"`;
+# see benchmark/README.md.
+bench:
+	bash benchmark/run.sh $(ARGS)
+
+# bench-compare applies the benchmark's acceptance rules to two result
+# directories written by `make bench ARGS="... --out DIR"`, an old and a new
+# one: `make bench-compare OLD=/tmp/old NEW=/tmp/new` (relative paths resolve
+# from benchmark/). Exits 1 when any
+# end-to-end metric regressed by more than its bound.
+bench-compare:
+	cd benchmark && $(GO) run ./compare $(OLD) $(NEW)
+
+# figures regenerates the quick-scale figure set.
 figures:
-	$(GO) run ./cmd/pdos-bench -scale quick -out results -parallel 4 -bench-json results/BENCH_1.json
-
-# scale-bench regenerates the committed BENCH_2.json: the many-flow scaling
-# sweep (100 → 50k victim flows, wheel vs heap kernel) plus the hot paths.
-# Takes tens of minutes; run it on an otherwise idle machine.
-scale-bench:
-	$(GO) run ./cmd/pdos-bench -scale-bench BENCH_2.json
-
-# parallel-bench regenerates the committed BENCH_3.json: the conservative
-# parallel engine vs the serial wheel kernel at 2/4/8 workers over 10k and
-# 50k flows. Takes tens of minutes; the ≥2.5x speedup floor only means
-# anything on a machine with ≥4 idle cores.
-parallel-bench:
-	$(GO) run ./cmd/pdos-bench -parallel-bench BENCH_3.json -workers 2,4,8
-
-# million-bench regenerates the committed BENCH_4.json: the mixed-fidelity
-# scale sweep up to one million flows (10k packet-accurate foreground + a
-# fluid-aggregated background). Takes ~10+ minutes on one idle core.
-million-bench:
-	$(GO) run ./cmd/pdos-bench -scale-bench BENCH_4.json \
-		-foreground-flows 10000 -scale-flows 10000,100000,1000000
-
-# scale-smoke is the CI-sized slice of million-bench: a tiny two-point
-# mixed-fidelity sweep with truncated measurement windows and the heap guard
-# armed, exercising the foreground/fluid split, the OOM-skip bookkeeping,
-# and the report schema end to end in under a minute. The report goes to a
-# scratch file — only the full million-bench run updates BENCH_4.json.
-scale-smoke:
-	$(GO) run ./cmd/pdos-bench -scale-bench /tmp/scale-smoke.json \
-		-foreground-flows 200 -scale-flows 200,2000 \
-		-scale-measure-sec 3 -max-heap-mb 4096
+	$(GO) run ./cmd/pdos-bench -scale quick -out results -parallel 4
 
 # serve-smoke is the pdos-serve CI gate: the shipped fig8-style scenario
 # submitted twice over real HTTP — the first run computes, the second must be
 # a byte-identical cache hit, and both must match a direct kernel recompute.
 serve-smoke:
 	$(GO) test -race -count=1 -run TestServeSmoke ./internal/serve
-
-# serve-bench regenerates the committed BENCH_5.json: a live pdos-serve
-# instance with a fresh cache, one scenario sweep cold and the same sweep
-# warm, recording the memoization speedup (guarded at >= 10x), the cache
-# counters, and the byte-identity of cached artifacts vs direct recomputes.
-serve-bench:
-	$(GO) run ./cmd/pdos-bench -serve-bench BENCH_5.json
-
-# fusion-bench regenerates the committed BENCH_6.json: the attacked 10k-flow
-# scale point on the golden two-event link schedule versus the fused
-# one-event-per-hop default (DESIGN.md §14), recording the raw
-# kernel-events-per-packet reduction (guarded at >= 25%), the wall speedup,
-# allocs/packet, and the byte-identity checks. Takes ~5 minutes on one idle
-# core.
-fusion-bench:
-	$(GO) run ./cmd/pdos-bench -fusion-bench BENCH_6.json -fusion-flows 10000
-
-# fusion-smoke is the CI-sized slice of fusion-bench: the same golden-vs-
-# fused pipeline at a 200-flow population with truncated windows, asserting
-# the report schema, the byte-identity bits, and that fusion actually elides
-# events, in seconds. The report goes to a scratch file — only the full
-# fusion-bench run updates BENCH_6.json.
-fusion-smoke:
-	$(GO) run ./cmd/pdos-bench -fusion-bench /tmp/fusion-smoke.json \
-		-fusion-flows 200 -scale-measure-sec 3
 
 # profile captures CPU and heap pprof profiles of a representative figure
 # regeneration for `go tool pprof cpu.pprof` digestion.

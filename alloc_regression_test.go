@@ -93,8 +93,8 @@ func TestManyFlowAllocRegression(t *testing.T) {
 	}
 }
 
-// TestMillionFlowAllocRegression guards the zero budget at the BENCH_4
-// headline scale: a million flows total — a packet-accurate foreground of
+// TestMillionFlowAllocRegression guards the zero budget at the million-flow
+// mixed-fidelity scale: a million flows total — a packet-accurate foreground of
 // 500 beside a fluid-aggregated background of 999,500 — through one
 // bottleneck. The fluid tier is O(1) in both memory and events (one
 // aggregate ODE per group, ticked at RTT/2), so the steady state must stay

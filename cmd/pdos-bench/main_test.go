@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"pulsedos/internal/figures"
+	"pulsedos/internal/runcache"
 )
 
 func TestRunAnalyticFigures(t *testing.T) {
@@ -59,6 +61,42 @@ func TestRunRejectsUnknownFigure(t *testing.T) {
 	err := run([]string{"-out", t.TempDir(), "-figures", "fig99"})
 	if err == nil || !strings.Contains(err.Error(), `unknown figure "fig99"`) {
 		t.Errorf("unknown figure id not rejected: %v", err)
+	}
+}
+
+// TestRunCacheReplay runs one simulated figure twice into the same -cache
+// directory: the second run must replay it from disk, byte-identical and
+// without adding a cache entry.
+func TestRunCacheReplay(t *testing.T) {
+	cache := t.TempDir()
+	entries := func() int {
+		store, err := runcache.Open(cache, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store.Stats().Entries
+	}
+	var csvs [2][]byte
+	var counts [2]int
+	for i := range csvs {
+		dir := t.TempDir()
+		if err := run([]string{"-out", dir, "-figures", "fig1", "-cache", cache}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "fig1.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		csvs[i], counts[i] = data, entries()
+	}
+	if counts[0] == 0 {
+		t.Fatal("first run left the cache empty")
+	}
+	if counts[1] != counts[0] {
+		t.Errorf("second run grew the cache from %d to %d entries", counts[0], counts[1])
+	}
+	if !bytes.Equal(csvs[0], csvs[1]) {
+		t.Error("fig1.csv differs between the computed and the cached run")
 	}
 }
 

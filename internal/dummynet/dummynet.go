@@ -1,32 +1,12 @@
-// Package dummynet emulates the test-bed substrate of the paper's §4.2: a
-// Dummynet-style pipe (Rizzo, CCR 1997) that subjects traffic to a
-// configured bandwidth limit, propagation delay, and bounded queue with
-// either tail-drop or RED discipline. The paper ran a physical FreeBSD
-// Dummynet box between attackers/legitimate users and the victim; here the
-// pipe runs on the shared discrete-event kernel, which preserves the
-// behaviours the experiments depend on (10 Mbps bottleneck, 150 ms delay,
-// RED with B = RTT·R_bottle) while making runs deterministic.
+// Package dummynet holds the sizing rule of the paper's §4.2 test-bed
+// substrate: a physical FreeBSD Dummynet box (Rizzo, CCR 1997) between the
+// attackers/legitimate users and the victim, shaping traffic to a 10 Mbps
+// bottleneck with 150 ms delay and a RED buffer of B = RTT·R_bottle. The
+// test-bed itself is built from the topology graph (internal/topo); this
+// package supplies its buffer rule.
 package dummynet
 
-import (
-	"errors"
-	"fmt"
-	"time"
-
-	"pulsedos/internal/netem"
-	"pulsedos/internal/rng"
-	"pulsedos/internal/sim"
-)
-
-// PipeConfig mirrors an ipfw pipe definition.
-type PipeConfig struct {
-	Bandwidth float64       // bits per second; must be positive
-	Delay     time.Duration // one-way propagation delay
-	QueueLen  int           // queue slots in packets
-
-	// RED, when non-nil, replaces tail-drop with Random Early Detection.
-	RED *netem.REDConfig
-}
+import "time"
 
 // Rule of thumb from the paper: the buffer holds a bandwidth-delay product,
 // B = RTT × R_bottle, expressed in packets of the given size.
@@ -39,51 +19,4 @@ func RuleOfThumbQueueLen(rtt time.Duration, bandwidth float64, packetSize int) i
 		b = 1
 	}
 	return b
-}
-
-// Pipe is one simplex Dummynet pipe. It implements netem.Node so upstream
-// hosts and routers can hand packets straight to it.
-type Pipe struct {
-	name string
-	link *netem.Link
-}
-
-var _ netem.Node = (*Pipe)(nil)
-
-// NewPipe builds a pipe delivering to dst. rand seeds the RED coin-flips and
-// is required only when cfg.RED is set.
-func NewPipe(k *sim.Kernel, name string, cfg PipeConfig, dst netem.Node, rand *rng.Source) (*Pipe, error) {
-	if cfg.Bandwidth <= 0 {
-		return nil, fmt.Errorf("dummynet: pipe %q: bandwidth must be positive", name)
-	}
-	if cfg.QueueLen < 1 {
-		cfg.QueueLen = 50 // dummynet's default queue of 50 slots
-	}
-	var q netem.Queue
-	if cfg.RED != nil {
-		if rand == nil {
-			return nil, errors.New("dummynet: RED pipe requires a random source")
-		}
-		red := *cfg.RED
-		red.Limit = cfg.QueueLen
-		q = netem.NewRED(red, rand, cfg.Bandwidth)
-	} else {
-		q = netem.NewDropTail(cfg.QueueLen)
-	}
-	link, err := netem.NewLink(k, name, cfg.Bandwidth, sim.FromDuration(cfg.Delay), q, dst)
-	if err != nil {
-		return nil, fmt.Errorf("dummynet: pipe %q: %w", name, err)
-	}
-	return &Pipe{name: name, link: link}, nil
-}
-
-// Name reports the pipe's diagnostic name.
-func (p *Pipe) Name() string { return p.name }
-
-// Link exposes the underlying link for taps and stats.
-func (p *Pipe) Link() *netem.Link { return p.link }
-
-// Receive implements netem.Node: traffic entering the pipe is shaped.
-func (p *Pipe) Receive(pkt *netem.Packet) {
-	p.link.Send(pkt)
 }

@@ -3,102 +3,7 @@ package dummynet
 import (
 	"testing"
 	"time"
-
-	"pulsedos/internal/netem"
-	"pulsedos/internal/rng"
-	"pulsedos/internal/sim"
 )
-
-func TestPipeShapesRate(t *testing.T) {
-	k := sim.New()
-	sink := &netem.Sink{}
-	pipe, err := NewPipe(k, "p", PipeConfig{
-		Bandwidth: 1e6, // 125 kB/s
-		QueueLen:  1 << 16,
-	}, sink, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 300; i++ { // 300 kB offered in one burst
-		pipe.Receive(&netem.Packet{Flow: 1, Class: netem.ClassData, Size: 1000, Seq: i})
-	}
-	if err := k.RunUntil(sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Bytes != 125000 {
-		t.Errorf("delivered %d bytes in 1 s on a 1 Mbps pipe", sink.Bytes)
-	}
-}
-
-func TestPipeImposesDelay(t *testing.T) {
-	k := sim.New()
-	var arrived sim.Time
-	capture := netem.NodeFunc(func(*netem.Packet) { arrived = k.Now() })
-	pipe, err := NewPipe(k, "p", PipeConfig{
-		Bandwidth: 8e6, // 1000 B = 1 ms serialization
-		Delay:     150 * time.Millisecond,
-		QueueLen:  10,
-	}, capture, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe.Receive(&netem.Packet{Flow: 1, Class: netem.ClassData, Size: 1000})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if arrived != 151*sim.Millisecond {
-		t.Errorf("arrival at %v, want 151ms", arrived)
-	}
-}
-
-func TestPipeDropsWhenFull(t *testing.T) {
-	k := sim.New()
-	sink := &netem.Sink{}
-	pipe, err := NewPipe(k, "p", PipeConfig{Bandwidth: 1e6, QueueLen: 5}, sink, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 50; i++ {
-		pipe.Receive(&netem.Packet{Flow: 1, Class: netem.ClassData, Size: 1000, Seq: i})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if pipe.Link().Stats().Drops == 0 {
-		t.Error("overloaded pipe never dropped")
-	}
-	if sink.Packets > 6 {
-		t.Errorf("delivered %d packets through a 5-slot pipe burst", sink.Packets)
-	}
-}
-
-func TestPipeREDRequiresRand(t *testing.T) {
-	k := sim.New()
-	red := netem.DefaultREDConfig(50)
-	if _, err := NewPipe(k, "p", PipeConfig{Bandwidth: 1e6, RED: &red}, &netem.Sink{}, nil); err == nil {
-		t.Error("RED pipe without rand accepted")
-	}
-	if _, err := NewPipe(k, "p", PipeConfig{Bandwidth: 1e6, RED: &red}, &netem.Sink{}, rng.New(1)); err != nil {
-		t.Errorf("RED pipe with rand: %v", err)
-	}
-	if _, err := NewPipe(k, "p", PipeConfig{Bandwidth: 0}, &netem.Sink{}, nil); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-}
-
-func TestPipeDefaultQueueLen(t *testing.T) {
-	k := sim.New()
-	pipe, err := NewPipe(k, "p", PipeConfig{Bandwidth: 1e6}, &netem.Sink{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe.Name() != "p" {
-		t.Errorf("name = %q", pipe.Name())
-	}
-	if pipe.Link() == nil {
-		t.Fatal("nil link")
-	}
-}
 
 func TestRuleOfThumbQueueLen(t *testing.T) {
 	// B = RTT·C: 300 ms × 10 Mbps = 375 kB = 360 packets of 1040 B.

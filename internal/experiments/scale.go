@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"pulsedos/internal/attack"
 	"pulsedos/internal/model"
 	"pulsedos/internal/netem"
 	"pulsedos/internal/perf/clock"
-	"pulsedos/internal/runcache"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/topo"
 )
@@ -23,7 +19,8 @@ import (
 // 1 Mbps/flow). Each point measures both the attack physics (does the
 // aggregate degradation still match Eq. 1 / Prop. 2 at scale?) and the
 // simulator's cost of delivering them (events/sec, ns per flow per virtual
-// second, allocs/packet, peak RSS).
+// second, allocs/packet), with every attacked point replayed on the heap
+// kernel as the ordering-equivalence and speed baseline.
 type ScaleSweepConfig struct {
 	FlowCounts  []int         // victim populations to sweep
 	PerFlowRate float64       // bottleneck bps per flow; default 1 Mbps
@@ -36,39 +33,11 @@ type ScaleSweepConfig struct {
 	ShortMeasure   time.Duration // measurement window above LongMeasureMax
 	LongMeasureMax int
 
-	Seed         uint64
-	HeapBaseline bool // also run each attacked point on the heap kernel
-
-	// Shards > 1 runs each attacked point on the conservative parallel
-	// engine with that many workers (the heap baseline stays serial, so
-	// DeliveredMatch then certifies the sharded run against the serial
-	// golden reference). 0 or 1 = the serial wheel kernel.
-	Shards int
-
-	// ForegroundFlows caps the packet-accurate tier: populations above it
-	// keep ForegroundFlows packet flows and model the rest as a fluid
-	// macroflow aggregate sharing the bottleneck (the million-flow mode).
-	// 0 = every flow packet-accurate. The attack is sized against the
-	// packet tier's effective capacity, so the foreground physics match the
-	// all-packet run of the same foreground population.
-	ForegroundFlows int
-
-	// MaxHeapBytes skips any population whose projected footprint exceeds
-	// this bound, recording a partial point with SkippedOOM instead of
-	// taking down the whole sweep. 0 = no guard.
-	MaxHeapBytes uint64
-
-	// Cache, when non-nil, memoizes each point under its content address
-	// (ScaleKey): re-running a sweep replays cached points and computes only
-	// populations it has never seen on this engine version. A replayed
-	// point's physics are exact; its perf fields (wall seconds, events/sec)
-	// are the numbers recorded when the point actually ran.
-	Cache *runcache.Store
+	Seed uint64
 }
 
-// DefaultScaleSweepConfig returns the BENCH_2 sweep: 100 → 50k flows, 60
-// virtual seconds of pulsed steady state up to 10k flows (10 s at 50k), with
-// the heap-kernel baseline enabled.
+// DefaultScaleSweepConfig returns the full many-flow sweep: 100 → 50k flows,
+// 60 virtual seconds of pulsed steady state up to 10k flows (10 s at 50k).
 func DefaultScaleSweepConfig() ScaleSweepConfig {
 	return ScaleSweepConfig{
 		FlowCounts:     []int{100, 1000, 10000, 50000},
@@ -81,21 +50,7 @@ func DefaultScaleSweepConfig() ScaleSweepConfig {
 		ShortMeasure:   10 * time.Second,
 		LongMeasureMax: 10000,
 		Seed:           1,
-		HeapBaseline:   true,
 	}
-}
-
-// MillionFlowSweepConfig returns the BENCH_4 sweep: 10k → 1M flows with a
-// fixed 10k packet-accurate foreground; everything above it rides the fluid
-// macroflow tier. The heap-kernel baseline is off — at these populations the
-// comparison is the scaling curve itself, and replaying each point twice
-// would double a sweep that already runs for minutes.
-func MillionFlowSweepConfig() ScaleSweepConfig {
-	c := DefaultScaleSweepConfig()
-	c.FlowCounts = []int{10000, 100000, 1000000}
-	c.ForegroundFlows = 10000
-	c.HeapBaseline = false
-	return c
 }
 
 func (c ScaleSweepConfig) measureFor(flows int) time.Duration {
@@ -105,59 +60,44 @@ func (c ScaleSweepConfig) measureFor(flows int) time.Duration {
 	return c.Measure
 }
 
-// ScalePoint is one measured population of the scaling sweep. The JSON shape
-// is what internal/perf embeds into BENCH_2.json.
+// ScalePoint is one measured population of the scaling sweep.
 type ScalePoint struct {
-	Flows          int     `json:"flows"`
-	PacketFlows    int     `json:"packet_flows,omitempty"` // packet-accurate tier (fluid mode only)
-	FluidFlows     int     `json:"fluid_flows,omitempty"`  // fluid-aggregated background flows
-	SkippedOOM     bool    `json:"skipped_oom,omitempty"`  // point skipped by the MaxHeapBytes guard
-	Shards         int     `json:"shards,omitempty"`       // parallel-engine workers; 0 = serial
-	BottleneckBps  float64 `json:"bottleneck_bps"`
-	VirtualSeconds float64 `json:"virtual_seconds"`
+	Flows          int
+	BottleneckBps  float64
+	VirtualSeconds float64
 
 	// Simulator cost of the attacked run, measured over the post-warm-up
 	// window only (capacity growth — queue rings, event free list, packet
 	// pool — has converged by then).
-	Events          uint64  `json:"events"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	NsPerFlowPerSec float64 `json:"ns_per_flow_per_virtual_second"`
-	Packets         uint64  `json:"packets"`
-	AllocsPerPacket float64 `json:"allocs_per_packet"`
-	PeakRSSBytes    uint64  `json:"peak_rss_bytes,omitempty"` // process high-water mark (VmHWM), cumulative across points
+	Events          uint64
+	WallSeconds     float64
+	EventsPerSec    float64
+	NsPerFlowPerSec float64
+	Packets         uint64
+	AllocsPerPacket float64
 
 	// Heap-kernel baseline: the identical attacked scenario scheduled by the
 	// pure 4-ary-heap kernel. DeliveredMatch asserts the two kernels produced
 	// byte-identical goodput (the ordering-equivalence contract, end to end).
-	HeapEventsPerSec float64 `json:"heap_events_per_sec,omitempty"`
-	HeapWallSeconds  float64 `json:"heap_wall_seconds,omitempty"`
-	SpeedupVsHeap    float64 `json:"speedup_vs_heap,omitempty"`
-	DeliveredMatch   bool    `json:"heap_delivered_match,omitempty"`
+	HeapEventsPerSec float64
+	HeapWallSeconds  float64
+	SpeedupVsHeap    float64
+	DeliveredMatch   bool
 
 	// Attack physics at this scale, against the Eq. 1 / Prop. 2 predictions.
-	BaselineBytes       uint64  `json:"baseline_bytes"`
-	AttackedBytes       uint64  `json:"attacked_bytes"`
-	MeasuredDegradation float64 `json:"measured_degradation"`
-	AnalyticDegradation float64 `json:"analytic_degradation"`
-	MeanConvergedWindow float64 `json:"mean_converged_window"` // Eq. 1, averaged over flows
-	LossRate            float64 `json:"loss_rate"`             // bottleneck drops/arrivals in the window
+	BaselineBytes       uint64
+	AttackedBytes       uint64
+	MeasuredDegradation float64
+	AnalyticDegradation float64
+	MeanConvergedWindow float64 // Eq. 1, averaged over flows
+	LossRate            float64 // bottleneck drops/arrivals in the window
 }
 
-// splitFlows resolves a population into its packet-accurate and
-// fluid-aggregated tiers under the config's foreground cap.
-func (c ScaleSweepConfig) splitFlows(flows int) (packet, fluid int) {
-	if c.ForegroundFlows > 0 && flows > c.ForegroundFlows {
-		return c.ForegroundFlows, flows - c.ForegroundFlows
-	}
-	return flows, 0
-}
-
-// Per-flow footprint estimates for the MaxHeapBytes guard, in bytes. A
-// packet flow owns four access links whose 1024-slot queue rings dominate
-// its cost; a fluid flow is only a population count inside its group's
-// aggregate, so its marginal footprint is nominal. The constant tail covers
-// the shared topology (routers, bottleneck rings, packet pool).
+// Per-flow footprint estimates for pdos-serve's MaxHeapBytes guard, in
+// bytes. A packet flow owns four access links whose 1024-slot queue rings
+// dominate its cost; a fluid flow is only a population count inside its
+// group's aggregate, so its marginal footprint is nominal. The constant tail
+// covers the shared topology (routers, bottleneck rings, packet pool).
 const (
 	packetFlowFootprint = 64 << 10
 	fluidFlowFootprint  = 16
@@ -165,9 +105,8 @@ const (
 )
 
 // ProjectedHeapBytes estimates the build footprint of a run with the given
-// packet-accurate and fluid-aggregated flow populations, for MaxHeapBytes
-// admission guards (the scale sweep's OOM skip, pdos-serve's per-run heap
-// budget).
+// packet-accurate and fluid-aggregated flow populations, for pdos-serve's
+// MaxHeapBytes admission guard.
 func ProjectedHeapBytes(packet, fluid int) uint64 {
 	return uint64(packet)*packetFlowFootprint + uint64(fluid)*fluidFlowFootprint + sweepBaseFootprint
 }
@@ -175,31 +114,17 @@ func ProjectedHeapBytes(packet, fluid int) uint64 {
 // scaleDumbbellConfig scales the Fig. 5 topology to the given population,
 // holding the per-flow regime fixed: bottleneck bandwidth grows linearly
 // with the population (the paper's 15 flows / 15 Mbps ratio), RTTs keep
-// their 20–460 ms spread. Above the foreground cap the population splits
-// into a packet-accurate foreground and a fluid background group; the queue
-// and the attacker's access rate track the packet tier's effective share of
-// the bottleneck (the fluid carve-out removes the rest), so the foreground
-// contention regime is invariant across the fluid points.
+// their 20–460 ms spread; the queue and the attacker's access rate grow with
+// the population too.
 func scaleDumbbellConfig(cfg ScaleSweepConfig, flows int) DumbbellConfig {
-	packet, fluid := cfg.splitFlows(flows)
-	d := DefaultDumbbellConfig(packet)
-	d.FluidBackgroundFlows = fluid
+	d := DefaultDumbbellConfig(flows)
 	d.Seed = cfg.Seed
 	d.BottleneckRate = cfg.PerFlowRate * float64(flows)
-	d.QueueLimit = 10 * packet
-	if r := 4 * cfg.PerFlowRate * float64(packet); r > d.AttackAccessRate {
+	d.QueueLimit = 10 * flows
+	if r := 4 * d.BottleneckRate; r > d.AttackAccessRate {
 		d.AttackAccessRate = r
 	}
 	return d
-}
-
-// packetTierRate reports the bottleneck capacity the packet-accurate tier
-// contends for at this population: the full rate when every flow is packet,
-// the post-carve-out share in fluid mode. The per-trunk carve is flow-count
-// proportional, so this is simply PerFlowRate x packet flows.
-func (c ScaleSweepConfig) packetTierRate(flows int) float64 {
-	packet, _ := c.splitFlows(flows)
-	return c.PerFlowRate * float64(packet)
 }
 
 // ScaleSweep runs every population sequentially (each point times wall-clock
@@ -216,40 +141,11 @@ func ScaleSweep(cfg ScaleSweepConfig, progress func(string)) ([]ScalePoint, erro
 	}
 	points := make([]ScalePoint, 0, len(cfg.FlowCounts))
 	for _, flows := range cfg.FlowCounts {
-		packet, fluid := cfg.splitFlows(flows)
-		if cfg.MaxHeapBytes > 0 {
-			if proj := ProjectedHeapBytes(packet, fluid); proj > cfg.MaxHeapBytes {
-				say("scale: %d flows skipped: projected %.0f MiB exceeds the %.0f MiB heap guard",
-					flows, float64(proj)/(1<<20), float64(cfg.MaxHeapBytes)/(1<<20))
-				p := ScalePoint{Flows: flows, SkippedOOM: true}
-				if fluid > 0 {
-					p.PacketFlows, p.FluidFlows = packet, fluid
-				}
-				points = append(points, p)
-				continue
-			}
-		}
-		var key string
-		if cfg.Cache != nil {
-			k, err := ScaleKey(cfg, flows)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: scale point %d flows: %w", flows, err)
-			}
-			key = k
-			if p, ok := cachedScalePoint(cfg.Cache, key); ok {
-				say("scale: %d flows replayed from cache (%.1fs wall when computed)", flows, p.WallSeconds)
-				points = append(points, p)
-				continue
-			}
-		}
 		say("scale: %d flows (%.0f Mbps bottleneck, %v measured)...",
 			flows, cfg.PerFlowRate*float64(flows)/1e6, cfg.measureFor(flows))
 		p, err := measureScalePoint(cfg, flows)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale point %d flows: %w", flows, err)
-		}
-		if cfg.Cache != nil {
-			storeScalePoint(cfg.Cache, key, flows, p)
 		}
 		say("scale: %d flows done: %.1fs wall, %.2fM events/sec, %.1f ns/flow/vsec, %.4f allocs/packet, degradation %.3f (model %.3f)",
 			flows, p.WallSeconds, p.EventsPerSec/1e6, p.NsPerFlowPerSec, p.AllocsPerPacket,
@@ -261,12 +157,8 @@ func ScaleSweep(cfg ScaleSweepConfig, progress func(string)) ([]ScalePoint, erro
 
 func measureScalePoint(cfg ScaleSweepConfig, flows int) (ScalePoint, error) {
 	dcfg := scaleDumbbellConfig(cfg, flows)
-	// The pulse is sized against the capacity the packet tier actually
-	// contends for (the whole bottleneck minus the fluid carve-out), so the
-	// γ target means the same thing at every population.
-	tierRate := cfg.packetTierRate(flows)
-	attackRate := cfg.RateFactor * tierRate
-	period := PeriodForGamma(cfg.Gamma, attackRate, cfg.Extent, tierRate)
+	attackRate := cfg.RateFactor * dcfg.BottleneckRate
+	period := PeriodForGamma(cfg.Gamma, attackRate, cfg.Extent, dcfg.BottleneckRate)
 	if period < cfg.Extent {
 		return ScalePoint{}, fmt.Errorf("gamma %g unreachable at rate factor %g", cfg.Gamma, cfg.RateFactor)
 	}
@@ -304,18 +196,13 @@ func measureScalePoint(cfg ScaleSweepConfig, flows int) (ScalePoint, error) {
 		AnalyticDegradation: model.Degradation(cPsi, cfg.Gamma),
 		MeanConvergedWindow: meanW1,
 	}
-	if dcfg.FluidBackgroundFlows > 0 {
-		p.PacketFlows = dcfg.Flows
-		p.FluidFlows = dcfg.FluidBackgroundFlows
-	}
 	baseEnv = nil
 
 	// The attacked wheel run, instrumented over the measurement window.
-	att, err := runAttackedScale(dcfg, cfg, attackRate, period, measure, cfg.Shards)
+	att, err := runAttackedScale(dcfg, cfg, attackRate, period, measure)
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	p.Shards = cfg.Shards
 	p.Events = att.events
 	p.WallSeconds = att.wall.Seconds()
 	if p.WallSeconds > 0 {
@@ -334,24 +221,21 @@ func measureScalePoint(cfg ScaleSweepConfig, flows int) (ScalePoint, error) {
 			p.MeasuredDegradation = 0
 		}
 	}
-	p.PeakRSSBytes = peakRSSBytes()
 
-	if cfg.HeapBaseline {
-		hcfg := dcfg
-		hcfg.HeapKernel = true
-		heap, err := runAttackedScale(hcfg, cfg, attackRate, period, measure, 0)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-		p.HeapWallSeconds = heap.wall.Seconds()
-		if heap.wall > 0 {
-			p.HeapEventsPerSec = float64(heap.events) / heap.wall.Seconds()
-		}
-		if p.HeapEventsPerSec > 0 {
-			p.SpeedupVsHeap = p.EventsPerSec / p.HeapEventsPerSec
-		}
-		p.DeliveredMatch = heap.delivered == att.delivered && heap.events == att.events
+	hcfg := dcfg
+	hcfg.HeapKernel = true
+	heap, err := runAttackedScale(hcfg, cfg, attackRate, period, measure)
+	if err != nil {
+		return ScalePoint{}, err
 	}
+	p.HeapWallSeconds = heap.wall.Seconds()
+	if heap.wall > 0 {
+		p.HeapEventsPerSec = float64(heap.events) / heap.wall.Seconds()
+	}
+	if p.HeapEventsPerSec > 0 {
+		p.SpeedupVsHeap = p.EventsPerSec / p.HeapEventsPerSec
+	}
+	p.DeliveredMatch = heap.delivered == att.delivered && heap.events == att.events
 	return p, nil
 }
 
@@ -363,18 +247,15 @@ type attackedScale struct {
 	mallocs   uint64
 	wall      time.Duration
 	delivered uint64
-	windows   uint64   // parallel engine barrier count (0 when serial)
-	lookahead sim.Time // parallel engine window width (0 when serial)
 }
 
 // runAttackedScale executes one pulsed run and instruments the measurement
 // window only. The pulse train starts halfway through the warm-up — not at
 // its end as Run does — so every capacity high-water mark the attack provokes
 // (queue rings, event free list, packet pool) is reached before counters
-// start, leaving the window itself allocation-free. shards > 1 runs the
-// scenario on the conservative parallel engine.
-func runAttackedScale(dcfg DumbbellConfig, cfg ScaleSweepConfig, attackRate float64, period time.Duration, measure time.Duration, shards int) (attackedScale, error) {
-	env, err := topo.Build(topo.Dumbbell(dcfg), topo.Options{Workers: shards})
+// start, leaving the window itself allocation-free.
+func runAttackedScale(dcfg DumbbellConfig, cfg ScaleSweepConfig, attackRate float64, period time.Duration, measure time.Duration) (attackedScale, error) {
+	env, err := topo.Build(topo.Dumbbell(dcfg), topo.Options{})
 	if err != nil {
 		return attackedScale{}, err
 	}
@@ -416,51 +297,20 @@ func runAttackedScale(dcfg DumbbellConfig, cfg ScaleSweepConfig, attackRate floa
 
 	env.StopFlows()
 	gen.Stop()
-	out := attackedScale{
+	return attackedScale{
 		events:    env.Processed() - events0,
 		packets:   stats1.Arrivals - stats0.Arrivals,
 		drops:     stats1.Drops - stats0.Drops,
 		mallocs:   m1.Mallocs - m0.Mallocs,
 		wall:      wall,
 		delivered: env.Goodput().Total(),
-	}
-	if eng := env.Engine(); eng != nil {
-		out.windows = eng.Windows()
-		out.lookahead = eng.Lookahead()
-	}
-	return out, nil
-}
-
-// peakRSSBytes reads the process resident-set high-water mark (VmHWM) from
-// /proc/self/status; 0 where procfs is unavailable. The value is process-wide
-// and monotone, so later sweep points subsume earlier ones.
-func peakRSSBytes() uint64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if !bytes.HasPrefix(line, []byte("VmHWM:")) {
-			continue
-		}
-		fields := bytes.Fields(line[len("VmHWM:"):])
-		if len(fields) < 1 {
-			return 0
-		}
-		kb, err := strconv.ParseUint(string(fields[0]), 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb << 10
-	}
-	return 0
+	}, nil
 }
 
 // ScaleFigure is the "scale" figure: the sweep restricted to the figure
 // scale's populations and windows (so quick regression runs stay quick),
-// rendered as flows-vs-metric curves. The full BENCH_2 sweep — 60 virtual
-// seconds at up to 50k flows — runs through pdos-bench's -scale-bench mode
-// with DefaultScaleSweepConfig instead.
+// rendered as flows-vs-metric curves. The full sweep (DefaultScaleSweepConfig:
+// 60 virtual seconds at up to 50k flows) is ScaleSweep's default.
 func ScaleFigure(scale Scale) (*FigureResult, error) {
 	cfg := DefaultScaleSweepConfig()
 	cfg.Seed = scale.Seed

@@ -89,9 +89,9 @@ func Registry() []Def {
 		{ID: "ext-maximization", plan: maximizationPlan},
 		{ID: "ext-sensitivity", direct: sensitivity},
 		// The scaling sweep is a performance study, not a paper figure; it
-		// keeps its own pipeline (experiments.ScaleSweep with per-point
-		// ScaleKey caching) because its observables include wall-clock and
-		// allocation metrics a scenario document deliberately cannot express.
+		// keeps its own uncached pipeline (experiments.ScaleSweep) because its
+		// observables include wall-clock and allocation metrics a scenario
+		// document deliberately cannot express.
 		{ID: "scale", direct: experiments.ScaleFigure},
 	}
 }

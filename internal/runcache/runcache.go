@@ -46,7 +46,11 @@ import (
 // never returns it and its bytes still count toward the byte budget.
 const manifestName = "manifest.json"
 
-// Stats is a point-in-time snapshot of the store's counters.
+// Stats is a point-in-time snapshot of the store's counters. Every lookup —
+// a Get or a GetOrCompute call with a well-formed key — counts exactly once,
+// as a hit or as a miss, so Hits + Misses is the number of lookups. A
+// GetOrCompute that joins an in-flight compute for its key is a hit (and a
+// Deduped); only the call that runs the compute counts the miss.
 type Stats struct {
 	Hits      uint64 `json:"hits"`      // disk hits + deduplicated in-flight joins
 	Misses    uint64 `json:"misses"`    // absent or self-healed entries
@@ -204,23 +208,28 @@ func (s *Store) Stats() Stats {
 func (s *Store) Get(key string) (map[string][]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.getLocked(key)
+	files, ok := s.lookupLocked(key)
+	if ok {
+		s.hits++
+	} else {
+		s.misses++
+	}
+	return files, ok
 }
 
-func (s *Store) getLocked(key string) (map[string][]byte, bool) {
+// lookupLocked reads the entry under key, self-healing a corrupt one. It
+// counts nothing: each caller counts its lookup once, as a hit or a miss.
+func (s *Store) lookupLocked(key string) (map[string][]byte, bool) {
 	e, ok := s.entries[key]
 	if !ok {
-		s.misses++
 		return nil, false
 	}
 	files, err := s.loadEntry(key)
 	if err != nil {
 		s.dropLocked(e)
-		s.misses++
 		return nil, false
 	}
 	s.lru.MoveToFront(e.elem)
-	s.hits++
 	return files, true
 }
 
@@ -399,7 +408,8 @@ func (s *Store) GetOrCompute(key, label, engineVersion string, compute func() (m
 		return nil, false, fmt.Errorf("runcache: malformed key %q", key)
 	}
 	s.mu.Lock()
-	if files, ok := s.getLocked(key); ok {
+	if files, ok := s.lookupLocked(key); ok {
+		s.hits++
 		s.mu.Unlock()
 		return files, true, nil
 	}
@@ -410,6 +420,7 @@ func (s *Store) GetOrCompute(key, label, engineVersion string, compute func() (m
 		<-f.done
 		return f.files, true, f.err
 	}
+	s.misses++
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.mu.Unlock()

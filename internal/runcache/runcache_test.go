@@ -280,6 +280,12 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("%d waiters computed; want exactly 1", misses)
 	}
+	// Every lookup counts once: the computing call is the one miss, each
+	// joiner or later disk reader one hit.
+	if st := s.Stats(); st.Misses != 1 || st.Hits != waiters-1 {
+		t.Errorf("stats after %d lookups: %d hits, %d misses; want %d hits, 1 miss",
+			waiters, st.Hits, st.Misses, waiters-1)
+	}
 	// The flight's result was persisted: a later Get hits disk.
 	if _, ok := s.Get(k); !ok {
 		t.Error("flight result not persisted")

@@ -17,7 +17,8 @@ import (
 // runcache entries written under one engine version hold exactly the files
 // the document's measurement spec selects (result.json always; rate.csv when
 // a rate series is requested; the tap artifacts when the measure block names
-// them), and BENCH_5's byte-identity check compares them file by file.
+// them), and pdos-serve's smoke test (TestServeSmoke) compares them file by
+// file against a direct recompute.
 // Documents without a measure block produce the same two-file set — and the
 // same bytes — they did before the measure extension, so pre-extension cache
 // entries stay valid.
