@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json race-assert race-parallel topo-equivalence fusion-equivalence figure-equivalence bench-smoke bench bench-compare figures serve-smoke profile clean
+.PHONY: all build test race vet lint lint-json race-assert race-parallel topo-equivalence fusion-equivalence figure-equivalence bench-smoke study-smoke bench bench-compare figures serve-smoke profile clean
 
 all: build
 
@@ -84,6 +84,18 @@ figure-equivalence:
 # allocation or throughput regression without the full figure benches.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelEvents|BenchmarkLinkDropTail|BenchmarkLinkRED|BenchmarkREDEnqueue|BenchmarkTCPLoopbackSecond' -benchtime 1s .
+
+# study-smoke runs once every caller of the facade studies outside the test
+# suite: each example under examples/ (stdout discarded), then the figure,
+# ablation, extension and maximization benches for one iteration each, whose
+# reported metrics (peak_gain, shrew_excess_gain, shrew_mitigation,
+# fct_inflation, gamma_peak_gap, ...) are deterministic.
+study-smoke:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+	$(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation|BenchmarkExt|BenchmarkMaximization' -benchtime 1x .
 
 # bench runs the repository's one benchmark (benchmark/, its own module):
 # four named workloads on the production scenario path, end-to-end and

@@ -46,42 +46,42 @@ func benchFigure(b *testing.B, id string) *experiments.FigureResult {
 	return fig
 }
 
-// benchSweep runs one reduced gain sweep and reports its peak measured gain.
-func benchSweep(b *testing.B, rate float64, extent time.Duration, flows int, testbed bool) {
+// benchPeak runs one reduced gain sweep through the facade and returns its
+// peak measured gain.
+func benchPeak(b *testing.B, top Topology, rate float64, extent time.Duration) float64 {
 	b.Helper()
 	scale := benchScale()
+	points, err := GainSweep(SweepConfig{
+		Topology:   top,
+		Seed:       scale.Seed,
+		AttackRate: rate,
+		Extent:     extent,
+		Kappa:      1,
+		Gammas:     scale.Gammas,
+		Warmup:     scale.Warmup,
+		Measure:    scale.Measure,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt, err := experiments.PeakPoint(points)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pt.MeasuredGain
+}
+
+// benchSweep reports the peak measured gain of one reduced gain sweep.
+func benchSweep(b *testing.B, top Topology, rate float64, extent time.Duration) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		factory := func() (experiments.Environment, error) {
-			if testbed {
-				cfg := experiments.DefaultTestbedConfig(flows)
-				cfg.Seed = scale.Seed
-				return experiments.BuildTestbed(cfg)
-			}
-			cfg := experiments.DefaultDumbbellConfig(flows)
-			cfg.Seed = scale.Seed
-			return experiments.BuildDumbbell(cfg)
-		}
-		points, err := experiments.GainSweep(experiments.SweepConfig{
-			Factory:    factory,
-			AttackRate: rate,
-			Extent:     extent,
-			Kappa:      1,
-			Gammas:     scale.Gammas,
-			Warmup:     scale.Warmup,
-			Measure:    scale.Measure,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt, err := experiments.PeakPoint(points)
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak = pt.MeasuredGain
+		peak = benchPeak(b, top, rate, extent)
 	}
 	b.ReportMetric(peak, "peak_gain")
 }
+
+// dumbbell15 is the 15-flow Fig. 5 dumbbell the gain benches attack.
+var dumbbell15 = Topology{Kind: "dumbbell", Flows: 15}
 
 // BenchmarkFig1CwndTrace regenerates the Fig. 1 congestion-window sawtooth.
 func BenchmarkFig1CwndTrace(b *testing.B) {
@@ -155,13 +155,13 @@ func BenchmarkFig4RiskCurves(b *testing.B) {
 // BenchmarkFig6Gain25M .. BenchmarkFig9Gain40M regenerate the dumbbell gain
 // curves at the paper's four pulse rates (75 ms pulses, 15 flows at bench
 // scale).
-func BenchmarkFig6Gain25M(b *testing.B) { benchSweep(b, 25e6, 75*time.Millisecond, 15, false) }
+func BenchmarkFig6Gain25M(b *testing.B) { benchSweep(b, dumbbell15, 25e6, 75*time.Millisecond) }
 
-func BenchmarkFig7Gain30M(b *testing.B) { benchSweep(b, 30e6, 75*time.Millisecond, 15, false) }
+func BenchmarkFig7Gain30M(b *testing.B) { benchSweep(b, dumbbell15, 30e6, 75*time.Millisecond) }
 
-func BenchmarkFig8Gain35M(b *testing.B) { benchSweep(b, 35e6, 75*time.Millisecond, 15, false) }
+func BenchmarkFig8Gain35M(b *testing.B) { benchSweep(b, dumbbell15, 35e6, 75*time.Millisecond) }
 
-func BenchmarkFig9Gain40M(b *testing.B) { benchSweep(b, 40e6, 75*time.Millisecond, 15, false) }
+func BenchmarkFig9Gain40M(b *testing.B) { benchSweep(b, dumbbell15, 40e6, 75*time.Millisecond) }
 
 // BenchmarkFig10Shrew regenerates the shrew-resonance comparison and reports
 // the resonant-vs-analytic gain excess at T_AIMD = minRTO.
@@ -169,16 +169,13 @@ func BenchmarkFig10Shrew(b *testing.B) {
 	scale := benchScale()
 	var excess float64
 	for i := 0; i < b.N; i++ {
-		gammas := experiments.ShrewGammas(50e6, 50*time.Millisecond, 15e6, time.Second, 2)
-		points, err := experiments.ShrewStudy(experiments.ShrewStudyConfig{
-			Sweep: experiments.SweepConfig{
-				Factory: func() (experiments.Environment, error) {
-					return experiments.BuildDumbbell(experiments.DefaultDumbbellConfig(15))
-				},
+		points, err := ShrewStudy(ShrewStudyConfig{
+			Sweep: SweepConfig{
+				Topology:   dumbbell15,
 				AttackRate: 50e6,
 				Extent:     50 * time.Millisecond,
 				Kappa:      1,
-				Gammas:     gammas,
+				Gammas:     experiments.ShrewGammas(50e6, 50*time.Millisecond, 15e6, time.Second, 2),
 				Warmup:     scale.Warmup,
 				Measure:    scale.Measure,
 			},
@@ -200,7 +197,7 @@ func BenchmarkFig10Shrew(b *testing.B) {
 // BenchmarkFig12TestbedGain regenerates the test-bed curve at the paper's
 // normal-gain setting (20 Mbps, 150 ms pulses, 10 flows).
 func BenchmarkFig12TestbedGain(b *testing.B) {
-	benchSweep(b, 20e6, 150*time.Millisecond, 10, true)
+	benchSweep(b, Topology{Kind: "testbed", Flows: 10}, 20e6, 150*time.Millisecond)
 }
 
 // BenchmarkOptimalGamma measures the Proposition 3 closed form.
@@ -235,37 +232,10 @@ func BenchmarkGainClassification(b *testing.B) {
 // BenchmarkAblationREDvsDropTail quantifies the §5 observation: PDoS gains
 // more against RED than against drop-tail.
 func BenchmarkAblationREDvsDropTail(b *testing.B) {
-	scale := benchScale()
 	var redPeak, dtPeak float64
 	for i := 0; i < b.N; i++ {
-		for _, dropTail := range []bool{false, true} {
-			dropTail := dropTail
-			points, err := experiments.GainSweep(experiments.SweepConfig{
-				Factory: func() (experiments.Environment, error) {
-					cfg := experiments.DefaultDumbbellConfig(15)
-					cfg.DropTail = dropTail
-					return experiments.BuildDumbbell(cfg)
-				},
-				AttackRate: 35e6,
-				Extent:     75 * time.Millisecond,
-				Kappa:      1,
-				Gammas:     scale.Gammas,
-				Warmup:     scale.Warmup,
-				Measure:    scale.Measure,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pt, err := experiments.PeakPoint(points)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if dropTail {
-				dtPeak = pt.MeasuredGain
-			} else {
-				redPeak = pt.MeasuredGain
-			}
-		}
+		redPeak = benchPeak(b, dumbbell15, 35e6, 75*time.Millisecond)
+		dtPeak = benchPeak(b, Topology{Kind: "dumbbell", Flows: 15, DropTail: true}, 35e6, 75*time.Millisecond)
 	}
 	b.ReportMetric(redPeak, "red_peak_gain")
 	b.ReportMetric(dtPeak, "droptail_peak_gain")
@@ -273,30 +243,9 @@ func BenchmarkAblationREDvsDropTail(b *testing.B) {
 
 // BenchmarkAblationDelayedACK compares d = 1 vs d = 2 victims.
 func BenchmarkAblationDelayedACK(b *testing.B) {
-	scale := benchScale()
 	var d2Peak float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.GainSweep(experiments.SweepConfig{
-			Factory: func() (experiments.Environment, error) {
-				cfg := experiments.DefaultDumbbellConfig(15)
-				cfg.TCP.AckEvery = 2
-				return experiments.BuildDumbbell(cfg)
-			},
-			AttackRate: 35e6,
-			Extent:     75 * time.Millisecond,
-			Kappa:      1,
-			Gammas:     scale.Gammas,
-			Warmup:     scale.Warmup,
-			Measure:    scale.Measure,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt, err := experiments.PeakPoint(points)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d2Peak = pt.MeasuredGain
+		d2Peak = benchPeak(b, Topology{Kind: "dumbbell", Flows: 15, AckEvery: 2}, 35e6, 75*time.Millisecond)
 	}
 	b.ReportMetric(d2Peak, "d2_peak_gain")
 }
@@ -304,31 +253,10 @@ func BenchmarkAblationDelayedACK(b *testing.B) {
 // BenchmarkAblationAIMD compares gentle AIMD(0.5, 0.875) victims with
 // standard TCP AIMD(1, 0.5).
 func BenchmarkAblationAIMD(b *testing.B) {
-	scale := benchScale()
+	gentle := Topology{Kind: "dumbbell", Flows: 15, AIMDIncreaseA: 0.5, AIMDDecreaseB: 0.875}
 	var gentlePeak float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.GainSweep(experiments.SweepConfig{
-			Factory: func() (experiments.Environment, error) {
-				cfg := experiments.DefaultDumbbellConfig(15)
-				cfg.TCP.IncreaseA = 0.5
-				cfg.TCP.DecreaseB = 0.875
-				return experiments.BuildDumbbell(cfg)
-			},
-			AttackRate: 35e6,
-			Extent:     75 * time.Millisecond,
-			Kappa:      1,
-			Gammas:     scale.Gammas,
-			Warmup:     scale.Warmup,
-			Measure:    scale.Measure,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt, err := experiments.PeakPoint(points)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gentlePeak = pt.MeasuredGain
+		gentlePeak = benchPeak(b, gentle, 35e6, 75*time.Millisecond)
 	}
 	b.ReportMetric(gentlePeak, "gentle_aimd_peak_gain")
 }
@@ -556,10 +484,10 @@ func BenchmarkTCPLoopbackSecond(b *testing.B) {
 func BenchmarkExtDefenseStudy(b *testing.B) {
 	var mitigation float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultDefenseStudyConfig()
+		cfg := DefaultDefenseStudyConfig()
 		cfg.Warmup = 5 * time.Second
 		cfg.Measure = 8 * time.Second
-		results, err := experiments.DefenseStudy(cfg)
+		results, err := DefenseStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -581,10 +509,10 @@ func BenchmarkExtDefenseStudy(b *testing.B) {
 func BenchmarkExtMiceFCT(b *testing.B) {
 	var inflation float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultMiceConfig()
+		cfg := DefaultMiceConfig()
 		cfg.Warmup = 5 * time.Second
 		cfg.Measure = 15 * time.Second
-		base, err := experiments.MiceStudy(cfg)
+		base, err := MiceStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -595,7 +523,7 @@ func BenchmarkExtMiceFCT(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg.Train = &train
-		attacked, err := experiments.MiceStudy(cfg)
+		attacked, err := MiceStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -678,12 +606,12 @@ func maxY(points []experiments.Point) float64 {
 func BenchmarkMaximizationPoints(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultMaximizationStudyConfig()
+		cfg := DefaultMaximizationStudyConfig()
 		cfg.Settings = cfg.Settings[:1]
 		cfg.Gammas = benchScale().Gammas
 		cfg.Warmup = 5 * time.Second
 		cfg.Measure = 8 * time.Second
-		points, err := experiments.MaximizationStudy(cfg)
+		points, err := MaximizationStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

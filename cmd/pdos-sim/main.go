@@ -121,8 +121,9 @@ func run(args []string) error {
 	return nil
 }
 
-// runScenario executes a JSON-defined scenario, with a matching no-attack
-// baseline for the degradation comparison.
+// runScenario executes a JSON-defined scenario, point by point when it
+// carries a sweep, each point against a matching no-attack baseline for the
+// degradation comparison.
 func runScenario(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -136,7 +137,23 @@ func runScenario(path string) error {
 	if closeErr != nil {
 		return closeErr
 	}
+	points, err := cfg.Expand()
+	if err != nil {
+		return err
+	}
+	for i, pt := range points {
+		if i > 0 {
+			fmt.Println()
+		}
+		if err := runPoint(pt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// runPoint runs one expanded scenario and its baseline and prints a block.
+func runPoint(cfg scenario.Config) error {
 	baselineCfg := cfg
 	baselineCfg.Attack = nil
 	base, err := baselineCfg.Run()

@@ -40,18 +40,30 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunScenarioConfig(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "scn.json")
-	err := os.WriteFile(path, []byte(`{
-		"name": "test",
-		"topology": {"kind": "dumbbell", "flows": 3},
-		"attack": {"kind": "aimd", "rateMbps": 35, "extentMs": 75, "gamma": 0.5},
-		"warmupSec": 2, "measureSec": 3
-	}`), 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-config", path}); err != nil {
-		t.Fatal(err)
+	for name, doc := range map[string]string{
+		"plain": `{
+			"name": "test",
+			"topology": {"kind": "dumbbell", "flows": 3},
+			"attack": {"kind": "aimd", "rateMbps": 35, "extentMs": 75, "gamma": 0.5},
+			"warmupSec": 2, "measureSec": 3
+		}`,
+		// A sweep document runs point by point, each against its own
+		// no-attack baseline (the shipped fig6-gain-sweep.json's shape).
+		"gamma-sweep": `{
+			"name": "sweep",
+			"topology": {"kind": "dumbbell", "flows": 3},
+			"attack": {"kind": "aimd", "rateMbps": 35, "extentMs": 75},
+			"measure": {"sweep": {"axis": "gamma", "values": [0.3, 0.6]}},
+			"warmupSec": 2, "measureSec": 3
+		}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-config", path}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

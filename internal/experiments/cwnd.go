@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"time"
 
 	"pulsedos/internal/attack"
-	"pulsedos/internal/sim"
 )
 
 // CwndSample is one point of a Fig. 1 congestion-window trace.
@@ -17,28 +15,24 @@ type CwndSample struct {
 // CwndTrace reproduces Fig. 1: a victim flow's congestion window before and
 // during a fixed-period AIMD-based attack, exhibiting the transient phase
 // (window stepping down toward W_c) followed by the steady sawtooth.
-// flowIdx selects which victim to observe.
+// flowIdx selects which victim to observe; the samples are Run's cwnd tap.
 func CwndTrace(
 	env Environment,
 	train attack.Train,
 	flowIdx int,
 	warmup, duration time.Duration,
 ) ([]CwndSample, error) {
-	if env == nil {
-		return nil, errors.New("experiments: nil environment")
-	}
-	flows := env.Flows()
-	if flowIdx < 0 || flowIdx >= len(flows) {
-		return nil, errors.New("experiments: flow index out of range")
-	}
-	var samples []CwndSample
-	flows[flowIdx].Observe(func(now sim.Time, cwnd float64) {
-		samples = append(samples, CwndSample{TimeSec: now.Seconds(), Cwnd: cwnd})
+	res, err := Run(env, RunOptions{
+		Warmup:      warmup,
+		Measure:     duration,
+		Train:       &train,
+		CaptureCwnd: true,
+		CwndFlow:    flowIdx,
 	})
-	if _, err := Run(env, RunOptions{Warmup: warmup, Measure: duration, Train: &train}); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return samples, nil
+	return res.Cwnd, nil
 }
 
 // ResampleCwnd converts an event-driven cwnd trace into a fixed-step series

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
-
-	"pulsedos/internal/attack"
-	"pulsedos/internal/sim"
 )
 
 // DefenseResult reports how one defense fares against one attack archetype:
@@ -23,9 +19,10 @@ type DefenseResult struct {
 	FastRecoveries uint64
 }
 
-// DefenseStudyConfig parameterizes the defense comparison. Each (defense,
-// attack) cell is measured against a baseline with the same defense in
-// place, so the degradation isolates the attack's effect.
+// DefenseStudyConfig parameterizes the defense comparison, which
+// figures.DefenseStudy runs as the ext-defense figure's documents. Each
+// (defense, attack) cell is measured against a baseline with the same
+// defense in place, so the degradation isolates the attack's effect.
 type DefenseStudyConfig struct {
 	Flows      int
 	AttackRate float64
@@ -52,89 +49,6 @@ func DefaultDefenseStudyConfig() DefenseStudyConfig {
 		Measure:    20 * time.Second,
 		Seed:       1,
 	}
-}
-
-// DefenseStudy measures every (defense, attack) combination. It reproduces
-// the paper's §1.1 argument: randomizing the timeout value defends the
-// timeout-based (shrew) attack but cannot defend the AIMD-based attack,
-// whose timing does not rely on TCP timeout values.
-func DefenseStudy(cfg DefenseStudyConfig) ([]DefenseResult, error) {
-	if cfg.Flows < 1 || cfg.AttackRate <= 0 || cfg.Extent <= 0 {
-		return nil, errors.New("experiments: invalid defense study config")
-	}
-	if cfg.Measure <= 0 {
-		return nil, errors.New("experiments: defense study needs a measurement window")
-	}
-
-	build := func(defense string) (Environment, error) {
-		dc := DefaultDumbbellConfig(cfg.Flows)
-		dc.Seed = cfg.Seed
-		dc.TCP.RTOMin = cfg.MinRTO
-		switch defense {
-		case "none":
-		case "rto-jitter":
-			dc.TCP.RTOJitter = cfg.RTOJitter
-		case "adaptive-red":
-			dc.AdaptiveRED = true
-		default:
-			return nil, fmt.Errorf("experiments: unknown defense %q", defense)
-		}
-		return BuildDumbbell(dc)
-	}
-
-	trains := map[string]func() (attack.Train, error){
-		"aimd": func() (attack.Train, error) {
-			return attack.AIMDTrain(sim.FromDuration(cfg.Extent), cfg.AttackRate,
-				sim.FromDuration(cfg.AIMDPeriod), PulsesFor(cfg.Measure, cfg.AIMDPeriod))
-		},
-		"shrew": func() (attack.Train, error) {
-			return attack.ShrewTrain(sim.FromDuration(cfg.Extent), cfg.AttackRate,
-				sim.FromDuration(cfg.MinRTO), 1, PulsesFor(cfg.Measure, cfg.MinRTO))
-		},
-	}
-
-	var out []DefenseResult
-	for _, defense := range []string{"none", "rto-jitter", "adaptive-red"} {
-		baseEnv, err := build(defense)
-		if err != nil {
-			return nil, err
-		}
-		base, err := Run(baseEnv, RunOptions{Warmup: cfg.Warmup, Measure: cfg.Measure})
-		if err != nil {
-			return nil, err
-		}
-		if base.Delivered == 0 {
-			return nil, fmt.Errorf("experiments: defense %q baseline delivered nothing", defense)
-		}
-		for _, attackName := range []string{"aimd", "shrew"} {
-			train, err := trains[attackName]()
-			if err != nil {
-				return nil, err
-			}
-			env, err := build(defense)
-			if err != nil {
-				return nil, err
-			}
-			res, err := Run(env, RunOptions{Warmup: cfg.Warmup, Measure: cfg.Measure, Train: &train})
-			if err != nil {
-				return nil, err
-			}
-			deg := 1 - float64(res.Delivered)/float64(base.Delivered)
-			if deg < 0 {
-				deg = 0
-			}
-			out = append(out, DefenseResult{
-				Defense:        defense,
-				Attack:         attackName,
-				Degradation:    deg,
-				BaselineMbps:   float64(base.Delivered) * 8 / cfg.Measure.Seconds() / 1e6,
-				AttackedMbps:   float64(res.Delivered) * 8 / cfg.Measure.Seconds() / 1e6,
-				Timeouts:       res.Timeouts,
-				FastRecoveries: res.FastRecoveries,
-			})
-		}
-	}
-	return out, nil
 }
 
 // FindDefenseResult selects one cell from a study's results.

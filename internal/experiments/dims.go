@@ -3,9 +3,9 @@ package experiments
 import "time"
 
 // The paper's fixed experiment dimensions, centralized: every dimension that
-// is not part of Scale has exactly one definition here, read by the
-// scenario-native figure compilers in internal/figures and by the study
-// drivers of this package, so the two cannot drift apart.
+// is not part of Scale has exactly one definition here, read by the figure
+// plans in internal/figures (and so by the studies that share their
+// documents) and by the tests and benches that probe the same points.
 
 // GainSetting pairs an attack rate with a pulse width.
 type GainSetting struct {

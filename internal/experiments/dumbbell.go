@@ -1,11 +1,14 @@
-// Package experiments runs every experiment of the paper's §4 — the
-// gain-vs-γ sweeps of Figs. 6–9 and 12, the quasi-global-synchronization
-// snapshots of Fig. 3, the shrew resonance study of Fig. 10, the cwnd trace
-// of Fig. 1, the risk curves of Fig. 4, and the normal/under/over-gain
-// classification of §4.1.1 — against environments produced by the
-// declarative topology layer (internal/topo). The evaluation topologies
-// themselves (the ns-2 dumbbell of Fig. 5, the Dummynet test-bed of Fig. 11,
-// and the newer multi-bottleneck graphs) are generated there; this package
+// Package experiments holds the run primitives and result types the paper's
+// §4 experiments are built from: Run/RunCtx (one attacked or baseline run
+// with its taps), RunMiceCtx (the mice-vs-elephants workload), AnalyzeSync
+// (the Fig. 3 synchronization post-processing), GainPoint with
+// PeriodForGamma, PeakPoint and the §4.1.1 classification, the shrew
+// harmonics of Fig. 10, the risk curves of Fig. 4, the fixed figure
+// dimensions (dims.go) and the task pool (RunTasksCtx). The figures and the
+// gain, shrew, maximization and defense studies compose these as scenario
+// documents in internal/figures. The evaluation topologies themselves (the
+// ns-2 dumbbell of Fig. 5, the Dummynet test-bed of Fig. 11, and the newer
+// multi-bottleneck graphs) are generated by internal/topo; this package
 // re-exports the classic builders as thin wrappers over topo.Build.
 package experiments
 

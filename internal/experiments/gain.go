@@ -2,12 +2,7 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"time"
-
-	"pulsedos/internal/attack"
-	"pulsedos/internal/model"
-	"pulsedos/internal/sim"
 )
 
 // GainPoint is one (γ, gain) sample of a Figs. 6–9 / Fig. 12 curve: the
@@ -31,33 +26,6 @@ type GainPoint struct {
 	FastRecoveries uint64 // victim FR entries during the run
 }
 
-// SweepConfig parameterizes one gain-vs-γ curve.
-type SweepConfig struct {
-	// Factory builds a fresh, identically seeded environment per run, so
-	// the no-attack baseline and every attack point see the same topology.
-	Factory func() (Environment, error)
-
-	AttackRate float64       // R_attack, bps
-	Extent     time.Duration // T_extent
-	Kappa      float64       // risk preference κ
-	Gammas     []float64     // target γ grid, each in (0, 1)
-
-	Warmup  time.Duration
-	Measure time.Duration
-
-	// Parallel bounds the number of attacked runs simulated concurrently
-	// (each on its own kernel, so results stay deterministic). 0 or 1 runs
-	// sequentially.
-	Parallel int
-
-	// PropagationRTTs switches the analytic C_Ψ to propagation-only RTTs.
-	// By default the sweep calibrates the model with the operative RTTs
-	// (smoothed RTT measured during the baseline run, which includes
-	// bottleneck queueing delay) — the quantity the paper's "RTT of the TCP
-	// connection" denotes in a loaded network.
-	PropagationRTTs bool
-}
-
 // DefaultGammaGrid returns the γ grid used throughout the reproduction:
 // 0.1, 0.15, …, 0.95.
 func DefaultGammaGrid() []float64 {
@@ -71,141 +39,6 @@ func DefaultGammaGrid() []float64 {
 // CoarseGammaGrid returns a cheap 5-point grid for smoke tests and benches.
 func CoarseGammaGrid() []float64 {
 	return []float64{0.15, 0.3, 0.5, 0.7, 0.9}
-}
-
-// GainSweep produces one curve: a no-attack baseline run to measure
-// Ψ_normal, then one attacked run per γ, with the attack period solved from
-// γ = R_attack·T_extent/(R_bottle·T_AIMD).
-func GainSweep(cfg SweepConfig) ([]GainPoint, error) {
-	if cfg.Factory == nil {
-		return nil, errors.New("experiments: sweep needs an environment factory")
-	}
-	if cfg.AttackRate <= 0 || cfg.Extent <= 0 {
-		return nil, errors.New("experiments: sweep needs positive attack rate and extent")
-	}
-	if cfg.Kappa <= 0 {
-		return nil, fmt.Errorf("experiments: kappa must be positive, got %g", cfg.Kappa)
-	}
-	if len(cfg.Gammas) == 0 {
-		return nil, errors.New("experiments: empty gamma grid")
-	}
-
-	baseline, params, toCfg, err := measureBaseline(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if baseline == 0 {
-		return nil, errors.New("experiments: baseline delivered zero bytes; widen the window")
-	}
-	cPsi := params.CPsi(cfg.Extent.Seconds(), cfg.AttackRate)
-
-	// Resolve the feasible grid first (γ points whose period fits the pulse).
-	type job struct {
-		gamma  float64
-		period time.Duration
-	}
-	jobs := make([]job, 0, len(cfg.Gammas))
-	for _, gamma := range cfg.Gammas {
-		if gamma <= 0 || gamma >= 1 {
-			return nil, fmt.Errorf("experiments: gamma %g outside (0,1)", gamma)
-		}
-		period := PeriodForGamma(gamma, cfg.AttackRate, cfg.Extent, params.Bottleneck)
-		if period < cfg.Extent {
-			// γ unreachable at this pulse rate even with back-to-back
-			// pulses: the attack degenerates to flooding. Skip the point,
-			// as the paper's curves do.
-			continue
-		}
-		jobs = append(jobs, job{gamma: gamma, period: period})
-	}
-
-	// Each attacked run owns a private kernel and environment, so the only
-	// shared state is the results slice, partitioned by index.
-	points := make([]GainPoint, len(jobs))
-	err = RunTasks(cfg.Parallel, len(jobs), func(i int) error {
-		var perr error
-		points[i], perr = measureGainPoint(cfg, params, toCfg, baseline, cPsi, jobs[i].gamma, jobs[i].period)
-		return perr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
-}
-
-// measureBaseline runs the no-attack scenario once. Unless PropagationRTTs
-// is set, the returned params carry the operative RTTs harvested from the
-// baseline senders' smoothed-RTT estimators (propagation plus queueing),
-// which is what the model's per-RTT window growth actually paces on.
-func measureBaseline(cfg SweepConfig) (float64, model.Params, model.TimeoutModelConfig, error) {
-	env, err := cfg.Factory()
-	if err != nil {
-		return 0, model.Params{}, model.TimeoutModelConfig{}, err
-	}
-	params := env.ModelParams()
-	toCfg := env.TimeoutModel()
-	res, err := Run(env, RunOptions{Warmup: cfg.Warmup, Measure: cfg.Measure})
-	if err != nil {
-		return 0, model.Params{}, model.TimeoutModelConfig{}, err
-	}
-	if !cfg.PropagationRTTs {
-		for i, s := range env.Flows() {
-			if i >= len(params.RTTs) {
-				break
-			}
-			if srtt := s.SRTT(); srtt > params.RTTs[i] {
-				params.RTTs[i] = srtt
-			}
-		}
-	}
-	return float64(res.Delivered), params, toCfg, nil
-}
-
-// measureGainPoint runs one attacked scenario and folds in the analytics.
-func measureGainPoint(
-	cfg SweepConfig,
-	params model.Params,
-	toCfg model.TimeoutModelConfig,
-	baseline, cPsi, gamma float64,
-	period time.Duration,
-) (GainPoint, error) {
-	env, err := cfg.Factory()
-	if err != nil {
-		return GainPoint{}, err
-	}
-	train, err := attack.AIMDTrain(
-		sim.FromDuration(cfg.Extent), cfg.AttackRate, sim.FromDuration(period),
-		PulsesFor(cfg.Measure, period))
-	if err != nil {
-		return GainPoint{}, err
-	}
-	res, err := Run(env, RunOptions{Warmup: cfg.Warmup, Measure: cfg.Measure, Train: &train})
-	if err != nil {
-		return GainPoint{}, err
-	}
-	measuredGamma := gamma // realized γ equals the target by construction
-	measuredDeg := 1 - float64(res.Delivered)/baseline
-	if measuredDeg < 0 {
-		measuredDeg = 0
-	}
-	combinedDeg, err := params.CombinedDegradation(
-		cfg.Extent.Seconds(), cfg.AttackRate, period.Seconds(), toCfg)
-	if err != nil {
-		// The TO extension is advisory: fall back to the FR-state estimate.
-		combinedDeg = model.Degradation(cPsi, gamma)
-	}
-	return GainPoint{
-		Gamma:               gamma,
-		PeriodSec:           period.Seconds(),
-		AnalyticDegradation: model.Degradation(cPsi, gamma),
-		MeasuredDegradation: measuredDeg,
-		AnalyticGain:        model.Gain(cPsi, gamma, cfg.Kappa),
-		MeasuredGain:        measuredDeg * model.RiskFactor(measuredGamma, cfg.Kappa),
-		CombinedDegradation: combinedDeg,
-		CombinedGain:        combinedDeg * model.RiskFactor(gamma, cfg.Kappa),
-		Timeouts:            res.Timeouts,
-		FastRecoveries:      res.FastRecoveries,
-	}, nil
 }
 
 // PeriodForGamma solves γ = R_attack·T_extent / (R_bottle·T_AIMD) for the

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"time"
-
-	"pulsedos/internal/optimize"
 )
 
 // MaximizationPoint records, for one attack setting, where the analysis puts
@@ -28,7 +25,8 @@ func (m MaximizationPoint) Agrees(tol float64) bool {
 	return math.Abs(m.AnalyticGammaStar-m.MeasuredPeakGamma) <= tol
 }
 
-// MaximizationStudyConfig parameterizes the §4.1.2 comparison.
+// MaximizationStudyConfig parameterizes the §4.1.2 comparison, which
+// figures.MaximizationStudy runs as the ext-maximization figure's documents.
 type MaximizationStudyConfig struct {
 	Flows    int
 	Settings []MaximizationSetting
@@ -62,83 +60,10 @@ func DefaultMaximizationStudyConfig() MaximizationStudyConfig {
 	}
 }
 
-// MaximizationStudy runs the comparison for every setting.
-func MaximizationStudy(cfg MaximizationStudyConfig) ([]MaximizationPoint, error) {
-	if cfg.Flows < 1 || len(cfg.Settings) == 0 {
-		return nil, fmt.Errorf("experiments: maximization study needs flows and settings")
-	}
-	if len(cfg.Gammas) < 3 {
-		return nil, fmt.Errorf("experiments: maximization study needs a real gamma grid")
-	}
-	gridStep := 1.0
-	for i := 1; i < len(cfg.Gammas); i++ {
-		if step := cfg.Gammas[i] - cfg.Gammas[i-1]; step > 0 && step < gridStep {
-			gridStep = step
-		}
-	}
-
-	out := make([]MaximizationPoint, 0, len(cfg.Settings))
-	for _, st := range cfg.Settings {
-		points, err := GainSweep(SweepConfig{
-			Factory: func() (Environment, error) {
-				dc := DefaultDumbbellConfig(cfg.Flows)
-				dc.Seed = cfg.Seed
-				return BuildDumbbell(dc)
-			},
-			AttackRate: st.Rate,
-			Extent:     st.Extent,
-			Kappa:      cfg.Kappa,
-			Gammas:     cfg.Gammas,
-			Warmup:     cfg.Warmup,
-			Measure:    cfg.Measure,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(points) == 0 {
-			continue
-		}
-		peak, err := PeakPoint(points)
-		if err != nil {
-			return nil, err
-		}
-		// The analytic optimum from the same calibrated C_Ψ the sweep used:
-		// recover it from any point's analytic degradation (Γ = 1 - C/γ).
-		cPsi := impliedCPsi(points)
-		gammaStar := math.NaN()
-		analyticPeak := 0.0
-		if g, err := optimize.OptimalGamma(cPsi, cfg.Kappa); err == nil {
-			gammaStar = g
-			for _, p := range points {
-				if p.AnalyticGain > analyticPeak {
-					analyticPeak = p.AnalyticGain
-				}
-			}
-		}
-		out = append(out, MaximizationPoint{
-			Label:             fmt.Sprintf("R=%.0fM Textent=%dms", st.Rate/1e6, st.Extent.Milliseconds()),
-			AnalyticGammaStar: gammaStar,
-			MeasuredPeakGamma: peak.Gamma,
-			AnalyticPeakGain:  analyticPeak,
-			MeasuredPeakGain:  peak.MeasuredGain,
-			GridStep:          gridStep,
-			Class:             ClassifyGain(points, 0.05),
-		})
-	}
-	return out, nil
-}
-
 // ImpliedCPsi recovers the calibrated C_Ψ from a sweep's analytic points via
-// C_Ψ = γ·(1 - Γ) at the first point with meaningful degradation. Exported
-// for the scenario-native figure pipeline (internal/figures), which rebuilds
-// the §4.1.2 comparison from cached artifacts and must land on the same C_Ψ.
+// C_Ψ = γ·(1 - Γ) at the first point with meaningful degradation — the C_Ψ
+// the §4.1.2 comparison feeds Proposition 3.
 func ImpliedCPsi(points []GainPoint) float64 {
-	return impliedCPsi(points)
-}
-
-// impliedCPsi recovers the calibrated C_Ψ from a sweep's analytic points via
-// C_Ψ = γ·(1 - Γ) at the first point with meaningful degradation.
-func impliedCPsi(points []GainPoint) float64 {
 	for _, p := range points {
 		if p.AnalyticDegradation > 0 && p.AnalyticDegradation < 1 {
 			return p.Gamma * (1 - p.AnalyticDegradation)

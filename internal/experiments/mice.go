@@ -33,7 +33,7 @@ type MiceConfig struct {
 
 	Warmup  time.Duration
 	Measure time.Duration
-	Seed    uint64
+	Seed    uint64 // seeds the dumbbell MiceStudy builds
 
 	// Attack, when Train is non-nil, starts at Warmup.
 	Train *attack.Train
@@ -66,120 +66,25 @@ type MiceResult struct {
 	ElephantBytes uint64 // goodput of the background flows in the window
 }
 
-// MiceStudy runs one workload instance (attacked when cfg.Train is set).
+// MiceStudy runs one workload instance (attacked when cfg.Train is set) on
+// a freshly built Fig. 5 dumbbell of Elephants + Mice flows seeded with
+// cfg.Seed.
 func MiceStudy(cfg MiceConfig) (*MiceResult, error) {
-	if cfg.Elephants < 1 || cfg.Mice < 1 || cfg.MiceSegments < 1 {
-		return nil, errors.New("experiments: mice study needs elephants, mice, and a size")
-	}
-	if cfg.Measure <= 0 || cfg.ArrivalSpan <= 0 {
-		return nil, errors.New("experiments: mice study needs positive windows")
-	}
-
 	dcfg := DefaultDumbbellConfig(cfg.Elephants + cfg.Mice)
 	dcfg.Seed = cfg.Seed
 	env, err := BuildDumbbell(dcfg)
 	if err != nil {
 		return nil, err
 	}
-	k := env.Kernel
-	warmup := sim.FromDuration(cfg.Warmup)
-	end := warmup + sim.FromDuration(cfg.Measure)
-
-	// Elephants: flows [0, E), jittered starts inside the warm-up.
-	spread := sim.FromDuration(dcfg.StartSpread)
-	for i := 0; i < cfg.Elephants; i++ {
-		at := sim.Time(env.Rand().Int63n(int64(spread) + 1))
-		if err := env.Senders[i].Start(at); err != nil {
-			return nil, err
-		}
-	}
-
-	// Mice: flows [E, E+M), Poisson arrivals across ArrivalSpan, each a
-	// finite transfer timed from its own start.
-	res := &MiceResult{}
-	sizes := cfg.Sizes
-	if sizes == nil {
-		sizes = &workload.Fixed{Segments: cfg.MiceSegments}
-	}
-	arrivals, err := workload.NewPoisson(
-		float64(cfg.Mice)/cfg.ArrivalSpan.Seconds(), warmup, env.Rand().Split())
-	if err != nil {
-		return nil, err
-	}
-	flows, err := workload.Generate(cfg.Mice, arrivals, sizes)
-	if err != nil {
-		return nil, err
-	}
-	for i, fl := range flows {
-		at := fl.At
-		if at >= end {
-			break
-		}
-		sender := env.Senders[cfg.Elephants+i]
-		sender.LimitSegments(fl.Segments)
-		startAt := at
-		sender.OnComplete(func(now sim.Time) {
-			res.Completed++
-			res.FCTs = append(res.FCTs, now.Sub(startAt).Seconds())
-		})
-		if err := sender.Start(at); err != nil {
-			return nil, err
-		}
-		res.Started++
-	}
-
-	env.Account.SetStart(warmup)
-	var gen *attack.Generator
-	if cfg.Train != nil && len(cfg.Train.Pulses) > 0 {
-		gen, err = env.Attach(*cfg.Train)
-		if err != nil {
-			return nil, err
-		}
-		if err := gen.Start(warmup); err != nil {
-			return nil, err
-		}
-	}
-	if err := k.RunUntil(end); err != nil {
-		return nil, err
-	}
-	env.StopFlows()
-	if gen != nil {
-		gen.Stop()
-	}
-
-	for i := 0; i < cfg.Elephants; i++ {
-		res.ElephantBytes += env.Account.Flow(i)
-	}
-	if len(res.FCTs) > 0 {
-		res.MeanFCT, _ = stats.Mean(res.FCTs)
-		res.MedianFCT, _ = stats.Median(res.FCTs)
-		res.P95FCT, _ = stats.Percentile(res.FCTs, 95)
-	}
-	return res, nil
+	return RunMiceCtx(context.Background(), env, cfg)
 }
 
-// MiceRunConfig parameterizes RunMiceCtx on a caller-built environment. It is
-// the scenario-document form of MiceConfig: the topology (and so the seed)
-// lives in the environment, everything else is the workload schedule.
-type MiceRunConfig struct {
-	Elephants    int
-	Mice         int
-	MiceSegments int64
-	Sizes        workload.Sizes // nil = Fixed{MiceSegments}
-	ArrivalSpan  time.Duration
-	Warmup       time.Duration
-	Measure      time.Duration
-	Train        *attack.Train
-	StartSpread  time.Duration // elephant start jitter window
-}
-
-// RunMiceCtx executes the mice study's flow schedule on env: the same draw
-// order, start choreography, and accounting as MiceStudy — the ext-mice
-// figure pin, recorded from MiceStudy, holds the two byte-identical — but on
-// an environment
-// the caller built (so a scenario document supplies the topology) and with
-// the timeline sliced for cancellation like RunCtx.
-func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceRunConfig) (*MiceResult, error) {
+// RunMiceCtx executes the mice study's flow schedule on env — the one
+// implementation behind MiceStudy and the scenario documents' "mice"
+// workload. The topology, and so the seed, comes from env (cfg.Seed is not
+// read); elephants start jittered across the graph's StartSpread. The
+// timeline runs in slices polled for cancellation, like RunCtx.
+func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig) (*MiceResult, error) {
 	if cfg.Elephants < 1 || cfg.Mice < 1 || cfg.MiceSegments < 1 {
 		return nil, errors.New("experiments: mice study needs elephants, mice, and a size")
 	}
@@ -195,7 +100,7 @@ func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceRunConfig) (
 	end := warmup + sim.FromDuration(cfg.Measure)
 
 	// Elephants: flows [0, E), jittered starts inside the warm-up.
-	spread := sim.FromDuration(cfg.StartSpread)
+	spread := sim.FromDuration(env.Graph.StartSpread)
 	for i := 0; i < cfg.Elephants; i++ {
 		at := sim.Time(env.Rand().Int63n(int64(spread) + 1))
 		if err := env.Senders[i].Start(at); err != nil {

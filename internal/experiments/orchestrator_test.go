@@ -57,6 +57,6 @@ func TestRunTasksZeroTasks(t *testing.T) {
 }
 
 // The worker-pool determinism smoke test for full sweeps (Parallel > 1 vs
-// sequential, byte-identical points) lives in roc_test.go as
+// sequential, byte-identical points) lives in study_test.go as
 // TestGainSweepParallelMatchesSequential; under -race it doubles as the
-// figure-orchestrator data-race check since both share RunTasks.
+// figure pool's data-race check since both run on RunTasksCtx.

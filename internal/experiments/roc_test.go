@@ -59,40 +59,3 @@ func TestDetectorROCStudyValidation(t *testing.T) {
 		t.Error("empty config accepted")
 	}
 }
-
-// TestGainSweepParallelMatchesSequential: the parallel sweep must produce
-// byte-identical points to the sequential one (each run owns its kernel).
-func TestGainSweepParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	base := SweepConfig{
-		Factory: func() (Environment, error) {
-			return BuildDumbbell(DefaultDumbbellConfig(5))
-		},
-		AttackRate: 35e6,
-		Extent:     75 * time.Millisecond,
-		Kappa:      1,
-		Gammas:     []float64{0.3, 0.5, 0.7},
-		Warmup:     2 * time.Second,
-		Measure:    4 * time.Second,
-	}
-	seq, err := GainSweep(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := base
-	par.Parallel = 3
-	got, err := GainSweep(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(got) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(got))
-	}
-	for i := range seq {
-		if seq[i] != got[i] {
-			t.Errorf("point %d differs:\nseq %+v\npar %+v", i, seq[i], got[i])
-		}
-	}
-}

@@ -15,34 +15,6 @@ type ShrewPoint struct {
 	Harmonic int  // the matching n (0 when not a shrew point)
 }
 
-// ShrewStudyConfig parameterizes a Fig. 10 curve.
-type ShrewStudyConfig struct {
-	Sweep        SweepConfig
-	MinRTO       time.Duration // victims' minimum retransmission timeout
-	MaxHarmonic  int           // largest n considered (paper: n ∈ [1, minRTO])
-	ToleranceRel float64       // relative period tolerance (default 0.08)
-}
-
-// ShrewStudy runs the sweep and flags shrew-resonant grid points.
-func ShrewStudy(cfg ShrewStudyConfig) ([]ShrewPoint, error) {
-	if cfg.MaxHarmonic < 1 {
-		cfg.MaxHarmonic = 5
-	}
-	if cfg.ToleranceRel <= 0 {
-		cfg.ToleranceRel = 0.08
-	}
-	points, err := GainSweep(cfg.Sweep)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ShrewPoint, len(points))
-	for i, p := range points {
-		n, ok := ShrewHarmonic(p.PeriodSec, cfg.MinRTO, cfg.MaxHarmonic, cfg.ToleranceRel)
-		out[i] = ShrewPoint{GainPoint: p, Shrew: ok, Harmonic: n}
-	}
-	return out, nil
-}
-
 // ShrewHarmonic reports whether periodSec ≈ minRTO/n for some n in
 // [1, maxHarmonic] within the relative tolerance, and if so which n.
 func ShrewHarmonic(periodSec float64, minRTO time.Duration, maxHarmonic int, tolRel float64) (int, bool) {

@@ -25,9 +25,7 @@ type SyncResult struct {
 }
 
 // SyncSnapshot runs an attacked scenario and post-processes the bottleneck's
-// incoming-traffic series exactly as §2.3 describes: normalize to zero mean,
-// compress with a piecewise aggregate approximation, then recover the
-// oscillation period.
+// incoming-traffic series with AnalyzeSync.
 func SyncSnapshot(
 	env Environment,
 	train attack.Train,
@@ -49,19 +47,28 @@ func SyncSnapshot(
 	if err != nil {
 		return nil, err
 	}
-	bins := res.Rate.Bytes()
-	paa, err := analysis.NormalizePAA(bins, frames)
+	out, err := AnalyzeSync(res.Rate.Bytes(), frames, duration.Seconds(), bin.Seconds())
 	if err != nil {
 		return nil, err
-	}
-
-	out := &SyncResult{
-		Frames:      paa,
-		DurationSec: duration.Seconds(),
 	}
 	if len(train.Pulses) > 0 {
 		out.AttackPeriodSec = train.Pulses[0].Period().Seconds()
 	}
+	return out, nil
+}
+
+// AnalyzeSync is the §2.3 post-processing of an incoming-traffic series of
+// byte bins binSec wide spanning durationSec: normalize to zero mean,
+// compress with a piecewise aggregate approximation into frames, then
+// recover the oscillation period by counting pinnacles and by
+// autocorrelation. SyncSnapshot and the scenario "sync" tap both call it, so
+// the two cannot drift apart. AttackPeriodSec is left zero.
+func AnalyzeSync(bins []float64, frames int, durationSec, binSec float64) (*SyncResult, error) {
+	paa, err := analysis.NormalizePAA(bins, frames)
+	if err != nil {
+		return nil, err
+	}
+	out := &SyncResult{Frames: paa, DurationSec: durationSec}
 
 	// Peak counting: pinnacles are frames above half the maximum positive
 	// excursion (robust to the TCP traffic between pulses).
@@ -71,13 +78,13 @@ func SyncSnapshot(
 	}
 	out.Peaks = analysis.CountPeaks(paa, max/2)
 	if out.Peaks > 0 {
-		out.PeakPeriodSec = out.DurationSec / float64(out.Peaks)
+		out.PeakPeriodSec = durationSec / float64(out.Peaks)
 	}
 
 	// Autocorrelation estimate on the raw (un-compressed) series.
 	lag, err := analysis.DominantPeriod(stats.Normalize(bins), len(bins)/2, 0.1)
 	if err == nil && lag > 0 {
-		out.AutoPeriodSec = analysis.PeriodSeconds(lag, bin.Seconds())
+		out.AutoPeriodSec = analysis.PeriodSeconds(lag, binSec)
 	}
 	return out, nil
 }

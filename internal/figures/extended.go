@@ -1,12 +1,9 @@
 package figures
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"pulsedos/internal/experiments"
-	"pulsedos/internal/optimize"
 	"pulsedos/internal/scenario"
 )
 
@@ -26,8 +23,8 @@ func ablationPlan(
 	return func(scale experiments.Scale) (*figurePlan, error) {
 		cs := &curveSet{}
 		for _, arm := range arms {
-			c, err := compileGainCurve(id+"/"+arm.label, arm.top, scale,
-				experiments.AblationRate, experiments.AblationExtent, scale.Gammas, 1)
+			c, err := compileGainCurve(id+"/"+arm.label, scaleSweep(scale, arm.top,
+				experiments.AblationRate, experiments.AblationExtent, scale.Gammas))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", arm.label, err)
 			}
@@ -116,97 +113,40 @@ var pktsizePlan = ablationPlan("ablation-pktsize", "attack packet size vs gain (
 		{"pkt=50B", dumbbell15(func(t *scenario.Topology) { t.AttackPacketBytes = 50 })},
 	}, true, true, "")
 
-// defensePlan compiles the §1.1 defense study: per defense, one baseline plus
-// one run per attack archetype, degradation read off the delivery accounts.
+// defensePlan compiles the §1.1 defense study (DefenseStudy's documents at
+// the figure scale) and plots each attack's degradation per defense.
 func defensePlan(scale experiments.Scale) (*figurePlan, error) {
 	cfg := experiments.DefaultDefenseStudyConfig()
 	cfg.Warmup = scale.Warmup
 	cfg.Measure = scale.Measure
 	cfg.Seed = scale.Seed
-	defenses := []string{"none", "rto-jitter", "adaptive-red"}
-	attacks := []string{"aimd", "shrew"}
-
-	var docs []scenario.Config
-	for _, defense := range defenses {
-		top := scenario.Topology{Kind: "dumbbell", Flows: cfg.Flows, RTOMinMs: ms(cfg.MinRTO)}
-		switch defense {
-		case "rto-jitter":
-			top.RTOJitter = cfg.RTOJitter
-		case "adaptive-red":
-			top.AdaptiveRED = true
-		}
-		base := scenario.Config{
-			Name:       "ext-defense/" + defense + "/baseline",
-			Topology:   top,
-			WarmupSec:  cfg.Warmup.Seconds(),
-			MeasureSec: cfg.Measure.Seconds(),
-			Seed:       cfg.Seed,
-		}
-		docs = append(docs, base)
-		for _, atk := range attacks {
-			d := base
-			d.Name = "ext-defense/" + defense + "/" + atk
-			switch atk {
-			case "aimd":
-				d.Attack = &scenario.Attack{
-					Kind:     "aimd",
-					RateMbps: cfg.AttackRate / 1e6,
-					ExtentMs: ms(cfg.Extent),
-					PeriodMs: ms(cfg.AIMDPeriod),
-				}
-			case "shrew":
-				// The shrew period resolves at run time from the victims'
-				// RTO floor (minRTO/harmonic), which the topology's rtoMinMs
-				// pins to cfg.MinRTO.
-				d.Attack = &scenario.Attack{
-					Kind:     "shrew",
-					RateMbps: cfg.AttackRate / 1e6,
-					ExtentMs: ms(cfg.Extent),
-					Harmonic: 1,
-				}
-			}
-			docs = append(docs, d)
-		}
+	docs, err := compileDefense(cfg)
+	if err != nil {
+		return nil, err
 	}
 	return &figurePlan{
 		docs: docs,
 		assemble: func(arts [][]Artifacts) (*experiments.FigureResult, error) {
+			results, err := foldDefense(cfg, arts)
+			if err != nil {
+				return nil, err
+			}
 			res := &experiments.FigureResult{
 				ID:    "ext-defense",
 				Title: "RTO randomization & Adaptive RED vs both attack archetypes",
 			}
-			byAttack := map[string]*experiments.Series{}
-			for di, defense := range defenses {
-				base, err := decodeSummary(arts[di*3][0])
-				if err != nil {
-					return nil, err
-				}
-				if base.Delivered == 0 {
-					return nil, fmt.Errorf("figures: defense %q baseline delivered nothing", defense)
-				}
-				for ai, atk := range attacks {
-					sum, err := decodeSummary(arts[di*3+1+ai][0])
-					if err != nil {
-						return nil, err
-					}
-					deg := 1 - float64(sum.Delivered)/float64(base.Delivered)
-					if deg < 0 {
-						deg = 0
-					}
-					s, ok := byAttack[atk]
-					if !ok {
-						s = &experiments.Series{Label: atk + " degradation"}
-						byAttack[atk] = s
-					}
-					s.Points = append(s.Points, experiments.Point{X: float64(len(s.Points)), Y: deg})
-					note(res, "%s vs %s: degradation %.3f (TO=%d FR=%d)",
-						defense, atk, deg, sum.Timeouts, sum.FastRecoveries)
-				}
+			for _, r := range results {
+				note(res, "%s vs %s: degradation %.3f (TO=%d FR=%d)",
+					r.Defense, r.Attack, r.Degradation, r.Timeouts, r.FastRecoveries)
 			}
-			for _, name := range attacks {
-				if s := byAttack[name]; s != nil {
-					res.Series = append(res.Series, *s)
+			for _, atk := range studyAttacks {
+				s := experiments.Series{Label: atk + " degradation"}
+				for _, r := range results {
+					if r.Attack == atk {
+						s.Points = append(s.Points, experiments.Point{X: float64(len(s.Points)), Y: r.Degradation})
+					}
 				}
+				res.Series = append(res.Series, s)
 			}
 			return res, nil
 		},
@@ -275,71 +215,36 @@ func fctPoints(fcts []float64) []experiments.Point {
 	return out
 }
 
-// maximizationPlan compiles the §4.1.2 comparison: per attack setting, the
-// analytic γ* (Proposition 3 on the sweep's implied C_Ψ) against the measured
-// gain peak.
+// maximizationPlan compiles the §4.1.2 comparison (MaximizationStudy's
+// documents at the figure scale) and plots each setting's measured peak
+// against its analytic γ*.
 func maximizationPlan(scale experiments.Scale) (*figurePlan, error) {
 	cfg := experiments.DefaultMaximizationStudyConfig()
 	cfg.Gammas = scale.Gammas
 	cfg.Warmup = scale.Warmup
 	cfg.Measure = scale.Measure
 	cfg.Seed = scale.Seed
-	if len(cfg.Gammas) < 3 {
-		return nil, errors.New("figures: maximization study needs a real gamma grid")
-	}
-	gridStep := 1.0
-	for i := 1; i < len(cfg.Gammas); i++ {
-		if step := cfg.Gammas[i] - cfg.Gammas[i-1]; step > 0 && step < gridStep {
-			gridStep = step
-		}
-	}
-	cs := &curveSet{}
-	for _, st := range cfg.Settings {
-		label := fmt.Sprintf("R=%.0fM Textent=%dms", st.Rate/1e6, st.Extent.Milliseconds())
-		name := fmt.Sprintf("ext-maximization/rate=%.0fM/extent=%dms", st.Rate/1e6, st.Extent.Milliseconds())
-		c, err := compileGainCurve(name,
-			scenario.Topology{Kind: "dumbbell", Flows: cfg.Flows},
-			scale, st.Rate, st.Extent, cfg.Gammas, cfg.Kappa)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		cs.add(label, c)
+	m, err := compileMaximization(cfg)
+	if err != nil {
+		return nil, err
 	}
 	return &figurePlan{
-		docs: cs.docs,
+		docs: m.curves.docs,
 		assemble: func(arts [][]Artifacts) (*experiments.FigureResult, error) {
+			points, err := m.fold(arts)
+			if err != nil {
+				return nil, err
+			}
 			res := &experiments.FigureResult{
 				ID:    "ext-maximization",
 				Title: "analytic gamma* vs measured gain peak (§4.1.2)",
 			}
 			s := experiments.Series{Label: "measured peak vs analytic gamma*"}
-			for i, label := range cs.labels {
-				points, err := cs.points(arts, i)
-				if err != nil {
-					return nil, err
-				}
-				if len(points) == 0 {
-					continue
-				}
-				peak, err := experiments.PeakPoint(points)
-				if err != nil {
-					return nil, err
-				}
-				cPsi := experiments.ImpliedCPsi(points)
-				gammaStar := math.NaN()
-				analyticPeak := 0.0
-				if g, err := optimize.OptimalGamma(cPsi, cfg.Kappa); err == nil {
-					gammaStar = g
-					for _, p := range points {
-						if p.AnalyticGain > analyticPeak {
-							analyticPeak = p.AnalyticGain
-						}
-					}
-				}
-				s.Points = append(s.Points, experiments.Point{X: gammaStar, Y: peak.Gamma})
+			for _, p := range points {
+				s.Points = append(s.Points, experiments.Point{X: p.AnalyticGammaStar, Y: p.MeasuredPeakGamma})
 				note(res, "%s: gamma*=%.3f measured-peak=%.2f (±%.2f grid) gains %.3f/%.3f class=%s",
-					label, gammaStar, peak.Gamma, gridStep,
-					analyticPeak, peak.MeasuredGain, experiments.ClassifyGain(points, 0.05))
+					p.Label, p.AnalyticGammaStar, p.MeasuredPeakGamma, p.GridStep,
+					p.AnalyticPeakGain, p.MeasuredPeakGain, p.Class)
 			}
 			res.Series = append(res.Series, s)
 			return res, nil

@@ -12,6 +12,11 @@
 // this pipeline replaced, and TestFigureEquivalence holds the pipeline to
 // those bytes. The fixed dimensions (rates, extents, settings) come from
 // experiments/dims.go.
+//
+// The studies the public facade exports — GainSweep, ShrewStudy,
+// MaximizationStudy and DefenseStudy (study.go) — compile to the same
+// documents as the figures they back and fold the same artifacts, uncached:
+// one implementation per study.
 package figures
 
 import (

@@ -17,16 +17,15 @@ func ms(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-// gainCurve is one Figs. 6–10 / Fig. 12 curve compiled to documents: a
-// no-attack baseline carrying the "srtt" calibration tap, and (when any grid
-// point is feasible) a gamma-sweep carrier whose expanded points are plain
-// attacked documents. Its points() reproduces experiments.GainSweep's exact
-// arithmetic — baseline SRTT calibration, C_Ψ, per-point degradations and
-// gains — from the artifacts alone.
+// gainCurve is one gain-vs-γ curve compiled to documents: a no-attack
+// baseline carrying the "srtt" calibration tap, and (when any grid point is
+// feasible) a gamma-sweep carrier whose expanded points are plain attacked
+// documents. Its points() folds the artifacts into the curve — baseline SRTT
+// calibration, C_Ψ, per-point degradations and gains. Every gain figure
+// (Figs. 6–10, 12, the ablations, the §4.1.2 maximization points) and the
+// GainSweep study compile their curves here.
 type gainCurve struct {
-	rate   float64
-	extent time.Duration
-	kappa  float64
+	cfg SweepConfig
 
 	base  scenario.Config
 	sweep *scenario.Config
@@ -38,25 +37,27 @@ type gainCurve struct {
 // compileGainCurve resolves the curve's documents against the topology. It
 // builds one throwaway environment to read the analytic parameters (the same
 // values every expanded point's own build will see), then filters the γ grid
-// to the feasible points exactly as GainSweep does: a period shorter than the
-// pulse means γ is unreachable and the point is skipped.
-func compileGainCurve(
-	name string,
-	top scenario.Topology,
-	scale experiments.Scale,
-	rate float64,
-	extent time.Duration,
-	gammas []float64,
-	kappa float64,
-) (*gainCurve, error) {
-	c := &gainCurve{rate: rate, extent: extent, kappa: kappa}
+// to the feasible points: a period shorter than the pulse means γ is
+// unreachable even with back-to-back pulses — the attack degenerates to
+// flooding — and the point is skipped, as the paper's curves do.
+func compileGainCurve(name string, cfg SweepConfig) (*gainCurve, error) {
+	if cfg.AttackRate <= 0 || cfg.Extent <= 0 {
+		return nil, errors.New("figures: sweep needs positive attack rate and extent")
+	}
+	if cfg.Kappa <= 0 {
+		return nil, fmt.Errorf("figures: kappa must be positive, got %g", cfg.Kappa)
+	}
+	if len(cfg.Gammas) == 0 {
+		return nil, errors.New("figures: empty gamma grid")
+	}
+	c := &gainCurve{cfg: cfg}
 	c.base = scenario.Config{
 		Name:       name + "/baseline",
-		Topology:   top,
+		Topology:   cfg.Topology,
 		Measure:    &scenario.Measure{Taps: []string{"srtt"}},
-		WarmupSec:  scale.Warmup.Seconds(),
-		MeasureSec: scale.Measure.Seconds(),
-		Seed:       scale.Seed,
+		WarmupSec:  cfg.Warmup.Seconds(),
+		MeasureSec: cfg.Measure.Seconds(),
+		Seed:       cfg.Seed,
 	}
 	env, err := c.base.Build()
 	if err != nil {
@@ -68,12 +69,12 @@ func compileGainCurve(
 		cl.Close()
 	}
 
-	feasible := make([]float64, 0, len(gammas))
-	for _, g := range gammas {
+	feasible := make([]float64, 0, len(cfg.Gammas))
+	for _, g := range cfg.Gammas {
 		if g <= 0 || g >= 1 {
 			return nil, fmt.Errorf("figures: gamma %g outside (0,1)", g)
 		}
-		if experiments.PeriodForGamma(g, rate, extent, c.params.Bottleneck) < extent {
+		if experiments.PeriodForGamma(g, cfg.AttackRate, cfg.Extent, c.params.Bottleneck) < cfg.Extent {
 			continue
 		}
 		feasible = append(feasible, g)
@@ -81,7 +82,7 @@ func compileGainCurve(
 	if len(feasible) > 0 {
 		sw := c.base
 		sw.Name = name
-		sw.Attack = &scenario.Attack{Kind: "aimd", RateMbps: rate / 1e6, ExtentMs: ms(extent)}
+		sw.Attack = &scenario.Attack{Kind: "aimd", RateMbps: cfg.AttackRate / 1e6, ExtentMs: ms(cfg.Extent)}
 		// The sweep carrier drops the calibration tap: expanded attack points
 		// are plain documents (result.json only), so they share cache entries
 		// with any other figure — or serve-submitted scenario — probing the
@@ -100,9 +101,11 @@ func (c *gainCurve) docs() []scenario.Config {
 	return []scenario.Config{c.base, *c.sweep}
 }
 
-// points folds the curve's artifacts into GainPoints, replicating GainSweep:
-// calibrate the model RTTs with the baseline's measured SRTTs, derive C_Ψ,
-// then per grid point compute the measured and analytic degradations/gains.
+// points folds the curve's artifacts into GainPoints: calibrate the model
+// RTTs with the baseline's measured SRTTs — the operative RTTs (propagation
+// plus queueing) the victims' per-RTT window growth actually paces on —
+// derive C_Ψ, then per grid point compute the measured and analytic
+// degradations/gains.
 func (c *gainCurve) points(arts [][]Artifacts) ([]experiments.GainPoint, error) {
 	base, err := decodeSummary(arts[0][0])
 	if err != nil {
@@ -126,7 +129,8 @@ func (c *gainCurve) points(arts [][]Artifacts) ([]experiments.GainPoint, error) 
 	if baseline == 0 {
 		return nil, errors.New("figures: baseline delivered zero bytes; widen the window")
 	}
-	cPsi := params.CPsi(c.extent.Seconds(), c.rate)
+	rate, extent, kappa := c.cfg.AttackRate, c.cfg.Extent, c.cfg.Kappa
+	cPsi := params.CPsi(extent.Seconds(), rate)
 
 	if c.sweep == nil {
 		return []experiments.GainPoint{}, nil
@@ -138,13 +142,13 @@ func (c *gainCurve) points(arts [][]Artifacts) ([]experiments.GainPoint, error) 
 		if err != nil {
 			return nil, err
 		}
-		period := experiments.PeriodForGamma(gamma, c.rate, c.extent, c.params.Bottleneck)
+		period := experiments.PeriodForGamma(gamma, rate, extent, c.params.Bottleneck)
 		measuredDeg := 1 - float64(sum.Delivered)/baseline
 		if measuredDeg < 0 {
 			measuredDeg = 0
 		}
 		combinedDeg, err := params.CombinedDegradation(
-			c.extent.Seconds(), c.rate, period.Seconds(), c.toCfg)
+			extent.Seconds(), rate, period.Seconds(), c.toCfg)
 		if err != nil {
 			// The TO extension is advisory: fall back to the FR-state estimate.
 			combinedDeg = model.Degradation(cPsi, gamma)
@@ -154,15 +158,29 @@ func (c *gainCurve) points(arts [][]Artifacts) ([]experiments.GainPoint, error) 
 			PeriodSec:           period.Seconds(),
 			AnalyticDegradation: model.Degradation(cPsi, gamma),
 			MeasuredDegradation: measuredDeg,
-			AnalyticGain:        model.Gain(cPsi, gamma, c.kappa),
-			MeasuredGain:        measuredDeg * model.RiskFactor(gamma, c.kappa),
+			AnalyticGain:        model.Gain(cPsi, gamma, kappa),
+			MeasuredGain:        measuredDeg * model.RiskFactor(gamma, kappa),
 			CombinedDegradation: combinedDeg,
-			CombinedGain:        combinedDeg * model.RiskFactor(gamma, c.kappa),
+			CombinedGain:        combinedDeg * model.RiskFactor(gamma, kappa),
 			Timeouts:            sum.Timeouts,
 			FastRecoveries:      sum.FastRecoveries,
 		}
 	}
 	return points, nil
+}
+
+// scaleSweep is the κ = 1 curve a figure plots at the given scale.
+func scaleSweep(scale experiments.Scale, top scenario.Topology, rate float64, extent time.Duration, gammas []float64) SweepConfig {
+	return SweepConfig{
+		Topology:   top,
+		Seed:       scale.Seed,
+		AttackRate: rate,
+		Extent:     extent,
+		Kappa:      1,
+		Gammas:     gammas,
+		Warmup:     scale.Warmup,
+		Measure:    scale.Measure,
+	}
 }
 
 // curveSet collects labelled curves and tracks where each one's documents
@@ -201,9 +219,8 @@ func gainFigurePlan(id string, rate float64) func(experiments.Scale) (*figurePla
 			for _, extent := range experiments.GainFigureExtents() {
 				label := fmt.Sprintf("flows=%d Textent=%dms", flows, extent.Milliseconds())
 				name := fmt.Sprintf("%s/flows=%d/extent=%dms", id, flows, extent.Milliseconds())
-				c, err := compileGainCurve(name,
-					scenario.Topology{Kind: "dumbbell", Flows: flows},
-					scale, rate, extent, scale.Gammas, 1)
+				c, err := compileGainCurve(name, scaleSweep(scale,
+					scenario.Topology{Kind: "dumbbell", Flows: flows}, rate, extent, scale.Gammas))
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", label, err)
 				}

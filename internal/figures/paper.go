@@ -182,9 +182,8 @@ func fig10Plan(scale experiments.Scale) (*figurePlan, error) {
 			experiments.ShrewGammas(st.Rate, st.Extent, bottleneck,
 				experiments.ShrewFigureMinRTO, experiments.ShrewFigureMaxHarmonic)...)
 		name := fmt.Sprintf("fig10/rate=%.0fM/extent=%dms", st.Rate/1e6, st.Extent.Milliseconds())
-		c, err := compileGainCurve(name,
-			scenario.Topology{Kind: "dumbbell", Flows: 15},
-			scale, st.Rate, st.Extent, gammas, 1)
+		c, err := compileGainCurve(name, scaleSweep(scale,
+			scenario.Topology{Kind: "dumbbell", Flows: 15}, st.Rate, st.Extent, gammas))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}
@@ -202,15 +201,14 @@ func fig10Plan(scale experiments.Scale) (*figurePlan, error) {
 				analytic := experiments.Series{Label: label + " analytic"}
 				measured := experiments.Series{Label: label + " measured"}
 				shrew := experiments.Series{Label: label + " shrew-points"}
-				for _, p := range points {
+				for _, p := range shrewPoints(points,
+					experiments.ShrewFigureMinRTO, experiments.ShrewFigureMaxHarmonic, 0.08) {
 					analytic.Points = append(analytic.Points, experiments.Point{X: p.Gamma, Y: p.AnalyticGain})
 					measured.Points = append(measured.Points, experiments.Point{X: p.Gamma, Y: p.MeasuredGain})
-					harmonic, ok := experiments.ShrewHarmonic(p.PeriodSec,
-						experiments.ShrewFigureMinRTO, experiments.ShrewFigureMaxHarmonic, 0.08)
-					if ok {
+					if p.Shrew {
 						shrew.Points = append(shrew.Points, experiments.Point{X: p.Gamma, Y: p.MeasuredGain})
 						note(res, "%s: shrew point T_AIMD=%.3fs (minRTO/%d): measured %.3f vs analytic %.3f",
-							label, p.PeriodSec, harmonic, p.MeasuredGain, p.AnalyticGain)
+							label, p.PeriodSec, p.Harmonic, p.MeasuredGain, p.AnalyticGain)
 					}
 				}
 				res.Series = append(res.Series, analytic, measured, shrew)
@@ -227,9 +225,9 @@ func fig12Plan(scale experiments.Scale) (*figurePlan, error) {
 	for _, rate := range experiments.TestbedFigureRates() {
 		label := fmt.Sprintf("R=%.0fM", rate/1e6)
 		name := fmt.Sprintf("fig12/rate=%.0fM", rate/1e6)
-		c, err := compileGainCurve(name,
+		c, err := compileGainCurve(name, scaleSweep(scale,
 			scenario.Topology{Kind: "testbed", Flows: experiments.TestbedFigureFlows},
-			scale, rate, experiments.TestbedFigureExtent, scale.Gammas, 1)
+			rate, experiments.TestbedFigureExtent, scale.Gammas))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}

@@ -8,9 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"pulsedos/internal/analysis"
 	"pulsedos/internal/experiments"
-	"pulsedos/internal/stats"
 )
 
 // Artifact names a run can produce. The set is part of the cache contract:
@@ -70,8 +68,8 @@ type RunSummary struct {
 
 // SyncArtifact is the JSON shape of sync.json: the §2.3 post-processing of
 // the incoming-traffic series (zero-mean PAA compression, pinnacle count,
-// autocorrelation period), computed by the same code path as
-// experiments.SyncSnapshot so the figure assembled from it is byte-identical.
+// autocorrelation period), computed by experiments.AnalyzeSync — the same
+// function behind experiments.SyncSnapshot.
 type SyncArtifact struct {
 	Frames        []float64 `json:"frames"`
 	Peaks         int       `json:"peaks"`
@@ -220,30 +218,20 @@ func encodeTaps(cfg Config, res *experiments.RunResult, files map[string][]byte)
 	return nil
 }
 
-// encodeSync post-processes the rate series exactly as
-// experiments.SyncSnapshot does: zero-mean PAA compression, pinnacles above half the
-// maximum, autocorrelation on the raw bins.
+// encodeSync post-processes the rate series with experiments.AnalyzeSync
+// over the document's measurement window and the series' bin width.
 func encodeSync(cfg Config, res *experiments.RunResult) (*SyncArtifact, error) {
-	frames := cfg.Measure.syncFrames(cfg.MeasureSec)
-	bins := res.Rate.Bytes()
-	paa, err := analysis.NormalizePAA(bins, frames)
+	sync, err := experiments.AnalyzeSync(res.Rate.Bytes(), cfg.Measure.syncFrames(cfg.MeasureSec),
+		cfg.MeasureSec, res.Rate.BinWidth().Seconds())
 	if err != nil {
 		return nil, err
 	}
-	art := &SyncArtifact{Frames: paa}
-	_, max, err := stats.MinMax(paa)
-	if err != nil {
-		return nil, err
-	}
-	art.Peaks = analysis.CountPeaks(paa, max/2)
-	if art.Peaks > 0 {
-		art.PeakPeriodSec = cfg.MeasureSec / float64(art.Peaks)
-	}
-	lag, err := analysis.DominantPeriod(stats.Normalize(bins), len(bins)/2, 0.1)
-	if err == nil && lag > 0 {
-		art.AutoPeriodSec = analysis.PeriodSeconds(lag, res.Rate.BinWidth().Seconds())
-	}
-	return art, nil
+	return &SyncArtifact{
+		Frames:        sync.Frames,
+		Peaks:         sync.Peaks,
+		PeakPeriodSec: sync.PeakPeriodSec,
+		AutoPeriodSec: sync.AutoPeriodSec,
+	}, nil
 }
 
 // marshalJSONLine encodes v compactly with a trailing newline. JSON float64

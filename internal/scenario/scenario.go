@@ -589,12 +589,8 @@ func (c Config) runWorkload(ctx context.Context, env experiments.Environment, tr
 	if !ok {
 		return nil, errors.New("scenario: mice workload needs a serial dumbbell environment")
 	}
-	g, err := c.Graph()
-	if err != nil {
-		return nil, err
-	}
 	w := c.Workload
-	mice, err := experiments.RunMiceCtx(ctx, denv, experiments.MiceRunConfig{
+	mice, err := experiments.RunMiceCtx(ctx, denv, experiments.MiceConfig{
 		Elephants:    w.Elephants,
 		Mice:         w.Mice,
 		MiceSegments: w.MiceSegments,
@@ -602,7 +598,6 @@ func (c Config) runWorkload(ctx context.Context, env experiments.Environment, tr
 		Warmup:       time.Duration(c.WarmupSec * float64(time.Second)),
 		Measure:      time.Duration(c.MeasureSec * float64(time.Second)),
 		Train:        train,
-		StartSpread:  g.StartSpread,
 	})
 	if err != nil {
 		return nil, err

@@ -13,7 +13,11 @@
 //     evaluation (§4).
 //
 // The package is a facade: it re-exports the stable surface of the internal
-// packages so applications depend on one import path.
+// packages so applications depend on one import path. The studies — GainSweep,
+// ShrewStudy, MaximizationStudy and DefenseStudy — run the same scenario
+// documents as the figures they back (internal/figures), so a study's result
+// is exactly what the matching figure plots; MiceStudy runs the workload the
+// ext-mice figure's documents name.
 //
 // # Quick start
 //
@@ -27,20 +31,24 @@
 //	plan, err := pulsedos.PlanAttack(params, 0.075, 35e6, 1) // κ = 1
 //	// plan.Period is the optimal T_AIMD; plan.Gain the predicted gain.
 //
-// Use BuildDumbbell / BuildTestbed plus Run and GainSweep to validate plans
-// in simulation, exactly as the paper validates with ns-2 and its test-bed.
+// Use BuildDumbbell / BuildTestbed plus Run, or GainSweep on a Topology, to
+// validate plans in simulation, exactly as the paper validates with ns-2 and
+// its test-bed.
 package pulsedos
 
 import (
+	"context"
 	"time"
 
 	"pulsedos/internal/analysis"
 	"pulsedos/internal/attack"
 	"pulsedos/internal/detect"
 	"pulsedos/internal/experiments"
+	"pulsedos/internal/figures"
 	"pulsedos/internal/model"
 	"pulsedos/internal/optimize"
 	"pulsedos/internal/rng"
+	"pulsedos/internal/scenario"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/topo"
 )
@@ -149,8 +157,11 @@ type (
 	RunOptions = experiments.RunOptions
 	// RunResult carries a scenario's measurements.
 	RunResult = experiments.RunResult
+	// Topology names an evaluation environment the way a scenario document
+	// does (kind, flows, overrides); the studies build every run from it.
+	Topology = scenario.Topology
 	// SweepConfig parameterizes a gain-vs-γ curve.
-	SweepConfig = experiments.SweepConfig
+	SweepConfig = figures.SweepConfig
 	// GainPoint is one sample of a gain curve.
 	GainPoint = experiments.GainPoint
 	// GainClass is the §4.1.1 normal/under/over-gain taxonomy.
@@ -160,7 +171,7 @@ type (
 	// ShrewPoint annotates a sweep sample with shrew-resonance status.
 	ShrewPoint = experiments.ShrewPoint
 	// ShrewStudyConfig parameterizes a Fig. 10 study.
-	ShrewStudyConfig = experiments.ShrewStudyConfig
+	ShrewStudyConfig = figures.ShrewStudyConfig
 	// CwndSample is one point of a Fig. 1 window trace.
 	CwndSample = experiments.CwndSample
 	// Series is a labelled curve for CSV export.
@@ -215,7 +226,7 @@ func Run(env Environment, opt RunOptions) (*RunResult, error) {
 
 // GainSweep produces one gain-vs-γ curve (analytic + measured).
 func GainSweep(cfg SweepConfig) ([]GainPoint, error) {
-	return experiments.GainSweep(cfg)
+	return figures.GainSweep(context.Background(), cfg)
 }
 
 // ClassifyGain reduces a curve to its §4.1.1 class.
@@ -230,7 +241,7 @@ func SyncSnapshot(env Environment, train Train, warmup, duration, bin time.Durat
 
 // ShrewStudy runs a Fig. 10 resonance study.
 func ShrewStudy(cfg ShrewStudyConfig) ([]ShrewPoint, error) {
-	return experiments.ShrewStudy(cfg)
+	return figures.ShrewStudy(context.Background(), cfg)
 }
 
 // CwndTrace records a victim's congestion window under attack (Fig. 1).
@@ -301,7 +312,7 @@ func DefaultMaximizationStudyConfig() MaximizationStudyConfig {
 
 // MaximizationStudy locates analytic vs measured gain peaks per setting.
 func MaximizationStudy(cfg MaximizationStudyConfig) ([]MaximizationPoint, error) {
-	return experiments.MaximizationStudy(cfg)
+	return figures.MaximizationStudy(context.Background(), cfg)
 }
 
 // Workload-study surface.
@@ -334,7 +345,7 @@ func DefaultDefenseStudyConfig() DefenseStudyConfig {
 
 // DefenseStudy measures every (defense, attack) combination.
 func DefenseStudy(cfg DefenseStudyConfig) ([]DefenseResult, error) {
-	return experiments.DefenseStudy(cfg)
+	return figures.DefenseStudy(context.Background(), cfg)
 }
 
 // NewThresholdDetector builds the classic volume (flooding) detector.
