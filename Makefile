@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json race-assert race-parallel topo-equivalence fusion-equivalence figure-equivalence bench-smoke study-smoke bench bench-compare figures serve-smoke profile clean
+.PHONY: all build test race vet lint lint-json race-assert race-parallel topo-equivalence fusion-equivalence figure-equivalence bench-smoke study-smoke fuzz-smoke bench bench-compare figures serve-smoke profile clean
 
 all: build
 
@@ -96,6 +96,18 @@ study-smoke:
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
 	$(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation|BenchmarkExt|BenchmarkMaximization' -benchtime 1x .
+
+# fuzz-smoke runs each stdlib fuzz target for FUZZTIME (go test fuzzes one
+# target per invocation): the kernel's wheel-versus-heap firing order, and the
+# analysis and detector numerics. Their seed corpora (testdata/fuzz/) also run
+# in every plain `go test`; a failing input is written there.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzPAA$$' -fuzztime $(FUZZTIME) ./internal/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzAutocorrelation$$' -fuzztime $(FUZZTIME) ./internal/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzDTWDistance$$' -fuzztime $(FUZZTIME) ./internal/detect
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectors$$' -fuzztime $(FUZZTIME) ./internal/detect
 
 # bench runs the repository's one benchmark (benchmark/, its own module):
 # four named workloads on the production scenario path, end-to-end and

@@ -55,6 +55,55 @@ func TestLinkForwardAllocsRED(t *testing.T) {
 	testLinkForwardAllocs(t, NewRED(DefaultREDConfig(64), rng.New(1), 1e9))
 }
 
+// TestRouterForwardAllocs covers the routed hop: Router.Receive looks the
+// packet's flow up in its dense table (or falls back to the default route,
+// as attack traffic's negative id does), then Link.Send carries it to
+// delivery, all without allocating.
+func TestRouterForwardAllocs(t *testing.T) {
+	k := sim.New()
+	routed, dflt := &Sink{}, &Sink{}
+	pool := NewPacketPool()
+	lr, err := NewLink(k, "routed", 1e9, sim.Microsecond, NewDropTail(64), routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld, err := NewLink(k, "default", 1e9, sim.Microsecond, NewDropTail(64), dflt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr.SetPool(pool)
+	ld.SetPool(pool)
+	r := NewRouter("R")
+	for f := 0; f < 1024; f++ {
+		r.AddRoute(f, DirForward, lr)
+	}
+	r.SetDefault(DirForward, ld)
+	send := func(flow int) {
+		p := lr.NewPacket()
+		p.Flow = flow
+		p.Class = ClassData
+		p.Dir = DirForward
+		p.Size = 1000
+		r.Receive(p)
+	}
+	hop := func() {
+		send(517)
+		send(-1)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 128; i++ {
+		hop()
+	}
+	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+		t.Errorf("routed forwarding allocates %.2f/op, want 0", allocs)
+	}
+	if routed.Packets == 0 || dflt.Packets != routed.Packets || r.Unrouted() != 0 {
+		t.Fatalf("routed %d, default %d, unrouted %d", routed.Packets, dflt.Packets, r.Unrouted())
+	}
+}
+
 // TestLinkDropAllocs covers the saturated path: packets rejected by the
 // queue discipline are released straight back to the pool without
 // allocating.

@@ -192,29 +192,53 @@ func TestRouterRouting(t *testing.T) {
 	}
 	r.AddRoute(1, DirForward, la)
 	r.AddRoute(1, DirReverse, lb)
+	r.AddRoute(3, DirForward, la)
+	r.AddRoute(3, DirForward, lb) // re-installed: overrides the first
 	r.SetDefault(DirForward, ls)
 
 	r.Receive(&Packet{Flow: 1, Dir: DirForward, Size: 10, Seq: 100})
 	r.Receive(&Packet{Flow: 1, Dir: DirReverse, Size: 10, Seq: 200})
-	r.Receive(&Packet{Flow: 2, Dir: DirForward, Size: 10, Seq: 300}) // default
-	r.Receive(&Packet{Flow: 2, Dir: DirReverse, Size: 10, Seq: 400}) // unrouted
+	r.Receive(&Packet{Flow: 3, Dir: DirForward, Size: 10, Seq: 201})
+	r.Receive(&Packet{Flow: 2, Dir: DirForward, Size: 10, Seq: 300})  // hole: default
+	r.Receive(&Packet{Flow: -1, Dir: DirForward, Size: 10, Seq: 301}) // attack id: default
+	r.Receive(&Packet{Flow: 99, Dir: DirForward, Size: 10, Seq: 302}) // past the table: default
+	r.Receive(&Packet{Flow: 2, Dir: DirReverse, Size: 10, Seq: 400})  // no default: unrouted
+	r.Receive(&Packet{Flow: 1, Dir: Dir(0), Size: 10, Seq: 401})      // unrouted
+	r.Receive(&Packet{Flow: 1, Dir: Dir(7), Size: 10, Seq: 402})      // unrouted
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(recA.seqs) != 1 || recA.seqs[0] != 100 {
 		t.Errorf("route fwd: %v", recA.seqs)
 	}
-	if len(recB.seqs) != 1 || recB.seqs[0] != 200 {
-		t.Errorf("route rev: %v", recB.seqs)
+	if len(recB.seqs) != 2 || recB.seqs[0] != 200 || recB.seqs[1] != 201 {
+		t.Errorf("route rev + re-installed fwd: %v", recB.seqs)
 	}
-	if sink.Packets != 1 {
+	if sink.Packets != 3 {
 		t.Errorf("default route: %d", sink.Packets)
 	}
-	if r.Unrouted() != 1 {
+	if r.Unrouted() != 3 {
 		t.Errorf("unrouted = %d", r.Unrouted())
 	}
 	if r.Name() != "S" {
 		t.Errorf("Name = %q", r.Name())
+	}
+	for _, tc := range []struct {
+		name    string
+		install func()
+	}{
+		{"negative flow", func() { r.AddRoute(-1, DirForward, la) }},
+		{"route for Dir(0)", func() { r.AddRoute(1, Dir(0), la) }},
+		{"default for Dir(3)", func() { r.SetDefault(Dir(3), la) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: installed a route Receive can never use", tc.name)
+				}
+			}()
+			tc.install()
+		}()
 	}
 }
 

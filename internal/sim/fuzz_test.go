@@ -1,0 +1,176 @@
+package sim
+
+import "testing"
+
+// FuzzKernelOrder decodes arbitrary bytes into a kernel program — At, AtArg
+// and AtArgStamped schedules (optionally self-rescheduling), Cancel, Step,
+// PeekNext and RunUntil — and runs it on the wheel kernel and on the heap
+// kernel. Both must produce the same observation log: every firing's
+// (instant, id), every cancel's result and every peek. Offsets land on every
+// wheel boundary, and a program may open with a far-first event, the
+// startup pattern that once dragged the wheel floor ahead of the clock.
+func FuzzKernelOrder(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 1, 3, 2, 5, 7, 1, 4, 0, 6, 8, 200, 0, 4, 2})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		wk, hk := New(), NewHeapKernel()
+		wheel, heap := runKernelProgram(wk, prog), runKernelProgram(hk, prog)
+		if len(wheel) != len(heap) {
+			t.Fatalf("wheel logged %d observations, heap %d", len(wheel), len(heap))
+		}
+		for i := range wheel {
+			if wheel[i] != heap[i] {
+				t.Fatalf("observation %d diverged: wheel %+v, heap %+v", i, wheel[i], heap[i])
+			}
+		}
+		if wk.Now() != hk.Now() || wk.Processed() != hk.Processed() || wk.Pending() != hk.Pending() {
+			t.Fatalf("final state: wheel now=%v processed=%d pending=%d, heap now=%v processed=%d pending=%d",
+				wk.Now(), wk.Processed(), wk.Pending(), hk.Now(), hk.Processed(), hk.Pending())
+		}
+	})
+}
+
+// Observation ids below zero record what a program saw besides firings.
+const (
+	obsCancelFalse = -1 - iota
+	obsCancelTrue
+	obsPeekEmpty
+	obsPeek
+	obsError
+)
+
+// kernelProgram is the decoder state of one fuzz program.
+type kernelProgram struct {
+	k      *Kernel
+	data   []byte
+	log    []firing
+	timers []Timer // one handle per scheduled timer, updated as it re-arms
+}
+
+// next consumes one byte of the program; an exhausted program reads zeros.
+func (p *kernelProgram) next() byte {
+	if len(p.data) == 0 {
+		return 0
+	}
+	b := p.data[0]
+	p.data = p.data[1:]
+	return b
+}
+
+// target decodes an instant at or after now: an offset scaled to a tick or
+// to one of the wheel's three level widths, an offset past the horizon, or a
+// point within a few nanoseconds of an absolute tick, level-0, level-1 or
+// level-2 epoch boundary.
+func (p *kernelProgram) target() Time {
+	class, fine := p.next()%9, Time(p.next())
+	now := p.k.Now()
+	switch class {
+	case 0:
+		return now + fine
+	case 1:
+		return now + fine<<tickShift
+	case 2:
+		return now + fine<<l1Shift
+	case 3:
+		return now + fine<<l2Shift
+	case 4:
+		return now + 1<<horizonLog2 + fine<<l2Shift
+	}
+	shift := [...]uint{tickShift, l1Shift, l2Shift, horizonLog2}[class-5]
+	t := (now>>shift+1+fine>>3)<<shift + fine&7 - 4
+	if t < now {
+		t = now
+	}
+	return t
+}
+
+// schedule arms a new timer through one of the three scheduling entry
+// points. A plain or argument timer re-arms itself at the same offset after
+// each of its first rep firings.
+func (p *kernelProgram) schedule(op byte) {
+	k := p.k
+	when := p.target()
+	id := len(p.timers)
+	p.timers = append(p.timers, Timer{})
+	switch op {
+	case 0:
+		delta, rep := when-k.Now(), p.next()&15
+		var fn func()
+		fn = func() {
+			p.log = append(p.log, firing{at: k.Now(), id: id})
+			if rep > 0 {
+				rep--
+				p.timers[id], _ = k.At(k.Now()+delta, fn)
+			}
+		}
+		p.timers[id], _ = k.At(when, fn)
+	case 1:
+		delta, rep := when-k.Now(), p.next()&15
+		var fn func(any)
+		fn = func(arg any) {
+			p.log = append(p.log, firing{at: k.Now(), id: arg.(int)})
+			if rep > 0 {
+				rep--
+				p.timers[id], _ = k.AtArg(k.Now()+delta, fn, arg)
+			}
+		}
+		p.timers[id], _ = k.AtArg(when, fn, id)
+	default:
+		// The stamp may trail the clock (a back-stamped fused delivery)
+		// or sit anywhere up to when; AtArgStamped clamps the rest.
+		at := when - Time(p.next())<<tickShift
+		if at < 0 {
+			at = 0
+		}
+		fn := func(arg any) { p.log = append(p.log, firing{at: k.Now(), id: arg.(int)}) }
+		p.timers[id], _ = k.AtArgStamped(when, at, fn, id)
+	}
+}
+
+// runKernelProgram executes prog against k and returns its observation log.
+// The first byte's low bit schedules a far-first event at one second; then
+// each op byte selects a schedule, a cancel, a step, a peek or a RunUntil,
+// followed by its operands. Whatever is left pending finally runs out.
+func runKernelProgram(k *Kernel, prog []byte) []firing {
+	k.SetEventLimit(1 << 16)
+	p := &kernelProgram{k: k, data: prog}
+	if p.next()&1 == 1 {
+		p.timers = append(p.timers, k.AfterTicks(Second, func() {
+			p.log = append(p.log, firing{at: k.Now(), id: 0})
+		}))
+	}
+	observe := func(err error) {
+		if err != nil {
+			p.log = append(p.log, firing{at: k.Now(), id: obsError})
+		}
+	}
+	for ops := 0; len(p.data) > 0 && ops < 512; ops++ {
+		switch op := p.next() % 7; op {
+		case 0, 1, 2:
+			p.schedule(op)
+		case 3:
+			i := int(p.next())
+			if len(p.timers) == 0 {
+				continue
+			}
+			id := obsCancelFalse
+			if p.timers[i%len(p.timers)].Cancel() {
+				id = obsCancelTrue
+			}
+			p.log = append(p.log, firing{at: k.Now(), id: id})
+		case 4:
+			k.Step()
+		case 5:
+			when, ok := k.PeekNext()
+			id := obsPeekEmpty
+			if ok {
+				id = obsPeek
+			}
+			p.log = append(p.log, firing{at: when, id: id})
+		default:
+			observe(k.RunUntil(p.target()))
+		}
+	}
+	observe(k.Run())
+	return p.log
+}

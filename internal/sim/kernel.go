@@ -114,12 +114,14 @@ func (t *Timer) When() Time {
 //
 // The pending set is split between a hierarchical timing wheel (near future,
 // O(1) insert/cancel — see wheel.go) and an inlined 4-ary index heap (events
-// behind the wheel floor and beyond the wheel horizon). The firing order is
-// exactly (when, seq) — identical to a pure heap — because due wheel slots
-// are drained through the heap before anything in them fires. The heap is
-// inlined rather than container/heap: no interface dispatch, no `any` boxing
-// on push/pop, and a shallower tree than a binary heap (fewer cache-missing
-// levels per sift).
+// beyond the wheel horizon, and events behind the floor — which leads the
+// clock only right after a slot drain or cascade, because an empty wheel
+// snaps its floor to the clock rather than to the next event). The firing
+// order is exactly (when, seq) — identical to a pure heap — because due
+// wheel slots are drained through the heap before anything in them fires.
+// The heap is inlined rather than container/heap: no interface dispatch, no
+// `any` boxing on push/pop, and a shallower tree than a binary heap (fewer
+// cache-missing levels per sift).
 type Kernel struct {
 	now       Time
 	nowAt     Time     // schedule stamp (`at`) of the most recently fired event
@@ -327,7 +329,8 @@ func (k *Kernel) release(ev *event) {
 
 // enqueue adds a freshly allocated event to the pending set: the wheel when
 // its instant maps onto a live slot, the heap otherwise (heap-only mode,
-// instants behind the wheel floor, or beyond the wheel horizon).
+// instants behind a floor a slot drain or cascade moved past the clock, or
+// beyond the wheel horizon).
 //
 //pdos:hotpath
 func (k *Kernel) enqueue(ev *event) {
@@ -343,10 +346,12 @@ func (k *Kernel) enqueue(ev *event) {
 	}
 	if k.wheelCount == 0 {
 		// Empty wheel: nothing constrains the mapping origin, so snap it to
-		// the new event. This keeps long-idle simulations (and the common
-		// one-pending-event chain) on the cheap level-0 path forever.
-		if ev.when != k.floor {
-			k.setFloor(ev.when)
+		// the clock. Every later schedule is at or after now, so none lands
+		// behind the floor. Snapping to ev.when instead would let a far
+		// first event leave the floor ahead of the clock and send every
+		// nearer event to the heap until the wheel next emptied.
+		if k.floor != k.now {
+			k.setFloor(k.now)
 		}
 	} else if ev.when < k.floor {
 		k.push(ev)

@@ -11,7 +11,9 @@ import "math/bits"
 // (1.024 µs) ticks, level 1 by 2^18 ns (262 µs), level 2 by 2^26 ns (67 ms),
 // giving the wheel a 2^34 ns (~17.2 s) horizon past its floor. Events beyond
 // the horizon — or behind the floor, which only happens to events displaced
-// by a slot drain — live in the kernel's 4-ary heap.
+// by a slot drain or scheduled before the clock catches up with a floor a
+// drain or cascade advanced — live in the kernel's 4-ary heap. An empty wheel
+// snaps its floor to the clock (Kernel.enqueue), never ahead of it.
 //
 // Ordering contract. The kernel's observable firing order is exactly
 // (when, seq), identical to a pure heap. Slot bucketing coarsens nothing:

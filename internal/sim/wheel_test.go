@@ -247,6 +247,67 @@ func TestWheelIdleResync(t *testing.T) {
 	}
 }
 
+// TestWheelStartupFloor replays a many-flow simulation's startup: one event
+// far out is scheduled first, then 10,000 self-rescheduling timers start at
+// offsets of 1 µs–5 ms and keep re-arming until 500 ms. The far event must
+// not drag the floor ahead of the clock — otherwise every near timer is
+// scheduled behind it and the heap holds the whole population — and the
+// firing log must equal the heap kernel's. The two kernels run in lockstep,
+// so the ~2M firings are compared without being stored.
+func TestWheelStartupFloor(t *testing.T) {
+	const (
+		timers   = 10000
+		until    = 500 * Millisecond
+		maxHeap  = 64
+		minDelay = Microsecond
+		maxDelay = 5 * Millisecond
+	)
+	start := func(k *Kernel, last *firing) {
+		r := rand.New(rand.NewSource(7))
+		delay := func() Time { return minDelay + Time(r.Int63n(int64(maxDelay-minDelay+1))) }
+		k.AfterTicks(Second, func() { *last = firing{at: k.Now(), id: -1} })
+		for i := 0; i < timers; i++ {
+			id := i
+			var rearm func()
+			rearm = func() {
+				*last = firing{at: k.Now(), id: id}
+				if d := delay(); k.Now()+d <= until {
+					k.AfterTicks(d, rearm)
+				}
+			}
+			k.AfterTicks(delay(), rearm)
+		}
+	}
+	wk, hk := New(), NewHeapKernel()
+	var wLast, hLast firing
+	start(wk, &wLast)
+	start(hk, &hLast)
+	peak, fired := len(wk.events), 0
+	for {
+		wOK, hOK := wk.Step(), hk.Step()
+		if wOK != hOK {
+			t.Fatalf("after %d firings: wheel stepped %v, heap %v", fired, wOK, hOK)
+		}
+		if !wOK {
+			break
+		}
+		fired++
+		if wLast != hLast {
+			t.Fatalf("firing %d diverged: wheel %+v, heap %+v", fired, wLast, hLast)
+		}
+		if n := len(wk.events); n > peak {
+			peak = n
+		}
+	}
+	if peak > maxHeap {
+		t.Errorf("wheel kernel's heap peaked at %d events, want <= %d", peak, maxHeap)
+	}
+	if wLast.id != -1 || wLast.at != Second {
+		t.Errorf("last firing = %+v, want the far event at %v", wLast, Second)
+	}
+	t.Logf("%d identical firings, heap peak %d", fired, peak)
+}
+
 // Hour returns one virtual hour; a helper, not part of the Time API.
 func Hour() Time { return 3600 * Second }
 
