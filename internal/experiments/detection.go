@@ -1,14 +1,6 @@
 package experiments
 
-import (
-	"errors"
-	"fmt"
-	"time"
-
-	"pulsedos/internal/attack"
-	"pulsedos/internal/detect"
-	"pulsedos/internal/sim"
-)
+import "pulsedos/internal/detect"
 
 // DetectionPoint reports each detector's verdict at one attack intensity γ.
 type DetectionPoint struct {
@@ -17,161 +9,9 @@ type DetectionPoint struct {
 	Alarms map[string]bool    // detector name → alarm raised
 }
 
-// DetectionStudyConfig parameterizes the risk-model validation experiment:
-// run the same attack at increasing γ, feed the bottleneck traffic series to
-// each detector, and confirm detection evidence grows with γ — the premise
-// behind the (1-γ)^κ risk factor.
-type DetectionStudyConfig struct {
-	Factory    func() (Environment, error)
-	AttackRate float64
-	Extent     time.Duration
-	Gammas     []float64
-	Warmup     time.Duration
-	Measure    time.Duration
-	RateBin    time.Duration
-	Detectors  []detect.Detector
-}
-
-// DetectionStudy runs the experiment.
-func DetectionStudy(cfg DetectionStudyConfig) ([]DetectionPoint, error) {
-	if cfg.Factory == nil || len(cfg.Detectors) == 0 {
-		return nil, errors.New("experiments: detection study needs factory and detectors")
-	}
-	if cfg.RateBin <= 0 {
-		cfg.RateBin = 50 * time.Millisecond
-	}
-	out := make([]DetectionPoint, 0, len(cfg.Gammas))
-	for _, gamma := range cfg.Gammas {
-		env, err := cfg.Factory()
-		if err != nil {
-			return nil, err
-		}
-		period := PeriodForGamma(gamma, cfg.AttackRate, cfg.Extent, env.ModelParams().Bottleneck)
-		if period < cfg.Extent {
-			continue
-		}
-		train, err := attack.AIMDTrain(
-			sim.FromDuration(cfg.Extent), cfg.AttackRate, sim.FromDuration(period),
-			PulsesFor(cfg.Measure, period))
-		if err != nil {
-			return nil, err
-		}
-		res, err := Run(env, RunOptions{
-			Warmup:  cfg.Warmup,
-			Measure: cfg.Measure,
-			Train:   &train,
-			RateBin: cfg.RateBin,
-		})
-		if err != nil {
-			return nil, err
-		}
-		bins := res.Rate.Bytes()
-		pt := DetectionPoint{
-			Gamma:  gamma,
-			Scores: make(map[string]float64, len(cfg.Detectors)),
-			Alarms: make(map[string]bool, len(cfg.Detectors)),
-		}
-		for _, d := range cfg.Detectors {
-			v := d.Detect(bins, cfg.RateBin.Seconds())
-			pt.Scores[d.Name()] = v.Score
-			pt.Alarms[d.Name()] = v.Attack
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// ROCStudyConfig parameterizes an empirical ROC measurement: K calm and K
-// attacked scenario runs per detector, scored and integrated into an AUC.
-type ROCStudyConfig struct {
-	Factory    func(seed uint64) (Environment, error)
-	AttackRate float64
-	Extent     time.Duration
-	Gamma      float64
-	Runs       int // calm/attacked pairs
-	Warmup     time.Duration
-	Measure    time.Duration
-	RateBin    time.Duration
-	Detectors  []detect.Detector
-	Thresholds []float64
-}
-
 // ROCResult reports one detector's empirical discrimination power.
 type ROCResult struct {
 	Detector string
 	Points   []detect.ROCPoint
 	AUC      float64
-}
-
-// DetectorROCStudy measures how well each detector separates attacked from
-// calm traffic at the given attack intensity.
-func DetectorROCStudy(cfg ROCStudyConfig) ([]ROCResult, error) {
-	if cfg.Factory == nil || len(cfg.Detectors) == 0 {
-		return nil, errors.New("experiments: ROC study needs factory and detectors")
-	}
-	if cfg.Runs < 1 {
-		cfg.Runs = 3
-	}
-	if cfg.RateBin <= 0 {
-		cfg.RateBin = 50 * time.Millisecond
-	}
-	if len(cfg.Thresholds) == 0 {
-		cfg.Thresholds = []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.1, 1.5}
-	}
-
-	collect := func(seed uint64, attacked bool) ([]float64, error) {
-		env, err := cfg.Factory(seed)
-		if err != nil {
-			return nil, err
-		}
-		opt := RunOptions{Warmup: cfg.Warmup, Measure: cfg.Measure, RateBin: cfg.RateBin}
-		if attacked {
-			period := PeriodForGamma(cfg.Gamma, cfg.AttackRate, cfg.Extent, env.ModelParams().Bottleneck)
-			if period < cfg.Extent {
-				return nil, fmt.Errorf("experiments: gamma %g unreachable", cfg.Gamma)
-			}
-			train, err := attack.AIMDTrain(sim.FromDuration(cfg.Extent), cfg.AttackRate,
-				sim.FromDuration(period), PulsesFor(cfg.Measure, period))
-			if err != nil {
-				return nil, err
-			}
-			opt.Train = &train
-		}
-		res, err := Run(env, opt)
-		if err != nil {
-			return nil, err
-		}
-		return res.Rate.Bytes(), nil
-	}
-
-	var attackedTraces, calmTraces [][]float64
-	for i := 0; i < cfg.Runs; i++ {
-		seed := uint64(i + 1)
-		calm, err := collect(seed, false)
-		if err != nil {
-			return nil, err
-		}
-		hot, err := collect(seed, true)
-		if err != nil {
-			return nil, err
-		}
-		calmTraces = append(calmTraces, calm)
-		attackedTraces = append(attackedTraces, hot)
-	}
-
-	out := make([]ROCResult, 0, len(cfg.Detectors))
-	binSec := cfg.RateBin.Seconds()
-	for _, d := range cfg.Detectors {
-		as, err := detect.ScoreTraces(d, attackedTraces, binSec)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := detect.ScoreTraces(d, calmTraces, binSec)
-		if err != nil {
-			return nil, err
-		}
-		points := detect.ROC(as, cs, cfg.Thresholds)
-		out = append(out, ROCResult{Detector: d.Name(), Points: points, AUC: detect.AUC(points)})
-	}
-	return out, nil
 }

@@ -16,7 +16,9 @@
 // The studies the public facade exports — GainSweep, ShrewStudy,
 // MaximizationStudy and DefenseStudy (study.go) — compile to the same
 // documents as the figures they back and fold the same artifacts, uncached:
-// one implementation per study.
+// one implementation per study. DetectionStudy (pdos-detect) and
+// DetectorROCStudy run documents with a rate series the same way and score
+// it with detectors.
 package figures
 
 import (

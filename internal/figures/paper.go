@@ -30,13 +30,9 @@ func fig1Plan(scale experiments.Scale) (*figurePlan, error) {
 		MeasureSec: scale.Measure.Seconds(),
 		Seed:       scale.Seed,
 	}
-	env, err := doc.Build()
+	params, _, err := probe(doc)
 	if err != nil {
 		return nil, err
-	}
-	params := env.ModelParams()
-	if cl, ok := env.(interface{ Close() }); ok {
-		cl.Close()
 	}
 	return &figurePlan{
 		docs: []scenario.Config{doc},
