@@ -171,15 +171,11 @@ func measureScalePoint(cfg ScaleSweepConfig, flows int) (ScalePoint, error) {
 		return ScalePoint{}, err
 	}
 	params := baseEnv.ModelParams()
-	baseRes, err := Run(baseEnv, RunOptions{Warmup: cfg.Warmup, Measure: measure})
+	baseRes, err := Run(baseEnv, RunOptions{Warmup: cfg.Warmup, Measure: measure, CaptureSRTT: true})
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	for i, s := range baseEnv.Senders {
-		if srtt := s.SRTT(); srtt > params.RTTs[i] {
-			params.RTTs[i] = srtt
-		}
-	}
+	params = params.CalibrateRTTs(baseRes.SRTTs)
 	cPsi := params.CPsi(cfg.Extent.Seconds(), attackRate)
 
 	meanW1 := 0.0

@@ -71,6 +71,20 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// CalibrateRTTs returns a copy of p with each RTT raised to the matching
+// measured smoothed RTT: the operative RTT (propagation plus queueing) the
+// victims' per-RTT window growth paces on. An RTT never drops below its
+// propagation value, and measurements past len(p.RTTs) are ignored.
+func (p Params) CalibrateRTTs(srtts []float64) Params {
+	p.RTTs = append([]float64(nil), p.RTTs...)
+	for i, srtt := range srtts {
+		if i < len(p.RTTs) && srtt > p.RTTs[i] {
+			p.RTTs[i] = srtt
+		}
+	}
+	return p
+}
+
 // InverseRTTSquaredSum reports Σ_i 1/RTT_i², the victim-population factor in
 // Lemma 2 and Eq. 11.
 func (p Params) InverseRTTSquaredSum() float64 {

@@ -62,6 +62,28 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestCalibrateRTTs: each RTT rises to its measured SRTT, never falls, and
+// the receiver's RTT slice is left alone.
+func TestCalibrateRTTs(t *testing.T) {
+	p := Params{RTTs: []float64{0.02, 0.24, 0.46}}
+	got := p.CalibrateRTTs([]float64{0.05, 0.1, 0.5, 9})
+	want := []float64{0.05, 0.24, 0.5}
+	if len(got.RTTs) != len(want) {
+		t.Fatalf("RTTs = %v, want %v", got.RTTs, want)
+	}
+	for i := range want {
+		if got.RTTs[i] != want[i] {
+			t.Errorf("RTT %d = %g, want %g", i, got.RTTs[i], want[i])
+		}
+	}
+	if p.RTTs[0] != 0.02 {
+		t.Errorf("receiver mutated: %v", p.RTTs)
+	}
+	if short := p.CalibrateRTTs([]float64{0.03}); short.RTTs[1] != 0.24 {
+		t.Errorf("missing measurements changed RTTs: %v", short.RTTs)
+	}
+}
+
 func TestConvergedWindowEq1(t *testing.T) {
 	p := paperParams(1)
 	// Wc = a/(1-b) · 1/d · T/RTT = 2 · T/RTT for TCP with d = 1.
