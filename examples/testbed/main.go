@@ -1,8 +1,7 @@
-// Testbed: drive the paper's Dummynet test-bed emulation (§4.2, Figs. 11–12)
-// through the iperf-style workload generator: 10 legitimate bulk TCP flows
-// through a 10 Mbps / 150 ms RED pipe, attacked by 150 ms pulses at
-// 20 Mbps (the paper's normal-gain setting), with per-interval throughput
-// reports like iperf -i.
+// Testbed: drive the paper's Dummynet test-bed emulation (§4.2, Figs. 11–12):
+// 10 legitimate bulk TCP flows through a 10 Mbps / 150 ms RED pipe, attacked
+// by 150 ms pulses at 20 Mbps (the paper's normal-gain setting), with the
+// aggregate incoming rate reported per 2 s interval in the style of iperf -i.
 //
 // Run with: go run ./examples/testbed
 package main

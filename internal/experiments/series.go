@@ -67,25 +67,3 @@ func WriteSeriesCSV(w io.Writer, series []Series) error {
 	}
 	return nil
 }
-
-// WriteGainCSV emits the full per-point sweep record.
-func WriteGainCSV(w io.Writer, label string, points []GainPoint) error {
-	if _, err := io.WriteString(w,
-		"label,gamma,period_sec,analytic_degradation,measured_degradation,"+
-			"analytic_gain,measured_gain,combined_degradation,combined_gain,"+
-			"timeouts,fast_recoveries\n"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		line := fmt.Sprintf("%s,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%d\n",
-			label, p.Gamma, p.PeriodSec,
-			p.AnalyticDegradation, p.MeasuredDegradation,
-			p.AnalyticGain, p.MeasuredGain,
-			p.CombinedDegradation, p.CombinedGain,
-			p.Timeouts, p.FastRecoveries)
-		if _, err := io.WriteString(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -168,27 +168,6 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestWriteGainCSV(t *testing.T) {
-	var sb strings.Builder
-	points := []GainPoint{{
-		Gamma: 0.5, PeriodSec: 0.35,
-		AnalyticDegradation: 0.4, MeasuredDegradation: 0.45,
-		AnalyticGain: 0.2, MeasuredGain: 0.22,
-		CombinedDegradation: 0.6, CombinedGain: 0.3,
-		Timeouts: 3, FastRecoveries: 17,
-	}}
-	if err := WriteGainCSV(&sb, "fig8", points); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if !strings.HasPrefix(got, "label,gamma,") {
-		t.Errorf("missing header: %q", got)
-	}
-	if !strings.Contains(got, "fig8,0.5000,0.3500,0.4000,0.4500,0.2000,0.2200,0.6000,0.3000,3,17") {
-		t.Errorf("row = %q", got)
-	}
-}
-
 func TestGainSeriesSplit(t *testing.T) {
 	points := []GainPoint{
 		{Gamma: 0.3, AnalyticGain: 0.1, MeasuredGain: 0.2},

@@ -128,7 +128,6 @@ func Default() Config {
 			// it lives under the same determinism discipline.
 			"pulsedos/internal/tcp",
 			"pulsedos/internal/attack",
-			"pulsedos/internal/iperf",
 			"pulsedos/internal/workload",
 			"pulsedos/internal/scenario",
 			"pulsedos/internal/experiments",
@@ -162,7 +161,6 @@ func Default() Config {
 			"pulsedos/internal/netem",
 			"pulsedos/internal/tcp",
 			"pulsedos/internal/attack",
-			"pulsedos/internal/iperf",
 			"pulsedos/internal/workload",
 			"pulsedos/internal/scenario",
 			"pulsedos/internal/experiments",

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"pulsedos/internal/dummynet"
 	"pulsedos/internal/netem"
 	"pulsedos/internal/tcp"
 )
@@ -171,7 +170,21 @@ func TestbedQueueLen(cfg TestbedConfig) int {
 		return cfg.QueueLen
 	}
 	rtt := 2 * (cfg.PipeDelay + 2*cfg.AccessOWD)
-	return dummynet.RuleOfThumbQueueLen(rtt, cfg.BottleneckRate, cfg.TCP.MSS+cfg.TCP.HeaderSize)
+	return ruleOfThumbQueueLen(rtt, cfg.BottleneckRate, cfg.TCP.MSS+cfg.TCP.HeaderSize)
+}
+
+// ruleOfThumbQueueLen sizes the §4.2 test-bed's Dummynet buffer by the
+// paper's rule of thumb: it holds a bandwidth-delay product, B = RTT ×
+// R_bottle, in packets of the given size, and at least one.
+func ruleOfThumbQueueLen(rtt time.Duration, bandwidth float64, packetSize int) int {
+	if packetSize <= 0 || bandwidth <= 0 {
+		return 1
+	}
+	b := int(rtt.Seconds() * bandwidth / 8 / float64(packetSize))
+	if b < 1 {
+		b = 1
+	}
+	return b
 }
 
 // Testbed generates the Fig. 11 graph: one asymmetric trunk standing in for
