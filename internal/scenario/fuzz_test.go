@@ -1,0 +1,87 @@
+package scenario
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// flagDocs are documents pdos-sim's flag path compiles at its defaults: the
+// attacked run on each -topology kind, and the dumbbell baseline with the
+// srtt tap that calibrates the analytic column.
+var flagDocs = []string{
+	`{"name":"pdos-sim","topology":{"kind":"dumbbell","flows":25,"workers":1},"attack":{"kind":"aimd","rateMbps":35,"extentMs":75,"gamma":0.5},"warmupSec":10,"measureSec":30,"seed":1}`,
+	`{"name":"pdos-sim","topology":{"kind":"dumbbell","flows":25,"workers":1},"measure":{"taps":["srtt"]},"warmupSec":10,"measureSec":30,"seed":1}`,
+	`{"name":"pdos-sim","topology":{"kind":"testbed","flows":25,"workers":1},"attack":{"kind":"aimd","rateMbps":35,"extentMs":75,"gamma":0.5},"warmupSec":10,"measureSec":30,"seed":1}`,
+	`{"name":"pdos-sim","topology":{"kind":"parkinglot","flows":25,"workers":1},"attack":{"kind":"aimd","rateMbps":35,"extentMs":75,"gamma":0.5},"warmupSec":10,"measureSec":30,"seed":1}`,
+	`{"name":"pdos-sim","topology":{"kind":"graph","flows":0,"workers":1,"graph":{"routers":["S","M","R"],
+		"trunks":[{"name":"bottleneck","from":0,"to":1,"rateMbps":15,"delayMs":5,"queuePackets":150},
+		          {"name":"egress","from":1,"to":2,"rateMbps":100,"delayMs":5,"queuePackets":1000,"dropTail":true}],
+		"groups":[{"flows":25,"ingress":0,"egress":2,"accessRateMbps":50,"rttMinMs":30,"rttMaxMs":460},
+		          {"flows":5,"ingress":0,"egress":1,"accessRateMbps":50,"rttMinMs":20,"rttMaxMs":460}],
+		"attacks":[{"router":0,"rateMbps":1000}],"sink":2}},
+	  "attack":{"kind":"aimd","rateMbps":35,"extentMs":75,"gamma":0.5},"warmupSec":10,"measureSec":30,"seed":1}`,
+}
+
+// FuzzLoad drives arbitrary bytes through Load, Key and Expand. Load never
+// panics; a loaded document keys the same after a json.Marshal → Load round
+// trip; and every point a keyed document expands to validates, keys and
+// resolves its graph. A document can load and still have no key — a rate
+// that overflows float64 once scaled to bps cannot be encoded — but then the
+// round trip must fail the same way. The corpus seeds are the shipped
+// scenarios, the pdos-sim flag documents and one such overflow.
+func FuzzLoad(f *testing.F) {
+	shipped, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(shipped) == 0 {
+		f.Fatalf("no shipped scenarios: %v", err)
+	}
+	for _, path := range shipped {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, doc := range flagDocs {
+		f.Add([]byte(doc))
+	}
+	f.Add([]byte(`{"topology":{"kind":"dumbbell","bottleneckMbps":1e303},"measureSec":1}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		cfg, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		key, keyErr := Key(cfg)
+		buf, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		again, err := Load(bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("reload of %s: %v", buf, err)
+		}
+		if got, err := Key(again); got != key || (err == nil) != (keyErr == nil) {
+			t.Fatalf("key %q (%v) became %q (%v) after a round trip through %s", key, keyErr, got, err, buf)
+		}
+		if keyErr != nil {
+			return
+		}
+		points, err := cfg.Expand()
+		if err != nil {
+			t.Fatalf("expand: %v", err)
+		}
+		for _, pt := range points {
+			if err := pt.Validate(); err != nil {
+				t.Fatalf("point %s: %v", pt.Name, err)
+			}
+			if _, err := Key(pt); err != nil {
+				t.Fatalf("point %s has no key: %v", pt.Name, err)
+			}
+			if _, err := pt.Graph(); err != nil {
+				t.Fatalf("point %s has no graph: %v", pt.Name, err)
+			}
+		}
+	})
+}
