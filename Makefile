@@ -81,9 +81,14 @@ figure-equivalence:
 	$(GO) test -race -count=1 -run 'TestFigureEquivalence|TestPinsCoverRegistry|TestAllFiguresWarmCache' ./internal/figures
 
 # bench-smoke runs the hot-path micro-benchmarks once — enough to catch an
-# allocation or throughput regression without the full figure benches.
+# allocation or throughput regression without the full figure benches: the
+# root package's kernel, link and TCP bodies, then the timing wheel's two
+# extremes in internal/sim — BenchmarkKernelCascade (100,000 timers 1–300 ms
+# out: dense upper-level slots re-bucketed down the levels) and
+# BenchmarkKernelChainWheel (one timer at a time, held outside the wheel).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelEvents|BenchmarkLinkDropTail|BenchmarkLinkRED|BenchmarkREDEnqueue|BenchmarkTCPLoopbackSecond' -benchtime 1s .
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelCascade|BenchmarkKernelChainWheel' -benchtime 1s ./internal/sim
 
 # study-smoke runs once every caller of the facade studies outside the test
 # suite: each example under examples/ (stdout discarded), then the figure,

@@ -52,8 +52,8 @@ const manifestName = "manifest.json"
 // GetOrCompute that joins an in-flight compute for its key is a hit (and a
 // Deduped); only the call that runs the compute counts the miss.
 type Stats struct {
-	Hits      uint64 `json:"hits"`      // disk hits + deduplicated in-flight joins
-	Misses    uint64 `json:"misses"`    // absent or self-healed entries
+	Hits      uint64 `json:"hits"`      // lookups served from disk or by joining an in-flight compute
+	Misses    uint64 `json:"misses"`    // lookups that found no entry (absent or self-healed); a Probe miss counts at its GetOrCompute
 	Evictions uint64 `json:"evictions"` // entries removed by the LRU byte budget
 	Deduped   uint64 `json:"deduped"`   // subset of Hits served by joining an in-flight compute
 	Entries   int    `json:"entries"`   // entries currently on disk
@@ -213,6 +213,21 @@ func (s *Store) Get(key string) (map[string][]byte, bool) {
 		s.hits++
 	} else {
 		s.misses++
+	}
+	return files, ok
+}
+
+// Probe is the fast path in front of GetOrCompute: it returns the artifacts
+// stored under key like Get, but counts the lookup only when it hits. On a
+// miss the caller goes on to GetOrCompute the same key, which counts the
+// lookup — as a miss, or as a hit when the entry or its in-flight compute
+// appeared in between — so one lookup never counts twice.
+func (s *Store) Probe(key string) (map[string][]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	files, ok := s.lookupLocked(key)
+	if ok {
+		s.hits++
 	}
 	return files, ok
 }

@@ -26,12 +26,11 @@ var flagDocs = []string{
 }
 
 // FuzzLoad drives arbitrary bytes through Load, Key and Expand. Load never
-// panics; a loaded document keys the same after a json.Marshal → Load round
-// trip; and every point a keyed document expands to validates, keys and
-// resolves its graph. A document can load and still have no key — a rate
-// that overflows float64 once scaled to bps cannot be encoded — but then the
-// round trip must fail the same way. The corpus seeds are the shipped
-// scenarios, the pdos-sim flag documents and one such overflow.
+// panics; every loaded document has a key, and keys the same after a
+// json.Marshal → Load round trip; and every point it expands to validates,
+// keys and resolves its graph. The corpus seeds are the shipped scenarios,
+// the pdos-sim flag documents and a rate that overflows float64 once scaled
+// to bps, which Validate rejects (it once loaded with no key).
 func FuzzLoad(f *testing.F) {
 	shipped, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(shipped) == 0 {
@@ -53,7 +52,10 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		key, keyErr := Key(cfg)
+		key, err := Key(cfg)
+		if err != nil {
+			t.Fatalf("loaded document has no key: %v", err)
+		}
 		buf, err := json.Marshal(cfg)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -62,11 +64,8 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reload of %s: %v", buf, err)
 		}
-		if got, err := Key(again); got != key || (err == nil) != (keyErr == nil) {
-			t.Fatalf("key %q (%v) became %q (%v) after a round trip through %s", key, keyErr, got, err, buf)
-		}
-		if keyErr != nil {
-			return
+		if got, err := Key(again); got != key || err != nil {
+			t.Fatalf("key %q became %q (%v) after a round trip through %s", key, got, err, buf)
 		}
 		points, err := cfg.Expand()
 		if err != nil {

@@ -201,6 +201,9 @@ func (c Config) validateSweep() error {
 			if v <= 0 {
 				return fmt.Errorf("scenario: sweep attackRateMbps %g must be positive", v)
 			}
+			if err := checkMbps(v, "sweep attackRateMbps"); err != nil {
+				return err
+			}
 		}
 	default:
 		return fmt.Errorf("scenario: sweep axis %q (want gamma, flows, or attackRateMbps)", sw.Axis)

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"pulsedos/internal/attack"
@@ -228,6 +229,9 @@ func (c Config) Validate() error {
 	if c.Topology.AttackPacketBytes < 0 {
 		return errors.New("scenario: negative attackPacketBytes")
 	}
+	if err := c.validateRates(); err != nil {
+		return err
+	}
 	// A sweep may own the axis the attack would otherwise be required to
 	// set: the carrier document leaves the swept field zero and Expand
 	// substitutes it per point.
@@ -275,6 +279,49 @@ func (c Config) Validate() error {
 		return err
 	}
 	return c.validateMeasure()
+}
+
+// validateRates rejects every Mbps field whose bits-per-second value — the
+// field times 1e6, as Graph and Train scale it — is not finite. Such a rate
+// would resolve to ±Inf, which the canonical encoding cannot represent, so
+// the document would load and still have no key.
+func (c Config) validateRates() error {
+	if err := checkMbps(c.Topology.BottleneckMbps, "bottleneckMbps"); err != nil {
+		return err
+	}
+	if g := c.Topology.Graph; g != nil {
+		for i, t := range g.Trunks {
+			if err := checkMbps(t.RateMbps, "trunk %d rateMbps", i); err != nil {
+				return err
+			}
+			if err := checkMbps(t.RevRateMbps, "trunk %d revRateMbps", i); err != nil {
+				return err
+			}
+		}
+		for i, grp := range g.Groups {
+			if err := checkMbps(grp.AccessRateMbps, "group %d accessRateMbps", i); err != nil {
+				return err
+			}
+		}
+		for i, a := range g.Attacks {
+			if err := checkMbps(a.RateMbps, "graph attack %d rateMbps", i); err != nil {
+				return err
+			}
+		}
+	}
+	if c.Attack != nil {
+		return checkMbps(c.Attack.RateMbps, "attack rateMbps")
+	}
+	return nil
+}
+
+// checkMbps reports an error naming the field (a format with its args)
+// when mbps is not finite once scaled to bits per second.
+func checkMbps(mbps float64, field string, args ...any) error {
+	if bps := mbps * 1e6; !math.IsInf(bps, 0) && !math.IsNaN(bps) {
+		return nil
+	}
+	return fmt.Errorf("scenario: %s %g is not finite in bits per second", fmt.Sprintf(field, args...), mbps)
 }
 
 // Build wires the environment the scenario describes: every kind resolves to

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -72,6 +73,7 @@ func TestValidateErrors(t *testing.T) {
 			c.Attack = &Attack{Kind: "jittered", RateMbps: 10, ExtentMs: 50, Gamma: 0.5}
 		}},
 		{"shrew no extent", func(c *Config) { c.Attack = &Attack{Kind: "shrew", RateMbps: 10} }},
+		{"NaN bottleneck rate", func(c *Config) { c.Topology.BottleneckMbps = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -153,6 +155,19 @@ func TestLoadErrorPaths(t *testing.T) {
 		{"gamma sweep value out of range", `{"topology": {"kind": "dumbbell"}, "measureSec": 3,
 			"attack": {"kind": "aimd", "rateMbps": 10, "extentMs": 50},
 			"measure": {"sweep": {"axis": "gamma", "values": [0.5, 1.2]}}}`, "outside (0,1)"},
+		// Rates whose bits-per-second value overflows float64 (FuzzLoad's
+		// 1e303 seed): the resolved graph or train would carry +Inf.
+		{"bottleneck rate overflows bps", `{"topology":{"kind":"dumbbell","bottleneckMbps":1e303},"measureSec":1}`,
+			"scenario: bottleneckMbps 1e+303 is not finite in bits per second"},
+		{"trunk rate overflows bps", overflowGraph(`"rateMbps": 1e303`, "10", "100", "1000"), "trunk 0 rateMbps 1e+303"},
+		{"trunk reverse rate overflows bps", overflowGraph(`"rateMbps": 10, "revRateMbps": -1e303`, "10", "100", "1000"),
+			"trunk 0 revRateMbps -1e+303"},
+		{"group access rate overflows bps", overflowGraph(`"rateMbps": 10`, "1e303", "100", "1000"), "group 0 accessRateMbps 1e+303"},
+		{"graph attack rate overflows bps", overflowGraph(`"rateMbps": 10`, "10", "1e303", "1000"), "graph attack 0 rateMbps 1e+303"},
+		{"attack rate overflows bps", overflowGraph(`"rateMbps": 10`, "10", "100", "1e303"), "attack rateMbps 1e+303"},
+		{"attack rate sweep value overflows bps", `{"topology": {"kind": "dumbbell"}, "measureSec": 3,
+			"attack": {"kind": "flood"},
+			"measure": {"sweep": {"axis": "attackRateMbps", "values": [10, 1e303]}}}`, "sweep attackRateMbps 1e+303"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -165,6 +180,19 @@ func TestLoadErrorPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+// overflowGraph is a graph document whose first trunk carries the given
+// rate fields and whose group access, graph attack and flood rates (Mbps)
+// are the given literals.
+func overflowGraph(trunkRates, access, attacker, flood string) string {
+	return `{"topology": {"kind": "graph", "graph": {
+		"routers": ["A", "B"],
+		"trunks": [{"from": 0, "to": 1, ` + trunkRates + `, "delayMs": 5, "queuePackets": 100}],
+		"groups": [{"flows": 2, "ingress": 0, "egress": 1, "accessRateMbps": ` + access + `}],
+		"attacks": [{"router": 0, "rateMbps": ` + attacker + `}],
+		"sink": 1}}, "measureSec": 3,
+		"attack": {"kind": "flood", "rateMbps": ` + flood + `}}`
 }
 
 func TestBuildBothTopologies(t *testing.T) {

@@ -462,4 +462,14 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	if !fa.Cached && !fb.Cached {
 		t.Error("neither twin reported a cache/dedup hit")
 	}
+	// A third submission takes the fast path. Each of the three lookups
+	// counts once: the computing twin's miss, the other twin's hit (a
+	// flight join, or a disk hit if its worker claimed it late) and the
+	// fast-path hit.
+	if c, code := postRun(t, ts, doc, ""); code != http.StatusOK || !c.Cached {
+		t.Fatalf("resubmission: HTTP %d, %+v", code, c)
+	}
+	if st := s.Cache().Stats(); st.Hits+st.Misses != 3 || st.Misses != 1 {
+		t.Errorf("cache counters after 3 submissions, 1 compute: %+v, want hits+misses 3, misses 1", st)
+	}
 }

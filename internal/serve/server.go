@@ -263,8 +263,9 @@ func (s *Server) submit(cfg scenario.Config, key string, priority int) (*job, in
 	s.mu.Unlock()
 
 	// Cache fast path: a known key never touches the kernel or occupies a
-	// worker slot.
-	if files, ok := s.cache.Get(key); ok {
+	// worker slot. A probe miss is counted once, by the worker's
+	// GetOrCompute; a submission rejected below counts no lookup.
+	if files, ok := s.cache.Probe(key); ok {
 		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 		j.cancel()
 		s.finalize(j, StateDone, "", files, true, 0)

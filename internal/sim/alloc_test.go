@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+	"time"
+)
 
 // warmKernel populates the free list and heap capacity so steady-state
 // measurements don't see one-time slice growth.
@@ -55,5 +59,44 @@ func TestScheduleCancelAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("schedule+cancel allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestWheelCancelAllocs covers lazy cancel and slot-block recycling: with a
+// standing population of self-rescheduling timers 1–300 ms out, a
+// schedule→Cancel→RunFor cycle whose runs cross level-1 and level-2 slot
+// boundaries (cascades, drains, cancelled entries released there) allocates
+// nothing once warm — events and blocks both come back to their free lists.
+func TestWheelCancelAllocs(t *testing.T) {
+	k := New()
+	r := rand.New(rand.NewSource(3))
+	offsets := make([]Time, 256)
+	for i := range offsets {
+		offsets[i] = Millisecond + Time(r.Int63n(int64(299*Millisecond)))
+	}
+	next := 0
+	offset := func() Time {
+		next++
+		return offsets[next&255]
+	}
+	var rearm func()
+	rearm = func() { k.AfterTicks(offset(), rearm) }
+	for i := 0; i < 2000; i++ {
+		k.AfterTicks(offset(), rearm)
+	}
+	fn := func() {}
+	cycle := func() {
+		tm := k.AfterTicks(offset(), fn)
+		tm.Cancel()
+		if err := k.RunFor(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ { // one virtual second warms every free list
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(1000, cycle)
+	if allocs != 0 {
+		t.Errorf("schedule+cancel+run with a standing population allocates %.2f/op, want 0", allocs)
 	}
 }

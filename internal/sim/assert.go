@@ -44,6 +44,39 @@ func (k *Kernel) assertFire(ev *event) {
 	a.lastWhen, a.lastAt, a.lastSeq = ev.when, ev.at, ev.seq
 }
 
+// assertWheel checks the wheel's bookkeeping each time the pending set
+// empties (after the purge): wheelCount and upperCount equal the entries the
+// slots hold, a slot's occupancy bit is set exactly when it holds a block,
+// and every block ever allocated is either in a slot or on the free list. A miscount here would stop an empty wheel from
+// snapping its floor to the clock, or trip locate's corruption panic later.
+func (k *Kernel) assertWheel() {
+	entries, upper, blocks := 0, 0, len(k.freeBlocks)
+	for lvl := range k.wheel {
+		for pos, s := range k.wheel[lvl] {
+			chain := 0
+			for b := s.head; b != nil; b = b.next {
+				chain++
+			}
+			occ := k.occupied[lvl][pos>>6]&(1<<(pos&63)) != 0
+			if occ != (s.n > 0) || chain != (s.n+blockEntries-1)/blockEntries {
+				panic(fmt.Sprintf("sim: pdosassert: wheel slot %d/%d holds %d entries in %d blocks, occupancy bit %v", lvl, pos, s.n, chain, occ))
+			}
+			blocks += chain
+			entries += s.n
+			if lvl > 0 {
+				upper += s.n
+			}
+		}
+	}
+	if entries != k.wheelCount || upper != k.upperCount {
+		panic(fmt.Sprintf("sim: pdosassert: wheel bookkeeping: wheelCount %d, upperCount %d, but the slots hold %d entries, %d in levels 1-2",
+			k.wheelCount, k.upperCount, entries, upper))
+	}
+	if blocks != k.blocks {
+		panic(fmt.Sprintf("sim: pdosassert: wheel bookkeeping: %d blocks allocated, %d in slots or on the free list", k.blocks, blocks))
+	}
+}
+
 // shardAsserts counts boundary events this shard has produced. The counter
 // is written only by the shard's own goroutine during a window and read only
 // by the driver at the barrier, so it needs no synchronization beyond the

@@ -13,6 +13,8 @@ type kernelAsserts struct{}
 
 func (k *Kernel) assertFire(ev *event) {}
 
+func (k *Kernel) assertWheel() {}
+
 type shardAsserts struct{}
 
 func (s *Shard) assertSent() {}

@@ -85,6 +85,40 @@ func TestAssertFireOrderCleanRun(t *testing.T) {
 	}
 }
 
+// TestAssertWheelBookkeeping empties the pending set five times while
+// cancelled entries sit on every wheel level, each time with the wheel
+// bookkeeping check armed. Events fire from shared and from single-entry
+// slots, and cancelled ones are released by drains and by the purge. Then
+// it miscounts wheelCount by one and checks that the next time the pending
+// set empties, the check trips.
+func TestAssertWheelBookkeeping(t *testing.T) {
+	k := New()
+	for round := Time(0); round < 5; round++ {
+		var cancel []Timer
+		for _, d := range []Time{0, 100 * Microsecond, 5 * Millisecond} {
+			k.AfterTicks(d+round, func() {})
+			cancel = append(cancel, k.AfterTicks(d+round, func() {}))
+		}
+		k.AfterTicks(7*Millisecond+round, func() {}) // alone in its slot
+		for _, d := range []Time{50 * Microsecond, 200 * Millisecond, 300 * Millisecond, 60 * Second} {
+			cancel = append(cancel, k.AfterTicks(d+round, func() {}))
+		}
+		for _, tm := range cancel {
+			tm.Cancel()
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.AfterTicks(Millisecond, func() {})
+	k.AfterTicks(2*Millisecond, func() {})
+	k.wheelCount++
+	msg := mustPanic(t, func() { _ = k.Run() })
+	if !strings.Contains(msg, "wheel bookkeeping") {
+		t.Fatalf("wrong panic: %q", msg)
+	}
+}
+
 // TestAssertBoundaryConservation runs a two-shard ping-pong and checks the
 // conservation accounting stays balanced through every barrier (a mismatch
 // panics inside exchange).

@@ -9,12 +9,18 @@ import "testing"
 // (instant, id), every cancel's result and every peek. Offsets land on every
 // wheel boundary, and a program may open with a far-first event, the
 // startup pattern that once dragged the wheel floor ahead of the clock.
+// When a program ends with nothing pending, both kernels must also hold no
+// wheel entry and have every event back on their free lists: the wheel's
+// lazily cancelled entries are purged when the pending set empties.
 func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 1, 3, 2, 5, 7, 1, 4, 0, 6, 8, 200, 0, 4, 2})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		wk, hk := New(), NewHeapKernel()
-		wheel, heap := runKernelProgram(wk, prog), runKernelProgram(hk, prog)
+		wheel, wTimers := runKernelProgram(wk, prog)
+		heap, hTimers := runKernelProgram(hk, prog)
+		checkRecycled(t, "wheel", wk, wTimers)
+		checkRecycled(t, "heap", hk, hTimers)
 		if len(wheel) != len(heap) {
 			t.Fatalf("wheel logged %d observations, heap %d", len(wheel), len(heap))
 		}
@@ -28,6 +34,30 @@ func FuzzKernelOrder(f *testing.F) {
 				wk.Now(), wk.Processed(), wk.Pending(), hk.Now(), hk.Processed(), hk.Pending())
 		}
 	})
+}
+
+// checkRecycled fails the test unless k, once its pending set is empty,
+// holds no wheel entry and has every event a program timer last referred to
+// back on its free list. It checks nothing while events are still pending
+// (a program that hit the event limit).
+func checkRecycled(t *testing.T, name string, k *Kernel, timers []Timer) {
+	t.Helper()
+	if k.Pending() != 0 {
+		return
+	}
+	if n := wheelEntries(k); n != 0 || k.wheelCount != 0 || k.upperCount != 0 {
+		t.Fatalf("%s kernel: nothing pending, but the wheel holds %d entries (wheelCount %d, upperCount %d)",
+			name, n, k.wheelCount, k.upperCount)
+	}
+	free := make(map[*event]bool, len(k.free))
+	for _, ev := range k.free {
+		free[ev] = true
+	}
+	for i, tm := range timers {
+		if tm.ev != nil && !free[tm.ev] {
+			t.Fatalf("%s kernel: nothing pending, but timer %d's event is not on the free list", name, i)
+		}
+	}
 }
 
 // Observation ids below zero record what a program saw besides firings.
@@ -127,11 +157,12 @@ func (p *kernelProgram) schedule(op byte) {
 	}
 }
 
-// runKernelProgram executes prog against k and returns its observation log.
-// The first byte's low bit schedules a far-first event at one second; then
-// each op byte selects a schedule, a cancel, a step, a peek or a RunUntil,
-// followed by its operands. Whatever is left pending finally runs out.
-func runKernelProgram(k *Kernel, prog []byte) []firing {
+// runKernelProgram executes prog against k and returns its observation log
+// and each timer's last handle. The first byte's low bit schedules a
+// far-first event at one second; then each op byte selects a schedule, a
+// cancel, a step, a peek or a RunUntil, followed by its operands. Whatever
+// is left pending finally runs out.
+func runKernelProgram(k *Kernel, prog []byte) ([]firing, []Timer) {
 	k.SetEventLimit(1 << 16)
 	p := &kernelProgram{k: k, data: prog}
 	if p.next()&1 == 1 {
@@ -172,5 +203,5 @@ func runKernelProgram(k *Kernel, prog []byte) []firing {
 		}
 	}
 	observe(k.Run())
-	return p.log
+	return p.log, p.timers
 }

@@ -10,18 +10,21 @@ import (
 var ErrPastTime = errors.New("sim: event scheduled in the past")
 
 // Sentinel values for event.index. Non-negative indices locate the event in
-// the overflow heap; wheel-resident events carry their slot in event.slot
-// instead.
+// the overflow heap.
 const (
-	idxNone  = -1 // not pending (fired, cancelled, or on the free list)
-	idxWheel = -2 // pending inside a timer-wheel slot
+	idxNone      = -1 // not pending: fired, cancelled and released, or on the free list
+	idxWheel     = -2 // pending, filed in a timer-wheel slot
+	idxCancelled = -3 // cancelled while filed in a slot; released when its slot drains
+	idxLone      = -4 // the only pending event, held in Kernel.lone
 )
 
 // event is a single pending callback in the kernel's pending set. Fired and
 // cancelled events are recycled through the kernel's free list, so a
 // steady-state simulation schedules without allocating; the generation
 // counter lets outstanding Timer handles detect that their event has been
-// reused.
+// cancelled or reused. The struct is 64 bytes, one cache line: the wheel
+// files events by reference from its slot blocks (wheel.go), so it needs no
+// link fields.
 type event struct {
 	when Time
 	at   Time   // virtual instant the event was scheduled (see before)
@@ -34,15 +37,8 @@ type event struct {
 	argFn func(any)
 	arg   any
 
-	// next/prev link the event into its wheel slot's doubly-linked list,
-	// making wheel-side Cancel O(1). Both are nil while the event sits in
-	// the heap or on the free list.
-	next *event
-	prev *event
-
-	index int32  // heap index, idxWheel in a slot, idxNone once removed
-	slot  int32  // level<<8 | slot position while index == idxWheel, else -1
-	gen   uint32 // incremented every time the event returns to the free list
+	index int32  // heap index, or one of the idx sentinels
+	gen   uint32 // incremented on cancel and every time the event returns to the free list
 }
 
 // before reports the (when, at, seq) firing order. For events scheduled
@@ -87,9 +83,7 @@ func (t *Timer) Cancel() bool {
 	if !t.valid() {
 		return false
 	}
-	ev := t.ev
-	t.k.unschedule(ev)
-	t.k.release(ev)
+	t.k.cancel(t.ev)
 	return true
 }
 
@@ -113,11 +107,12 @@ func (t *Timer) When() Time {
 // safe — see DESIGN.md's Performance section.
 //
 // The pending set is split between a hierarchical timing wheel (near future,
-// O(1) insert/cancel — see wheel.go) and an inlined 4-ary index heap (events
-// beyond the wheel horizon, and events behind the floor — which leads the
-// clock only right after a slot drain or cascade, because an empty wheel
-// snaps its floor to the clock rather than to the next event). The firing
-// order is exactly (when, seq) — identical to a pure heap — because due
+// O(1) insert and lazy O(1) cancel — see wheel.go), an inlined 4-ary index
+// heap (events beyond the wheel horizon, and events behind the floor — which
+// leads the clock only right after a slot drain or cascade, because an empty
+// wheel snaps its floor to the clock rather than to the next event), and
+// Kernel.lone, which holds the only pending event outside both. The firing
+// order is exactly (when, at, seq) — identical to a pure heap — because due
 // wheel slots are drained through the heap before anything in them fires.
 // The heap is inlined rather than container/heap: no interface dispatch, no
 // `any` boxing on push/pop, and a shallower tree than a binary heap (fewer
@@ -130,16 +125,18 @@ type Kernel struct {
 	seq       uint64
 	processed uint64
 	limit     uint64 // 0 = unlimited
-	pending   int    // heap + wheel population
-	solo      *event // cache: the sole pending event while pending == 1, else nil
+	pending   int    // live events: lone + heap + uncancelled wheel entries
+	lone      *event // the only pending event, held outside wheel and heap; else nil
 
 	// ---- hierarchical timing wheel (see wheel.go) ----
 	heapOnly   bool // true: bypass the wheel entirely (golden-reference mode)
-	wheelCount int  // events currently resident in wheel slots
+	wheelCount int  // entries in wheel slots, cancelled ones included
 	upperCount int  // subset of wheelCount resident in levels 1..2
-	floor      Time // wheel mapping origin: every slotted event has when >= floor
+	floor      Time // wheel mapping origin: every entry has when >= floor
 	occupied   [wheelLevels][wheelSlots / 64]uint64
-	wheel      [wheelLevels][wheelSlots]*event // slot heads (intrusive lists)
+	wheel      [wheelLevels][wheelSlots]wheelSlot // slot headers: newest block and entry count
+	freeBlocks []*wheelBlock                      // recycled slot blocks
+	blocks     int                                // blocks ever allocated: each is in a slot or on freeBlocks
 
 	// asserts is the pdosassert invariant state: zero-size and unused in
 	// normal builds, the last fired (when, at, seq) key under -tags
@@ -299,7 +296,7 @@ func (k *Kernel) alloc(t Time) *event {
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
 	} else {
-		ev = &event{slot: -1}
+		ev = &event{}
 	}
 	ev.when = t
 	ev.at = k.now
@@ -317,33 +314,42 @@ func (k *Kernel) release(ev *event) {
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
-	ev.next = nil
-	ev.prev = nil
 	ev.index = idxNone
-	ev.slot = -1
 	ev.gen++
 	k.free = append(k.free, ev)
 }
 
 // ---- scheduling ----
 
-// enqueue adds a freshly allocated event to the pending set: the wheel when
-// its instant maps onto a live slot, the heap otherwise (heap-only mode,
-// instants behind a floor a slot drain or cascade moved past the clock, or
-// beyond the wheel horizon).
+// enqueue adds a freshly allocated event to the pending set. The only
+// pending event is held in k.lone, so a chain of one timer at a time never
+// touches the wheel; the next schedule files the held event first.
 //
 //pdos:hotpath
 func (k *Kernel) enqueue(ev *event) {
 	k.pending++ //pdos:counter kernel-pending inc — one event enters the pending set
-	if k.pending == 1 {
-		k.solo = ev
-	} else {
-		k.solo = nil
-	}
 	if k.heapOnly {
 		k.push(ev)
 		return
 	}
+	if k.pending == 1 {
+		ev.index = idxLone
+		k.lone = ev
+		return
+	}
+	if held := k.lone; held != nil {
+		k.lone = nil
+		k.insert(held)
+	}
+	k.insert(ev)
+}
+
+// insert files ev in the wheel when its instant maps onto a live slot, and
+// pushes it to the heap otherwise (instants behind a floor a slot drain or
+// cascade moved past the clock, or beyond the wheel horizon).
+//
+//pdos:hotpath
+func (k *Kernel) insert(ev *event) {
 	if k.wheelCount == 0 {
 		// Empty wheel: nothing constrains the mapping origin, so snap it to
 		// the clock. Every later schedule is at or after now, so none lands
@@ -357,7 +363,49 @@ func (k *Kernel) enqueue(ev *event) {
 		k.push(ev)
 		return
 	}
-	k.place(ev)
+	if k.file(slotEntry{when: ev.when, ev: ev}) {
+		ev.index = idxWheel
+		return
+	}
+	k.push(ev)
+}
+
+// cancel removes a pending event. Heap-resident and held events leave at
+// once; a wheel-resident one is only marked, and its entry stays in its slot
+// until locate drains the slot or the pending set empties (wheel.go).
+//
+//pdos:hotpath
+func (k *Kernel) cancel(ev *event) {
+	k.pending-- //pdos:counter kernel-pending dec — the event is cancelled
+	switch {
+	case ev.index >= 0:
+		k.remove(int(ev.index))
+		k.release(ev)
+	case ev.index == idxWheel:
+		ev.index = idxCancelled
+		ev.fn = nil
+		ev.argFn = nil
+		ev.arg = nil
+		ev.gen++
+	default:
+		k.lone = nil
+		k.release(ev)
+	}
+	if k.pending == 0 {
+		k.emptied()
+	}
+}
+
+// emptied runs each time the pending set empties. Any entry still in the
+// wheel is a cancelled one; purging them lets the next schedule snap the
+// floor to the clock.
+//
+//pdos:hotpath
+func (k *Kernel) emptied() {
+	if k.wheelCount > 0 {
+		k.purge()
+	}
+	k.assertWheel()
 }
 
 // At schedules fn to run at the absolute virtual instant t. Events at equal
@@ -438,7 +486,18 @@ func (k *Kernel) clampDelta(delta Time) Time {
 //pdos:hotpath
 func (k *Kernel) fire(ev *event) {
 	k.assertFire(ev)
-	k.unschedule(ev)
+	k.pending-- //pdos:counter kernel-pending dec — the event fires
+	switch {
+	case ev.index >= 0:
+		k.remove(int(ev.index))
+	case ev.index == idxWheel:
+		k.unslot(ev)
+	default:
+		k.lone = nil
+	}
+	if k.pending == 0 {
+		k.emptied()
+	}
 	k.now = ev.when
 	k.nowAt = ev.at
 	k.processed++

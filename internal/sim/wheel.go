@@ -13,15 +13,35 @@ import "math/bits"
 // the horizon — or behind the floor, which only happens to events displaced
 // by a slot drain or scheduled before the clock catches up with a floor a
 // drain or cascade advanced — live in the kernel's 4-ary heap. An empty wheel
-// snaps its floor to the clock (Kernel.enqueue), never ahead of it.
+// snaps its floor to the clock (Kernel.insert), never ahead of it.
+//
+// Slots. A slot holds {when, event} entries in blocks of seven: the slot
+// header keeps the newest block and the slot's entry count, and every older
+// block in its chain is full. Blocks come from and return to a per-kernel
+// free list (on drain, cascade and purge), so a warm kernel files events
+// without allocating, and the wheel never holds more than
+// ceil(entries/7) blocks per slot. Because an entry carries its event's
+// instant, a cascade re-buckets a slot from the copied instants without
+// loading a single event, and a drain reaches its events through
+// independent loads from the block rather than a pointer chain.
+//
+// Lazy cancel. Cancelling a wheel-resident event marks it idxCancelled and
+// invalidates its Timer handles; its entry stays where it is until locate
+// drains the slot, and only then does the event return to the free list.
+// An entry therefore outlives its cancel at most until the clock reaches its
+// slot — or until the pending set empties, when Kernel.purge releases every
+// leftover entry so the next schedule finds an empty wheel. wheelCount and
+// upperCount count entries, cancelled ones included; Kernel.pending counts
+// live events only.
 //
 // Ordering contract. The kernel's observable firing order is exactly
-// (when, seq), identical to a pure heap. Slot bucketing coarsens nothing:
-// locate() never returns an event straight out of a slot holding more than
-// one event — it drains such slots into the heap first, and the heap restores
-// the total order. The one slot-direct path (a single-event slot) compares
-// that event against the heap minimum with the full (when, seq) predicate
-// before choosing it. See DESIGN.md §8 for the equivalence argument.
+// (when, at, seq), identical to a pure heap. Slot bucketing coarsens
+// nothing: locate() never returns an event straight out of a slot holding
+// more than one entry — it drains such slots into the heap first, and the
+// heap restores the total order. The one slot-direct path (a slot whose only
+// entry is live) compares that event against the heap minimum with the full
+// (when, at, seq) predicate before choosing it. See DESIGN.md §8 for the
+// equivalence argument.
 //
 // Mapping. Instead of per-level offset counters, slots are addressed by the
 // absolute instant: level l holds instants within the floor's level-l epoch
@@ -40,24 +60,73 @@ const (
 	l1Shift     = tickShift + wheelBits
 	l2Shift     = tickShift + 2*wheelBits
 	horizonLog2 = tickShift + 3*wheelBits // wheel horizon: 2^34 ns past the epoch base
+
+	// blockEntries fills a 120-byte block (a 128-byte allocation, two
+	// cache lines): a link and 7 entries of 16 bytes.
+	blockEntries = 7
 )
 
 // levelShift[l] is the log2 of level l's slot width in nanoseconds.
 var levelShift = [wheelLevels]uint{tickShift, l1Shift, l2Shift}
 
+// slotEntry files one event in a wheel slot, beside a copy of its instant.
+type slotEntry struct {
+	when Time
+	ev   *event
+}
+
+// wheelSlot heads one slot's entries. They fill blocks in order: the
+// newest block is head, and every older block it chains to is full. The
+// count lives here rather than in a block, so filing an entry stores into
+// the block without loading from it.
+type wheelSlot struct {
+	head *wheelBlock // nil when the slot is empty
+	n    int         // entries in the slot
+}
+
+// wheelBlock is a fixed run of slot entries; next links to the next older
+// block of the same slot.
+type wheelBlock struct {
+	next    *wheelBlock
+	entries [blockEntries]slotEntry
+}
+
 // setFloor moves the wheel's mapping origin to t. The caller guarantees no
-// wheel-resident event is behind t.
+// wheel entry is behind t.
 func (k *Kernel) setFloor(t Time) {
 	k.floor = t
 }
 
-// place links ev into the wheel slot covering ev.when, or pushes it to the
-// heap when ev.when lies beyond the wheel horizon. The caller guarantees
-// ev.when >= k.floor.
+// newBlock takes a block from the free list, allocating one only when the
+// list is empty.
 //
 //pdos:hotpath
-func (k *Kernel) place(ev *event) {
-	t := ev.when
+func (k *Kernel) newBlock() *wheelBlock {
+	n := len(k.freeBlocks)
+	if n == 0 {
+		k.blocks++
+		return new(wheelBlock)
+	}
+	b := k.freeBlocks[n-1]
+	k.freeBlocks = k.freeBlocks[:n-1]
+	return b
+}
+
+// freeBlock returns b to the free list. Its stale entries are never read
+// again, and the events they point to are kernel-owned for its whole life.
+//
+//pdos:hotpath
+func (k *Kernel) freeBlock(b *wheelBlock) {
+	k.freeBlocks = append(k.freeBlocks, b)
+}
+
+// file appends e to the wheel slot covering e.when, reporting false (and
+// filing nothing) when e.when lies beyond the wheel horizon. The caller
+// guarantees e.when >= k.floor.
+//
+//pdos:hotpath
+func (k *Kernel) file(e slotEntry) bool {
+	t := e.when
 	f := k.floor
 	var lvl int
 	switch {
@@ -68,59 +137,48 @@ func (k *Kernel) place(ev *event) {
 	case t>>horizonLog2 == f>>horizonLog2:
 		lvl = 2
 	default:
-		k.push(ev)
-		return
+		return false
 	}
 	pos := int(t>>levelShift[lvl]) & wheelMask
-	ev.index = idxWheel
-	ev.slot = int32(lvl<<wheelBits | pos)
-	head := k.wheel[lvl][pos]
-	ev.next = head
-	ev.prev = nil
-	if head != nil {
-		head.prev = ev
+	s := &k.wheel[lvl][pos]
+	i := s.n % blockEntries
+	if i == 0 {
+		b := k.newBlock()
+		b.next = s.head
+		s.head = b
 	}
-	k.wheel[lvl][pos] = ev
+	s.head.entries[i] = e
+	s.n++
 	k.occupied[lvl][pos>>6] |= 1 << (pos & 63)
 	k.wheelCount++
 	if lvl > 0 {
 		k.upperCount++
 	}
+	return true
 }
 
-// unschedule removes a pending event from wherever it lives — heap or wheel
-// slot — without releasing it. Wheel removal is O(1): unlink from the slot's
-// intrusive list and clear the occupancy bit if the slot empties.
+// takeSlot empties slot (lvl, pos) and clears its occupancy bit, returning
+// its newest block, the entries that block holds, and the slot's total.
+// Every older block in the chain is full. The caller accounts for the
+// entries and frees the blocks.
 //
 //pdos:hotpath
-func (k *Kernel) unschedule(ev *event) {
-	k.pending-- //pdos:counter kernel-pending dec — the event leaves the pending set (fire or cancel)
-	k.solo = nil
-	if ev.index >= 0 {
-		k.remove(int(ev.index))
-		return
-	}
-	lvl := int(ev.slot) >> wheelBits
-	pos := int(ev.slot) & wheelMask
-	if ev.prev != nil {
-		ev.prev.next = ev.next
-	} else {
-		k.wheel[lvl][pos] = ev.next
-		if ev.next == nil {
-			k.occupied[lvl][pos>>6] &^= 1 << (pos & 63)
-		}
-	}
-	if ev.next != nil {
-		ev.next.prev = ev.prev
-	}
-	ev.next = nil
-	ev.prev = nil
-	ev.index = idxNone
-	ev.slot = -1
+func (k *Kernel) takeSlot(lvl, pos int) (b *wheelBlock, inHead, total int) {
+	s := &k.wheel[lvl][pos]
+	b, total = s.head, s.n
+	*s = wheelSlot{}
+	k.occupied[lvl][pos>>6] &^= 1 << (pos & 63)
+	return b, (total-1)%blockEntries + 1, total
+}
+
+// unslot removes ev, which locate returned as the only entry of its level-0
+// slot, from the wheel.
+//
+//pdos:hotpath
+func (k *Kernel) unslot(ev *event) {
+	b, _, _ := k.takeSlot(0, int(ev.when>>tickShift)&wheelMask)
+	k.freeBlock(b)
 	k.wheelCount--
-	if lvl > 0 {
-		k.upperCount--
-	}
 }
 
 // scanFrom returns the first occupied slot of level lvl at position >= from,
@@ -146,63 +204,79 @@ func (k *Kernel) scanFrom(lvl, from int) (int, bool) {
 	}
 }
 
-// drainSlot empties a due level-0 slot into the heap, which restores the
-// exact (when, seq) order among its events and anything already heaped.
+// drainSlot empties a slot: live events go to the heap, which restores the
+// exact (when, at, seq) order among them and anything already heaped, and
+// cancelled ones return to the event free list.
 //
 //pdos:hotpath
 func (k *Kernel) drainSlot(lvl, pos int) {
-	ev := k.wheel[lvl][pos]
-	k.wheel[lvl][pos] = nil
-	k.occupied[lvl][pos>>6] &^= 1 << (pos & 63)
-	for ev != nil {
-		next := ev.next
-		ev.next = nil
-		ev.prev = nil
-		ev.slot = -1
-		k.wheelCount--
-		k.push(ev)
-		ev = next
+	b, n, total := k.takeSlot(lvl, pos)
+	for b != nil {
+		for _, e := range b.entries[:n] {
+			if e.ev.index == idxWheel {
+				k.push(e.ev)
+			} else {
+				k.release(e.ev)
+			}
+		}
+		next := b.next
+		k.freeBlock(b)
+		b, n = next, blockEntries
+	}
+	k.wheelCount -= total
+	if lvl > 0 {
+		k.upperCount -= total
 	}
 }
 
-// cascade empties an upper-level slot and re-places each event, which by
-// construction lands on a finer level: every event in the slot is within the
+// cascade empties an upper-level slot and re-files each entry, which by
+// construction lands on a finer level: every entry in the slot is within the
 // current level-(lvl-1) epoch or below, whether the slot is due because the
 // floor was just advanced to its base or because the floor drifted into its
-// range across an epoch boundary.
+// range across an epoch boundary. Entries move with their copied instants;
+// no event is loaded, and cancelled entries travel along until a drain.
 //
 //pdos:hotpath
 func (k *Kernel) cascade(lvl, pos int) {
-	ev := k.wheel[lvl][pos]
-	k.wheel[lvl][pos] = nil
-	k.occupied[lvl][pos>>6] &^= 1 << (pos & 63)
-	for ev != nil {
-		next := ev.next
-		ev.next = nil
-		ev.prev = nil
-		ev.slot = -1
-		k.wheelCount--
-		k.upperCount--
-		k.place(ev)
-		ev = next
+	b, n, total := k.takeSlot(lvl, pos)
+	k.wheelCount -= total
+	k.upperCount -= total
+	for b != nil {
+		for _, e := range b.entries[:n] {
+			k.file(e)
+		}
+		next := b.next
+		k.freeBlock(b)
+		b, n = next, blockEntries
 	}
 }
 
-// locate returns the pending event with the smallest (when, seq) without
-// detaching it, advancing the wheel (draining due slots, cascading upper
-// levels) as needed. It returns nil when nothing is pending. The caller
-// fires or cancels the returned event before any other mutation, so the
-// peeked pointer cannot go stale.
+// purge releases every entry left in the wheel. It runs when the pending
+// set empties, so each entry is a cancelled one, and the next schedule
+// finds an empty wheel and snaps the floor to the clock.
+func (k *Kernel) purge() {
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		for pos, ok := k.scanFrom(lvl, 0); ok; pos, ok = k.scanFrom(lvl, pos+1) {
+			k.drainSlot(lvl, pos)
+		}
+	}
+}
+
+// locate returns the pending event with the smallest (when, at, seq)
+// without detaching it, advancing the wheel (draining due slots, cascading
+// upper levels, recycling cancelled entries) as needed. It returns nil when
+// nothing is pending. The caller fires or cancels the returned event before
+// any other mutation, so the peeked pointer cannot go stale.
 //
 //pdos:hotpath
 func (k *Kernel) locate() *event {
 	if k.pending == 0 {
 		return nil
 	}
-	if ev := k.solo; ev != nil {
-		// Exactly one event pending: it is the minimum wherever it lives.
-		// This keeps the ubiquitous one-timer-chain pattern off the scan
-		// machinery entirely.
+	if ev := k.lone; ev != nil {
+		// Exactly one event pending, held outside the wheel and heap. This
+		// keeps the ubiquitous one-timer-chain pattern off the slots and the
+		// scan machinery entirely.
 		return ev
 	}
 	if k.heapOnly {
@@ -216,7 +290,7 @@ func (k *Kernel) locate() *event {
 		if k.upperCount > 0 {
 			// Epoch-boundary cascade: once the floor has advanced into the
 			// range of an upper-level slot populated under an older floor,
-			// that slot's events (all >= floor, headed for finer buckets)
+			// that slot's entries (all >= floor, headed for finer buckets)
 			// must drop down before level 0 is consulted — some may be due
 			// ahead of everything currently in level 0.
 			c1 := int(k.floor>>levelShift[1]) & wheelMask
@@ -241,14 +315,15 @@ func (k *Kernel) locate() *event {
 			if len(k.events) > 0 && k.events[0].when < bound {
 				return k.events[0]
 			}
-			head := k.wheel[0][pos]
-			if head.next == nil {
-				// Single-event slot: choose between it and the heap minimum
-				// with the full (when, seq) predicate — no drain round-trip.
-				if len(k.events) > 0 && k.events[0].before(head) {
+			if s := &k.wheel[0][pos]; s.n == 1 && s.head.entries[0].ev.index == idxWheel {
+				// The slot's only entry is live: choose between it and the
+				// heap minimum with the full (when, at, seq) predicate — no
+				// drain round-trip.
+				ev := s.head.entries[0].ev
+				if len(k.events) > 0 && k.events[0].before(ev) {
 					return k.events[0]
 				}
-				return head
+				return ev
 			}
 			k.drainSlot(0, pos)
 			k.setFloor(base + 1<<tickShift)

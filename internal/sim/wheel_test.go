@@ -202,6 +202,86 @@ func TestWheelOverflowPromotion(t *testing.T) {
 	}
 }
 
+// TestWheelLazyCancel pins the lazy-cancel rules. A cancelled wheel entry
+// stays in its slot but leaves Pending() at once, while a heap-resident
+// event is removed and recycled at once. Once the last live event fires,
+// the entries left behind are purged and their events recycled, and the
+// next schedule snaps the floor — which the drain of a two-event slot left
+// ahead of the clock — back to the clock.
+func TestWheelLazyCancel(t *testing.T) {
+	k := New()
+	var fired []Time
+	record := func() { fired = append(fired, k.Now()) }
+	k.AfterTicks(Millisecond, record)
+	k.AfterTicks(Millisecond+1, record) // same tick: a two-event slot
+	var cancelled []Timer
+	for _, d := range []Time{100 * Microsecond, 5 * Millisecond, 200 * Millisecond, 60 * Second} {
+		cancelled = append(cancelled, k.AfterTicks(d, record))
+	}
+	for _, tm := range cancelled {
+		if !tm.Cancel() {
+			t.Fatal("cancel of a pending timer failed")
+		}
+		if tm.Active() {
+			t.Error("cancelled timer still active")
+		}
+	}
+	if got := k.Pending(); got != 2 {
+		t.Errorf("Pending() = %d, want 2: cancelled entries must not count", got)
+	}
+	if got := wheelEntries(k); got != 5 || k.wheelCount != 5 {
+		t.Errorf("wheel holds %d entries (wheelCount %d), want 5: the three wheel cancels stay filed", got, k.wheelCount)
+	}
+	if heapEv := cancelled[3].ev; heapEv.index != idxNone || len(k.free) != 1 {
+		t.Errorf("heap cancel left index %d and %d events on the free list, want idxNone and 1", heapEv.index, len(k.free))
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 2 || fired[0] != Millisecond || fired[1] != Millisecond+1 {
+		t.Fatalf("fired = %v, want [1ms 1ms+1ns]", fired)
+	}
+	if got := wheelEntries(k); got != 0 || k.wheelCount != 0 || k.upperCount != 0 {
+		t.Errorf("after the last live event: %d entries, wheelCount %d, upperCount %d, want none", got, k.wheelCount, k.upperCount)
+	}
+	if len(k.free) != 6 {
+		t.Errorf("free list holds %d events, want all 6 recycled", len(k.free))
+	}
+	if k.floor <= k.Now() {
+		t.Fatalf("floor %d not ahead of the clock %d after a slot drain: the snap below proves nothing", k.floor, k.Now())
+	}
+	now := k.Now()
+	lone := k.AfterTicks(Microsecond, record)
+	if lone.ev.index != idxLone {
+		t.Errorf("only pending event has index %d, want idxLone", lone.ev.index)
+	}
+	second := k.AfterTicks(2*Microsecond, record)
+	if k.floor != now {
+		t.Errorf("floor = %d after scheduling into an empty wheel, want the clock %d", k.floor, now)
+	}
+	if lone.ev.index != idxWheel || second.ev.index != idxWheel {
+		t.Errorf("indices %d, %d after the second schedule, want both wheel resident", lone.ev.index, second.ev.index)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 4 || fired[2] != now+Microsecond || fired[3] != now+2*Microsecond {
+		t.Fatalf("fired = %v after rescheduling", fired)
+	}
+}
+
+// wheelEntries counts the entries k's wheel slots hold, cancelled ones
+// included.
+func wheelEntries(k *Kernel) int {
+	n := 0
+	for lvl := range k.wheel {
+		for _, s := range k.wheel[lvl] {
+			n += s.n
+		}
+	}
+	return n
+}
+
 // TestWheelEpochBoundaryOrdering schedules events clustered just before and
 // after level epoch boundaries — where a buggy wheel would misfile into a
 // wrapped slot — and checks the firing order is globally sorted with FIFO
@@ -334,14 +414,15 @@ func BenchmarkKernelChainWheel(b *testing.B) { benchKernelChain(b, New()) }
 func BenchmarkKernelChainHeap(b *testing.B)  { benchKernelChain(b, NewHeapKernel()) }
 
 // benchKernelPending measures steady-state throughput with `pending` timers
-// outstanding — the regime a many-flow simulation lives in, where the heap's
-// O(log n) sift starts to cost and the wheel's O(1) insert does not.
-func benchKernelPending(b *testing.B, k *Kernel, pending int) {
+// outstanding, each re-armed 1 ms + [0, spread) out — the regime a many-flow
+// simulation lives in, where the heap's O(log n) sift starts to cost and the
+// wheel's O(1) insert does not.
+func benchKernelPending(b *testing.B, k *Kernel, pending int, spread Time) {
 	r := rand.New(rand.NewSource(17))
 	offsets := make([]Time, 4096)
 	for i := range offsets {
 		// Mix of RTT-ish and RTO-ish horizons, like a TCP population.
-		offsets[i] = Time(r.Int63n(int64(200*Millisecond))) + Millisecond
+		offsets[i] = Time(r.Int63n(int64(spread))) + Millisecond
 	}
 	n := 0
 	oi := 0
@@ -363,7 +444,17 @@ func benchKernelPending(b *testing.B, k *Kernel, pending int) {
 	}
 }
 
-func BenchmarkKernelPending10kWheel(b *testing.B) { benchKernelPending(b, New(), 10000) }
+func BenchmarkKernelPending10kWheel(b *testing.B) {
+	benchKernelPending(b, New(), 10000, 200*Millisecond)
+}
 func BenchmarkKernelPending10kHeap(b *testing.B) {
-	benchKernelPending(b, NewHeapKernel(), 10000)
+	benchKernelPending(b, NewHeapKernel(), 10000, 200*Millisecond)
+}
+
+// BenchmarkKernelCascade keeps 100,000 self-rescheduling timers 1–300 ms
+// out. Like attack-10k's fused deliveries, they pack the upper-level slots
+// densely, so most of each event's kernel cost is re-bucketing entries down
+// the levels and draining level-0 slots.
+func BenchmarkKernelCascade(b *testing.B) {
+	benchKernelPending(b, New(), 100000, 299*Millisecond)
 }
