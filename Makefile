@@ -52,9 +52,10 @@ race-parallel:
 # topo-equivalence is the topology-graph layer's contract gate: topo.Build
 # runs of the dumbbell and the test-bed must match each other at 1/2/4/8
 # workers and hash to the digests the retired hand-wired builders recorded
-# (internal/experiments/testdata/topo.sha256), the shard plan must match its
-# pinned table, and the multi-bottleneck generators must hold serial ≡
-# sharded — all under the race detector.
+# (internal/experiments/testdata/topo.sha256), the pulsed dumbbells must
+# match on the heap-only kernel too (wheel ≡ heap end to end), the shard
+# plan must match its pinned table, and the multi-bottleneck generators must
+# hold serial ≡ sharded — all under the race detector.
 topo-equivalence:
 	$(GO) test -race -count=1 \
 		-run 'TestSharded|TestTestbed|TestPlan|TestParkingLot|TestCrossTraffic|TestBuild' \
@@ -76,7 +77,8 @@ fusion-equivalence:
 # internal/figures/testdata/figures.sha256 (recorded from the retired
 # experiments drivers), every figure must have exactly one pin per pinned
 # scale, and a warm AllFigures replay must be served entirely from the
-# content-addressed cache. Under the race detector.
+# content-addressed cache. Under the race detector. The many-flow scale
+# figure is pinned like the rest.
 figure-equivalence:
 	$(GO) test -race -count=1 -run 'TestFigureEquivalence|TestPinsCoverRegistry|TestAllFiguresWarmCache' ./internal/figures
 

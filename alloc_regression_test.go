@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pulsedos/internal/attack"
 	"pulsedos/internal/experiments"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/topo"
@@ -57,39 +58,60 @@ func TestTCPFlowAllocRegression(t *testing.T) {
 }
 
 // TestManyFlowAllocRegression guards the same zero budget at population
-// scale: 200 flows through one pulsed bottleneck must stay allocation-free
-// per packet once established — the property that lets the scale sweep run
-// 10k+ flows without GC pressure.
+// scale: 200 flows through one bottleneck, unpulsed and pulsed, must stay
+// allocation-free per packet once established — the property that lets
+// many-flow runs go without GC pressure. The pulses (2x the bottleneck for
+// 75 ms every 300 ms) start halfway through the 30 s warm-up, so every
+// capacity high-water mark they provoke is reached before counting starts.
 func TestManyFlowAllocRegression(t *testing.T) {
-	cfg := experiments.DefaultDumbbellConfig(200)
-	d, err := experiments.BuildDumbbell(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.StartFlows(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Kernel.RunFor(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	arrivals0 := d.Bottle.Stats().Arrivals
+	for _, name := range []string{"unpulsed", "pulsed"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := experiments.DefaultDumbbellConfig(200)
+			d, err := experiments.BuildDumbbell(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "pulsed" {
+				period := 300 * time.Millisecond
+				train, err := attack.AIMDTrain(sim.FromDuration(75*time.Millisecond), 2*cfg.BottleneckRate,
+					sim.FromDuration(period), experiments.PulsesFor(20*time.Second, period))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen, err := d.Attach(train)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := gen.Start(sim.FromDuration(15 * time.Second)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.StartFlows(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Kernel.RunFor(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			arrivals0 := d.Bottle.Stats().Arrivals
 
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if err := d.Kernel.RunFor(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&m1)
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := d.Kernel.RunFor(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
 
-	packets := d.Bottle.Stats().Arrivals - arrivals0
-	if packets == 0 {
-		t.Fatal("no packets crossed the bottleneck")
-	}
-	perPacket := float64(m1.Mallocs-m0.Mallocs) / float64(packets)
-	t.Logf("%d packets, %.3f allocs/packet", packets, perPacket)
-	if perPacket > 0.01 {
-		t.Errorf("steady-state 200-flow dumbbell allocates %.3f objects/packet, want 0", perPacket)
+			packets := d.Bottle.Stats().Arrivals - arrivals0
+			if packets == 0 {
+				t.Fatal("no packets crossed the bottleneck")
+			}
+			perPacket := float64(m1.Mallocs-m0.Mallocs) / float64(packets)
+			t.Logf("%d packets, %.3f allocs/packet", packets, perPacket)
+			if perPacket > 0.01 {
+				t.Errorf("steady-state %s 200-flow dumbbell allocates %.3f objects/packet, want 0", name, perPacket)
+			}
+		})
 	}
 }
 
@@ -111,7 +133,7 @@ func TestMillionFlowAllocRegression(t *testing.T) {
 	)
 	cfg := experiments.DefaultDumbbellConfig(packetFlows)
 	cfg.FluidBackgroundFlows = totalFlows - packetFlows
-	// Match the scale sweep's regime: 1 Mbps of carved residual per packet
+	// Match the scale figure's regime: 1 Mbps of carved residual per packet
 	// flow (rate x 500/1e6 per flow) and a 10-packets-per-flow trunk buffer,
 	// so queue high-water marks settle inside the warm-up instead of creeping
 	// through the measurement window.

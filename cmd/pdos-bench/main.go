@@ -1,9 +1,10 @@
 // Command pdos-bench regenerates every table and figure of the paper's
 // evaluation (§4): Figs. 1–4, 6–10, and 12 plus the Proposition 3
 // cross-validation, the design ablations, the extension studies, and the
-// many-flow scaling sweep. Series are written as CSV files into -out, with an
-// optional single-page SVG report (-html); summary notes are printed to
-// stdout. Each figure is compiled into scenario documents and executed
+// many-flow scaling figure (measured vs Prop. 2 degradation by population).
+// Series are written as CSV files into -out, with an optional single-page
+// SVG report (-html); summary notes are printed to stdout. Every figure,
+// the scaling one included, is compiled into scenario documents and executed
 // through the scenario-native pipeline (internal/figures); the expanded
 // points fan out across -parallel workers (each on a private kernel, so the
 // CSVs are byte-identical to a sequential run).

@@ -106,3 +106,11 @@ const (
 	MiceAttackExtent = 75 * time.Millisecond
 	MiceAttackPeriod = 400 * time.Millisecond
 )
+
+// The "scale" figure — the paper's per-flow regime at growing populations n:
+// aimd pulses at 2x the n Mbps trunk for 75 ms, at γ = 0.5.
+const (
+	ScaleRateFactor = 2
+	ScaleExtent     = 75 * time.Millisecond
+	ScaleGamma      = 0.5
+)

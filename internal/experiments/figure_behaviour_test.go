@@ -27,6 +27,7 @@ func tinyScale() experiments.Scale {
 		SyncDuration: 10 * time.Second,
 		Gammas:       []float64{0.2, 0.4, 0.6},
 		FlowCounts:   []int{5},
+		ScaleFlows:   []int{5},
 		Seed:         1,
 	}
 }
@@ -41,9 +42,9 @@ func runFigure(t *testing.T, id string, scale experiments.Scale, opt figures.Opt
 	return fig
 }
 
-// TestFigurePipelines regenerates every figure except the wall-clock
-// "scale" study at tiny scale and checks the structural contract: the right
-// figure id, a title, and labelled, non-empty series.
+// TestFigurePipelines regenerates every figure at tiny scale and checks the
+// structural contract: the right figure id, a title, and labelled, non-empty
+// series.
 func TestFigurePipelines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation pipelines")
@@ -54,9 +55,6 @@ func TestFigurePipelines(t *testing.T) {
 	}
 	opt := figures.Options{Cache: store, Parallel: runtime.NumCPU()}
 	for _, id := range figures.IDs() {
-		if id == "scale" {
-			continue
-		}
 		id := id
 		t.Run(id, func(t *testing.T) {
 			fig := runFigure(t, id, tinyScale(), opt)

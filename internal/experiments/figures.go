@@ -14,7 +14,7 @@ type Scale struct {
 	SyncDuration time.Duration // Fig. 3 snapshot length (paper: 60 s)
 	Gammas       []float64
 	FlowCounts   []int // Figs. 6–9 subplot populations (paper: 15,25,35,45)
-	ScaleFlows   []int // "scale" figure populations (DefaultScaleSweepConfig sweeps further)
+	ScaleFlows   []int // "scale" figure populations; empty runs none
 	Seed         uint64
 	Parallel     int // concurrent attacked runs per sweep (0/1 = sequential)
 }

@@ -76,15 +76,16 @@ func MiceStudy(cfg MiceConfig) (*MiceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunMiceCtx(context.Background(), env, cfg)
+	return RunMiceCtx(context.Background(), env, cfg, nil)
 }
 
 // RunMiceCtx executes the mice study's flow schedule on env — the one
 // implementation behind MiceStudy and the scenario documents' "mice"
 // workload. The topology, and so the seed, comes from env (cfg.Seed is not
 // read); elephants start jittered across the graph's StartSpread. The
-// timeline runs in slices polled for cancellation, like RunCtx.
-func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig) (*MiceResult, error) {
+// timeline runs in RunCtx's slices: polled for cancellation, and reported to
+// progress (when non-nil) as the completed fraction.
+func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig, progress func(frac float64)) (*MiceResult, error) {
 	if cfg.Elephants < 1 || cfg.Mice < 1 || cfg.MiceSegments < 1 {
 		return nil, errors.New("experiments: mice study needs elephants, mice, and a size")
 	}
@@ -95,7 +96,6 @@ func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig) (*Mi
 		return nil, errors.New("experiments: mice study needs elephants + mice senders")
 	}
 
-	k := env.Kernel
 	warmup := sim.FromDuration(cfg.Warmup)
 	end := warmup + sim.FromDuration(cfg.Measure)
 
@@ -153,26 +153,8 @@ func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig) (*Mi
 			return nil, err
 		}
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	step := end / runChunks
-	if step <= 0 {
-		step = end
-	}
-	for t := step; ; t += step {
-		if t > end {
-			t = end
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := k.RunUntil(t); err != nil {
-			return nil, err
-		}
-		if t == end {
-			break
-		}
+	if err := runSlices(ctx, end, env.Kernel.RunUntil, progress); err != nil {
+		return nil, err
 	}
 	env.StopFlows()
 	if gen != nil {

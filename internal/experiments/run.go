@@ -134,11 +134,12 @@ func Run(env Environment, opt RunOptions) (*RunResult, error) {
 	return RunCtx(context.Background(), env, opt)
 }
 
-// runChunks is the number of horizons RunCtx slices the timeline into: each
-// slice ends with a cancellation poll and a Progress callback. 64 keeps the
-// poll overhead invisible (a RunUntil call is just a loop bound) while an
-// aborted HTTP request or an exceeded wall budget stops a run within ~2% of
-// its timeline instead of running it to completion.
+// runChunks is the number of horizons RunCtx and RunMiceCtx slice the
+// timeline into (runSlices): each slice ends with a cancellation poll and a
+// progress callback. 64 keeps the poll overhead invisible (a RunUntil call
+// is just a loop bound) while an aborted HTTP request or an exceeded wall
+// budget stops a run within ~2% of its timeline instead of running it to
+// completion.
 const runChunks = 64
 
 // RunCtx is Run with cancellation: the timeline executes in runChunks
@@ -217,30 +218,8 @@ func RunCtx(ctx context.Context, env Environment, opt RunOptions) (*RunResult, e
 			runUntil = eng.RunUntil
 		}
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	step := end / runChunks
-	if step <= 0 {
-		step = end
-	}
-	for t := step; ; t += step {
-		if t > end {
-			t = end
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("experiments: run canceled before %v of %v: %w",
-				t.Duration(), end.Duration(), err)
-		}
-		if err := runUntil(t); err != nil {
-			return nil, fmt.Errorf("experiments: run: %w", err)
-		}
-		if opt.Progress != nil {
-			opt.Progress(float64(t) / float64(end))
-		}
-		if t == end {
-			break
-		}
+	if err := runSlices(ctx, end, runUntil, opt.Progress); err != nil {
+		return nil, err
 	}
 	env.StopFlows()
 	if gen != nil {
@@ -265,6 +244,37 @@ func RunCtx(ctx context.Context, env Environment, opt RunOptions) (*RunResult, e
 		res.SegmentsSent += st.SegmentsSent
 	}
 	return res, nil
+}
+
+// runSlices advances the timeline to end through runUntil in runChunks
+// monotone horizons. Before each slice a done ctx aborts with its error;
+// after each, progress (when non-nil) receives the completed fraction.
+func runSlices(ctx context.Context, end sim.Time, runUntil func(sim.Time) error, progress func(frac float64)) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	step := end / runChunks
+	if step <= 0 {
+		step = end
+	}
+	for t := step; ; t += step {
+		if t > end {
+			t = end
+		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("experiments: run canceled before %v of %v: %w",
+				t.Duration(), end.Duration(), err)
+		}
+		if err := runUntil(t); err != nil {
+			return fmt.Errorf("experiments: run: %w", err)
+		}
+		if progress != nil {
+			progress(float64(t) / float64(end))
+		}
+		if t == end {
+			return nil
+		}
+	}
 }
 
 // PulsesFor reports the pulse count needed to span the given measurement

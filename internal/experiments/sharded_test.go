@@ -121,10 +121,10 @@ func runEnv(t *testing.T, g topo.Graph, flows, workers int, opt RunOptions) shar
 	return collectScenario(t, env, flows, opt)
 }
 
-// checkWorkers runs one case at 1 worker, pins it, and requires every other
-// worker count to reproduce the 1-worker run exactly.
+// checkWorkers runs one case at 1 worker, pins it, requires every other
+// worker count to reproduce the 1-worker run exactly, and returns that run.
 func checkWorkers(t *testing.T, set pins.Set, name string, workers []int,
-	run func(workers int) shardedScenario) {
+	run func(workers int) shardedScenario) shardedScenario {
 	t.Helper()
 	ref := run(1)
 	if ref.unrouted != 0 {
@@ -134,6 +134,7 @@ func checkWorkers(t *testing.T, set pins.Set, name string, workers []int,
 	for _, w := range workers {
 		compareScenarios(t, fmt.Sprintf("%s workers %d", name, w), ref, run(w))
 	}
+	return ref
 }
 
 func compareScenarios(t *testing.T, label string, want, got shardedScenario) {
@@ -208,7 +209,9 @@ func randomShardedConfig(seed uint64) (DumbbellConfig, RunOptions) {
 // pulsed dumbbell scenarios must produce identical results — delivered
 // bytes, per-flow accounts, TCP state statistics, drop counts, processed
 // event totals, and byte-identical figure CSVs — on the graph layer at 1, 2,
-// 4, and 8 workers, and the 1-worker run must match its pinned digest.
+// 4, and 8 workers, and the 1-worker run must match its pinned digest. The
+// same serial run on the heap-only kernel must match it too: the wheel ≡
+// heap ordering contract, end to end.
 func TestShardedDumbbellEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second virtual scenarios")
@@ -216,8 +219,12 @@ func TestShardedDumbbellEquivalence(t *testing.T) {
 	set := pins.Load(t, topoPinFile)
 	for seed := uint64(1); seed <= 6; seed++ {
 		cfg, opt := randomShardedConfig(seed)
-		checkWorkers(t, set, fmt.Sprintf("dumbbell/seed=%d", seed), []int{2, 4, 8},
+		name := fmt.Sprintf("dumbbell/seed=%d", seed)
+		ref := checkWorkers(t, set, name, []int{2, 4, 8},
 			func(workers int) shardedScenario { return runScenario(t, cfg, workers, opt) })
+		heap := topo.Dumbbell(cfg)
+		heap.HeapKernel = true
+		compareScenarios(t, name+" heap kernel", ref, runEnv(t, heap, cfg.Flows, 1, opt))
 		if t.Failed() {
 			t.Fatalf("divergence at seed %d (cfg %+v)", seed, cfg)
 		}

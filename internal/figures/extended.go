@@ -251,3 +251,55 @@ func maximizationPlan(scale experiments.Scale) (*figurePlan, error) {
 		},
 	}, nil
 }
+
+// scaleTopology is the benchmark's attack-10k dumbbell at n flows: a RED
+// trunk of 1 Mbps and 10 packets of buffer per flow, 5 ms one way; n flows
+// on 50 Mbps access links with 20–460 ms RTTs; the attacker's access link at
+// 4x the trunk.
+func scaleTopology(n int) scenario.Topology {
+	trunk := float64(n)
+	return scenario.Topology{Kind: "graph", Graph: &scenario.GraphSpec{
+		Routers: []string{"S", "R"},
+		Trunks:  []scenario.GraphTrunk{{Name: "trunk", From: 0, To: 1, RateMbps: trunk, DelayMs: 5, QueuePackets: 10 * n}},
+		Groups:  []scenario.GraphGroup{{Flows: n, Ingress: 0, Egress: 1, AccessRateMbps: 50, RTTMinMs: 20, RTTMaxMs: 460}},
+		Attacks: []scenario.GraphAttack{{Router: 0, RateMbps: 4 * trunk}},
+		Sink:    1,
+	}}
+}
+
+// scalePlan compiles the many-flow scaling figure: per population in
+// Scale.ScaleFlows, one γ = 0.5 gain curve on scaleTopology, plotting the
+// measured degradation against Prop. 2's by population.
+func scalePlan(scale experiments.Scale) (*figurePlan, error) {
+	cs := &curveSet{}
+	for _, n := range scale.ScaleFlows {
+		label := fmt.Sprintf("flows=%d", n)
+		c, err := compileGainCurve("scale/"+label, scaleSweep(scale, scaleTopology(n),
+			experiments.ScaleRateFactor*float64(n)*1e6, experiments.ScaleExtent, []float64{experiments.ScaleGamma}))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", label, err)
+		}
+		cs.add(label, c)
+	}
+	return &figurePlan{
+		docs: cs.docs,
+		assemble: func(arts [][]Artifacts) (*experiments.FigureResult, error) {
+			res := &experiments.FigureResult{ID: "scale", Title: "Many-flow scaling: measured vs Prop. 2 degradation by population"}
+			measured := experiments.Series{Label: "measured degradation"}
+			analytic := experiments.Series{Label: "analytic degradation (Prop. 2)"}
+			for i, n := range scale.ScaleFlows {
+				points, err := cs.points(arts, i)
+				if err != nil {
+					return nil, fmt.Errorf("scale %s: %w", cs.labels[i], err)
+				}
+				p := points[0] // γ = 0.5 at 2x the trunk is a 4*T_extent period: always reachable
+				measured.Points = append(measured.Points, experiments.Point{X: float64(n), Y: p.MeasuredDegradation})
+				analytic.Points = append(analytic.Points, experiments.Point{X: float64(n), Y: p.AnalyticDegradation})
+				note(res, "%s: degradation %.3f vs model %.3f at gamma=%.2f (TO=%d FR=%d)",
+					cs.labels[i], p.MeasuredDegradation, p.AnalyticDegradation, p.Gamma, p.Timeouts, p.FastRecoveries)
+			}
+			res.Series = append(res.Series, measured, analytic)
+			return res, nil
+		},
+	}, nil
+}

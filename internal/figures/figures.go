@@ -67,10 +67,6 @@ type Def struct {
 	direct func(scale experiments.Scale) (*experiments.FigureResult, error)
 }
 
-// Analytic reports whether the figure runs no simulation (and therefore
-// produces no cacheable documents).
-func (d Def) Analytic() bool { return d.plan == nil }
-
 // Registry returns every figure definition: the paper's plots in paper
 // order, then the ablations and extension studies.
 func Registry() []Def {
@@ -95,11 +91,7 @@ func Registry() []Def {
 		{ID: "ext-mice", plan: micePlan},
 		{ID: "ext-maximization", plan: maximizationPlan},
 		{ID: "ext-sensitivity", direct: sensitivity},
-		// The scaling sweep is a performance study, not a paper figure; it
-		// keeps its own uncached pipeline (experiments.ScaleSweep) because its
-		// observables include wall-clock and allocation metrics a scenario
-		// document deliberately cannot express.
-		{ID: "scale", direct: experiments.ScaleFigure},
+		{ID: "scale", plan: scalePlan},
 	}
 }
 

@@ -3,6 +3,7 @@ package figures_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -14,13 +15,15 @@ import (
 )
 
 // pinFile holds one committed SHA-256 per figure output, named
-// "<id>@<scale>": every registry figure except "scale" at equivalenceScale,
+// "<id>@<scale>": every registry figure at equivalenceScale,
 // and the paper set at QuickScale. Each digest covers the figure's %#v
 // rendering — exact through shortest-round-trip floats, and NaN-safe unlike
 // JSON (the maximization figure's analytic γ* is NaN when no optimum
 // exists). The digests were recorded from the internal/experiments driver
 // each figure replaced, so the pins carry the same byte-identity contract
 // those drivers enforced as a live oracle.
+// The "scale" pin was recorded from its own documents: its earlier output
+// carried wall-clock readings.
 const pinFile = "testdata/figures.sha256"
 
 // paperIDs is the paper set AllFigures regenerates: Figs. 1–4, 6–10, 12 and
@@ -61,11 +64,6 @@ func TestFigureEquivalence(t *testing.T) {
 	}
 	opt := figures.Options{Cache: store, Parallel: scale.Parallel}
 	for _, id := range figures.IDs() {
-		if id == "scale" {
-			// The scaling sweep's observables include wall-clock timings, so
-			// it has no reproducible digest.
-			continue
-		}
 		id := id
 		t.Run(id, func(t *testing.T) {
 			fig, err := figures.Run(context.Background(), id, scale, opt)
@@ -77,15 +75,13 @@ func TestFigureEquivalence(t *testing.T) {
 	}
 }
 
-// TestPinsCoverRegistry: every registry figure except "scale" has exactly
-// one equivalence-scale pin, every paper figure one QuickScale pin, and no
-// pin names an unknown figure or scale.
+// TestPinsCoverRegistry: every registry figure has exactly one
+// equivalence-scale pin, every paper figure one QuickScale pin, and no pin
+// names an unknown figure or scale.
 func TestPinsCoverRegistry(t *testing.T) {
 	want := map[string]bool{}
 	for _, id := range figures.IDs() {
-		if id != "scale" {
-			want[id+"@equivalence"] = true
-		}
+		want[id+"@equivalence"] = true
 	}
 	for _, id := range paperIDs {
 		want[id+"@quick"] = true
@@ -212,5 +208,42 @@ func TestUnknownFigure(t *testing.T) {
 	}
 	if want := `figures: unknown figure "fig99"`; err.Error() != want {
 		t.Fatalf("error %q; want %q", err, want)
+	}
+}
+
+// TestScaleMatchesProp2: at 50 flows, 12 s of warm-up and 6 s measured, the
+// scale figure's attack degrades the aggregate, and by within 0.25 of the
+// Prop. 2 prediction.
+func TestScaleMatchesProp2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50-flow simulation")
+	}
+	scale := equivalenceScale()
+	scale.Warmup, scale.Measure = 12*time.Second, 6*time.Second
+	fig, err := figures.Run(context.Background(), "scale", scale, figures.Options{Parallel: scale.Parallel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Series) != 2 || len(fig.Series[0].Points) != 1 || len(fig.Series[1].Points) != 1 {
+		t.Fatalf("want one measured and one Prop. 2 point, got %#v", fig.Series)
+	}
+	measured, analytic := fig.Series[0].Points[0].Y, fig.Series[1].Points[0].Y
+	t.Logf("50 flows: measured degradation %.3f, Prop. 2 %.3f", measured, analytic)
+	if measured <= 0 {
+		t.Errorf("attack degraded nothing: measured %.3f", measured)
+	}
+	if math.Abs(measured-analytic) > 0.25 {
+		t.Errorf("measured degradation %.3f too far from Prop. 2 prediction %.3f", measured, analytic)
+	}
+}
+
+// TestScaleEmptyPopulations: a scale with no ScaleFlows compiles no scale
+// documents, as an empty FlowCounts compiles none for Figs. 6–9.
+func TestScaleEmptyPopulations(t *testing.T) {
+	scale := equivalenceScale()
+	scale.ScaleFlows = nil
+	docs, err := figures.Documents("scale", scale)
+	if err != nil || len(docs) != 0 {
+		t.Fatalf("Documents(scale) without populations: %d documents, err %v; want none", len(docs), err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package clock is the repository's single sanctioned wall-clock seam. The
 // deterministic simulation packages are provably clock-free — pdos-lint's
 // determinism analyzer forbids time.Now/Since/Until there — and the few
-// places that legitimately measure wall time (the scale sweep's events/sec
-// figures, run-cache and pdos-serve bookkeeping) read it through Wall,
+// places that legitimately measure wall time (run-cache and pdos-serve
+// bookkeeping) read it through Wall,
 // annotating the call site //pdos:wallclock. The analyzer treats this
 // package's readers exactly like time.Now, so every wall-clock dependency in
 // the simulator stays greppable from one seam.

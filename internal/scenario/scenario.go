@@ -603,7 +603,7 @@ func (c Config) RunContext(ctx context.Context, progress func(frac float64)) (*e
 		return nil, err
 	}
 	if c.Workload != nil {
-		return c.runWorkload(ctx, env, train)
+		return c.runWorkload(ctx, env, train, progress)
 	}
 	opt := experiments.RunOptions{
 		Warmup:        time.Duration(c.WarmupSec * float64(time.Second)),
@@ -630,8 +630,9 @@ func (c Config) RunContext(ctx context.Context, progress func(frac float64)) (*e
 
 // runWorkload executes the structured-workload branch: the mice study runs
 // its own flow schedule (Poisson short-flow arrivals over elephants), so it
-// bypasses RunCtx's start/stop choreography.
-func (c Config) runWorkload(ctx context.Context, env experiments.Environment, train *attack.Train) (*experiments.RunResult, error) {
+// bypasses RunCtx's start/stop choreography but reports progress the same
+// way.
+func (c Config) runWorkload(ctx context.Context, env experiments.Environment, train *attack.Train, progress func(frac float64)) (*experiments.RunResult, error) {
 	denv, ok := env.(*topo.Environment)
 	if !ok {
 		return nil, errors.New("scenario: mice workload needs a serial dumbbell environment")
@@ -645,7 +646,7 @@ func (c Config) runWorkload(ctx context.Context, env experiments.Environment, tr
 		Warmup:       time.Duration(c.WarmupSec * float64(time.Second)),
 		Measure:      time.Duration(c.MeasureSec * float64(time.Second)),
 		Train:        train,
-	})
+	}, progress)
 	if err != nil {
 		return nil, err
 	}

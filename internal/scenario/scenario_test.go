@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -333,6 +335,48 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if res.Jitter == nil {
 		t.Error("jitter meter missing")
+	}
+}
+
+// TestMiceRunReportsProgress: a mice-workload document reports the
+// completed fraction after each timeline slice, as a plain document does —
+// strictly increasing, ending at exactly 1 — and a context cancelled
+// mid-run aborts it with context.Canceled.
+func TestMiceRunReportsProgress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg, err := Load(strings.NewReader(`{
+		"topology": {"kind": "dumbbell", "flows": 6},
+		"workload": {"kind": "mice", "elephants": 2, "mice": 4, "miceSegments": 10, "arrivalSpanSec": 1},
+		"attack": {"kind": "aimd", "rateMbps": 30, "extentMs": 75, "periodMs": 400},
+		"warmupSec": 1, "measureSec": 2
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fracs []float64
+	if _, err := ComputeArtifacts(context.Background(), cfg, func(f float64) { fracs = append(fracs, f) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(fracs) == 0 || fracs[len(fracs)-1] != 1 {
+		t.Fatalf("progress %v, want fractions ending at 1", fracs)
+	}
+	for i := 1; i < len(fracs); i++ {
+		if fracs[i] <= fracs[i-1] {
+			t.Fatalf("progress not strictly increasing at %d: %v", i, fracs)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = ComputeArtifacts(ctx, cfg, func(f float64) {
+		if f >= 0.25 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -69,8 +69,8 @@ type Options struct {
 	// (default 64).
 	MaxPending int
 	// MaxHeapBytes rejects scenarios whose projected build footprint exceeds
-	// it (422); 0 admits everything. Reuses the scale sweep's
-	// ProjectedHeapBytes estimator.
+	// it (422); 0 admits everything. The projection is
+	// experiments.ProjectedHeapBytes.
 	MaxHeapBytes uint64
 	// MaxRunWall aborts any single run after this much wall time; 0 means no
 	// budget.

@@ -43,11 +43,6 @@ type DumbbellConfig struct {
 	// background load at million-flow scale without per-packet cost. The
 	// packet-accurate foreground (Flows) keeps supplying the loss signal.
 	FluidBackgroundFlows int
-
-	// HeapKernel forces the pure binary-heap event scheduler instead of the
-	// timer-wheel one. The two are observably identical (see internal/sim);
-	// this is the baseline knob for the scaling benchmarks.
-	HeapKernel bool
 }
 
 // DefaultDumbbellConfig returns the paper's ns-2 settings for the given
@@ -123,7 +118,6 @@ func Dumbbell(cfg DumbbellConfig) Graph {
 		Seed:             cfg.Seed,
 		StartSpread:      cfg.StartSpread,
 		AttackPacketSize: cfg.AttackPacketSize,
-		HeapKernel:       cfg.HeapKernel,
 	}
 }
 
