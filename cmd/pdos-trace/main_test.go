@@ -5,7 +5,34 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"pulsedos/internal/pins"
 )
+
+// TestStdoutPins holds the emitted trace and the stderr summary to their
+// committed digests (testdata/stdout.sha256): the flag defaults, and a
+// shorter three-flow run. Every pin names a case and every case has a pin.
+func TestStdoutPins(t *testing.T) {
+	set := pins.Load(t, "testdata/stdout.sha256")
+	cases := map[string][]string{
+		"default": nil,
+		"flows=3": {"-flows", "3", "-warmup", "2s", "-measure", "1s"},
+	}
+	for name := range set.Sums {
+		if _, ok := cases[name]; !ok {
+			t.Errorf("pin %s names no case", name)
+		}
+	}
+	for name, args := range cases {
+		t.Run(name, func(t *testing.T) {
+			var out, errOut strings.Builder
+			if err := run(args, &out, &errOut); err != nil {
+				t.Fatal(err)
+			}
+			set.Check(t, name, out.String()+errOut.String())
+		})
+	}
+}
 
 func TestRunEmitsTraceLines(t *testing.T) {
 	var out, errOut bytes.Buffer
