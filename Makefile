@@ -65,9 +65,11 @@ topo-equivalence:
 # randomized dumbbell, parking-lot, and cross-traffic scenarios built with
 # GoldenLinks (the verbatim two-event serialize→propagate schedule) and on
 # the default fused path must produce byte-identical observables — delivered
-# bytes, per-flow accounts, TCP statistics, drop counters, normalized
-# processed-event totals, figure CSVs — at 1/2/4/8 workers, while the fused
-# build fires strictly fewer kernel events. Under the race detector.
+# bytes, per-flow accounts, TCP statistics, drop counters per class,
+# normalized processed-event totals, figure CSVs, and at 1 worker the queue,
+# cwnd and SRTT captures — at 1/2/4/8 workers, while the fused build fires
+# strictly fewer kernel events. The fused leg's tapped bottleneck runs fused
+# at 1 worker. Under the race detector.
 fusion-equivalence:
 	$(GO) test -race -count=1 -run TestFusionEquivalence ./internal/experiments
 

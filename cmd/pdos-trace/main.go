@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
-	tr := trace.NewEventTrace("bottleneck-fwd", out, false)
+	tr := trace.NewEventTrace("bottleneck-fwd", out)
 	tr.SetStart(sim.FromDuration(*warmup))
 	env.Target().AddTap(tr)
 

@@ -154,9 +154,10 @@ const pacedBatch = 64
 // §14): when a pulse's emission gap strictly exceeds the packet
 // serialization time, one kernel event commits a batch of pacedBatch future
 // packets via netem.Link.SendPaced, with every per-packet timestamp kept
-// exactly on the reference grid. Golden links, shared links, and pulses too
-// fast for the link fall back to the per-packet Send chain, which is the
-// reference schedule itself.
+// exactly on the reference grid. Golden links, tapped links (a tap observes
+// each arrival at its Send instant), shared links, and pulses too fast for
+// the link fall back to the per-packet Send chain, which is the reference
+// schedule itself.
 type Generator struct {
 	k          *sim.Kernel
 	out        *netem.Link
@@ -327,8 +328,8 @@ func (g *Generator) Stop() {
 
 // beginPulse starts emitting the current pulse's packets, choosing between
 // the per-packet reference chain and batched paced emission: pacing engages
-// only when the outbound link accepts paced commitments (fused, idle,
-// exclusively ours — netem.Link.CanPace) and the emission gap strictly
+// only when the outbound link accepts paced commitments (fused, untapped,
+// idle, exclusively ours — netem.Link.CanPace) and the emission gap strictly
 // exceeds the packet serialization time, so the reference schedule would
 // find the transmitter idle at every emission. A tie (gap equal to the
 // serialization time) must stay per-packet: the reference enqueues there.

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 
 	"pulsedos/internal/netem"
@@ -15,9 +16,16 @@ type pacedLeg struct {
 	gen        []GeneratorStats
 	link       []netem.LinkStats
 	kernel     []uint64
-	skipped    []uint64 // link + generator elisions at the horizon
-	genSkipped []uint64 // generator elisions alone (pacing-engagement witness)
+	skipped    []uint64   // link + generator elisions at the horizon
+	genSkipped []uint64   // generator elisions alone (pacing-engagement witness)
+	tapped     []sim.Time // arrival instants a tap on the link saw (legOpts.tapped)
 }
+
+// arrivalTap records the instant of every arrival offered to a link.
+type arrivalTap struct{ at []sim.Time }
+
+func (a *arrivalTap) OnArrive(_ *netem.Packet, now sim.Time) { a.at = append(a.at, now) }
+func (a *arrivalTap) OnDrop(*netem.Packet, sim.Time)         {}
 
 // legOpts selects the off-reference knobs a leg can exercise: the queue
 // discipline in front of the transmitter and an optional interfering plain
@@ -26,6 +34,7 @@ type legOpts struct {
 	golden      bool
 	mkQueue     func() netem.Queue // nil → DropTail(1<<20)
 	interfereAt sim.Time           // 0 → no injected packet
+	tapped      bool               // attach an arrivalTap to the link
 }
 
 // runLeg replays tr into a fresh link/kernel pair under opts, snapshotting
@@ -45,6 +54,10 @@ func runLeg(t *testing.T, tr Train, linkRate float64, delay sim.Time, horizons [
 	}
 	if opts.golden {
 		link.ForceGoldenPath()
+	}
+	tap := &arrivalTap{}
+	if opts.tapped {
+		link.AddTap(tap)
 	}
 	g, err := NewGenerator(k, link, tr, 1000)
 	if err != nil {
@@ -74,6 +87,7 @@ func runLeg(t *testing.T, tr Train, linkRate float64, delay sim.Time, horizons [
 		leg.skipped = append(leg.skipped, link.SkippedEvents(k.Now())+g.SkippedEvents(k.Now()))
 		leg.genSkipped = append(leg.genSkipped, g.SkippedEvents(k.Now()))
 	}
+	leg.tapped = tap.at
 	return leg
 }
 
@@ -277,6 +291,40 @@ func TestCanPaceDemotion(t *testing.T) {
 			t.Errorf("mid-pulse-interferer: %d events elided, want fewer than the undisturbed run's %d — the interferer did not demote the pulse", got, full)
 		}
 	})
+}
+
+// TestTappedIngressStaysPerPacket: a tap on the generator's link refuses
+// paced commitments (a paced packet has no Send instant to report), so the
+// source stays on the per-packet chain while the link itself still fuses.
+// The tap sees every arrival at its grid instant, exactly as on the golden
+// leg.
+func TestTappedIngressStaysPerPacket(t *testing.T) {
+	tr := Uniform(200*sim.Millisecond, 8e6, 300*sim.Millisecond, 3)
+	horizons := horizonsEvery(0, 7*sim.Millisecond+13*sim.Microsecond, 1600*sim.Millisecond)
+	golden := runLeg(t, tr, 1e8, 2*sim.Millisecond, horizons, legOpts{golden: true, tapped: true})
+	fused := runLeg(t, tr, 1e8, 2*sim.Millisecond, horizons, legOpts{tapped: true})
+	comparePacedLegs(t, "tapped", golden, fused, horizons)
+	last := len(horizons) - 1
+	if got := fused.genSkipped[last]; got != 0 {
+		t.Errorf("generator elided %d events — pacing engaged on a tapped link", got)
+	}
+	if fused.skipped[last] == 0 {
+		t.Error("the tapped link elided no events — it left the fused path")
+	}
+	// Pulses start at 1 ms and every 500 ms after (200 ms on, 300 ms off);
+	// 8 Mb/s of 1000 B packets is one emission per millisecond.
+	var grid []sim.Time
+	for pulse := 0; pulse < 3; pulse++ {
+		for j := 0; j < 200; j++ {
+			grid = append(grid, sim.Millisecond+sim.Time(pulse)*500*sim.Millisecond+sim.Time(j)*sim.Millisecond)
+		}
+	}
+	if !slices.Equal(golden.tapped, grid) {
+		t.Fatalf("golden tap saw %d arrivals off the emission grid", len(golden.tapped))
+	}
+	if !slices.Equal(fused.tapped, grid) {
+		t.Errorf("fused tap saw %d arrivals, not the golden leg's %d grid instants", len(fused.tapped), len(grid))
+	}
 }
 
 // TestPacedStopSemantics documents the teardown contract: Stop freezes the

@@ -64,13 +64,14 @@ type RunOptions struct {
 	// Train, when non-nil, is replayed starting at Warmup.
 	Train *attack.Train
 
-	// RateBin, when positive, collects a binned traffic series on the
-	// bottleneck restricted to RateClasses (empty = all classes).
-	RateBin     time.Duration
-	RateClasses []netem.Class
+	// RateBin, when positive, collects a binned traffic series of every
+	// packet class arriving at the bottleneck.
+	RateBin time.Duration
 
 	// MeasureJitter attaches an RFC 3550-style inter-departure jitter meter
-	// to the bottleneck's data traffic (§2.3's "increase in jitter").
+	// to the bottleneck's data traffic (§2.3's "increase in jitter"). It is
+	// the one observer that pins the bottleneck to the golden link schedule
+	// (netem.DepartureTap).
 	MeasureJitter bool
 
 	// CaptureSRTT records every victim's smoothed RTT estimate at run end
@@ -161,7 +162,7 @@ func RunCtx(ctx context.Context, env Environment, opt RunOptions) (*RunResult, e
 	res := &RunResult{Drops: trace.NewDropCounter()}
 	env.Target().AddTap(res.Drops)
 	if opt.RateBin > 0 {
-		res.Rate = trace.NewRateSeries(sim.FromDuration(opt.RateBin), opt.RateClasses...)
+		res.Rate = trace.NewRateSeries(sim.FromDuration(opt.RateBin))
 		res.Rate.SetStart(warmup)
 		env.Target().AddTap(res.Rate)
 	}

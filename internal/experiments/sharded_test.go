@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +48,7 @@ type shardedScenario struct {
 	res          *RunResult
 	processed    uint64
 	kernelEvents uint64 // raw scheduler events, 0 unless the runner records it
+	targetGolden bool   // the measured link ran the golden schedule; set with kernelEvents
 	rateCSV      []byte
 	flowCSV      []byte
 	unrouted     uint64
@@ -152,8 +154,8 @@ func compareScenarios(t *testing.T, label string, want, got shardedScenario) {
 	if w.AttackStats != g.AttackStats {
 		t.Errorf("%s: attack stats %+v, reference %+v", label, g.AttackStats, w.AttackStats)
 	}
-	if w.Drops.Total != g.Drops.Total {
-		t.Errorf("%s: drops %d, reference %d", label, g.Drops.Total, w.Drops.Total)
+	if w.Drops.Total != g.Drops.Total || !maps.Equal(w.Drops.ByClass, g.Drops.ByClass) {
+		t.Errorf("%s: drops %d %v, reference %d %v", label, g.Drops.Total, g.Drops.ByClass, w.Drops.Total, w.Drops.ByClass)
 	}
 	if want.processed != got.processed {
 		t.Errorf("%s: processed %d events, reference %d", label, got.processed, want.processed)

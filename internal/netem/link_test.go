@@ -1,8 +1,10 @@
 package netem
 
 import (
+	"reflect"
 	"testing"
 
+	"pulsedos/internal/rng"
 	"pulsedos/internal/sim"
 )
 
@@ -154,6 +156,142 @@ func TestLinkTaps(t *testing.T) {
 	}
 	if tap.arrivals != 4 || tap.drops != 2 || tap.departs != 2 {
 		t.Errorf("tap = %+v", tap)
+	}
+}
+
+// arrivalTap records what a plain Tap observes: each arrival and drop with
+// its packet and instant.
+type arrivalTap struct {
+	events []tapEvent
+}
+
+type tapEvent struct {
+	kind byte // '+' arrival, 'd' drop
+	seq  int64
+	at   sim.Time
+}
+
+func (a *arrivalTap) OnArrive(p *Packet, now sim.Time) {
+	a.events = append(a.events, tapEvent{'+', p.Seq, now})
+}
+
+func (a *arrivalTap) OnDrop(p *Packet, now sim.Time) {
+	a.events = append(a.events, tapEvent{'d', p.Seq, now})
+}
+
+// TestTapScheduleChoice: only a departure observer chooses the link
+// schedule. An arrival/drop tap leaves the link fused; a DepartureTap pins
+// it golden.
+func TestTapScheduleChoice(t *testing.T) {
+	l, err := NewLink(sim.New(), "l", 8e6, 0, NewDropTail(4), &Sink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.AddTap(&arrivalTap{})
+	if l.GoldenPath() {
+		t.Error("an arrival/drop tap pinned the link to the golden path")
+	}
+	l.AddTap(&tapRecorder{})
+	if !l.GoldenPath() {
+		t.Error("a departure tap left the link fused")
+	}
+}
+
+// TestTappedLinkRefusesPacing: an idle, empty DropTail link accepts paced
+// commitments until a tap is attached. Paced packets have no Send instant to
+// report an arrival at, so a tapped link refuses them.
+func TestTappedLinkRefusesPacing(t *testing.T) {
+	l, err := NewLink(sim.New(), "l", 8e6, sim.Millisecond, NewDropTail(4), &Sink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l.CanPace(0) {
+		t.Fatal("an idle untapped DropTail link refuses pacing")
+	}
+	l.AddTap(&arrivalTap{})
+	if l.CanPace(0) {
+		t.Error("CanPace reports true on a tapped link")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SendPaced on a tapped link did not panic")
+		}
+	}()
+	l.SendPaced(dataPacket(0, 1000), 0, 10*sim.Millisecond)
+}
+
+// TestTapHorizonCutMatchesGolden drives a golden and a fused link with the
+// same sends — a burst that overflows the queue, and sends that tie with
+// serialization completions — and cuts the run at horizons inside the
+// propagation window of packets already serialized. The arrivals and drops
+// a tap observes, and Stats, must match at every horizon.
+func TestTapHorizonCutMatchesGolden(t *testing.T) {
+	ms := sim.Millisecond
+	sends := []sim.Time{0, 0, 0, 0, 0, 1500 * sim.Microsecond, 2 * ms, 2 * ms, 3 * ms, 7 * ms, 7 * ms}
+	horizons := []sim.Time{2 * ms, 4500 * sim.Microsecond, 9 * ms, 12500 * sim.Microsecond, 30 * ms}
+	queues := map[string]func() Queue{
+		"droptail": func() Queue { return NewDropTail(2) },
+		"red": func() Queue {
+			return NewRED(REDConfig{Limit: 3, MinTh: 1, MaxTh: 3, Wq: 0.5, MaxP: 0.5}, rng.New(3), 8e6)
+		},
+	}
+	type snapshot struct {
+		events    []tapEvent
+		stats     []LinkStats
+		delivered []sim.Time
+	}
+	run := func(t *testing.T, mk func() Queue, golden bool) snapshot {
+		k := sim.New()
+		rec := &recorder{k: k}
+		l, err := NewLink(k, "l", 8e6, 10*ms, mk(), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if golden {
+			l.ForceGoldenPath()
+		}
+		tap := &arrivalTap{}
+		l.AddTap(tap)
+		if l.GoldenPath() != golden {
+			t.Fatalf("golden=%v leg runs GoldenPath()=%v", golden, l.GoldenPath())
+		}
+		for i, at := range sends {
+			p := dataPacket(int64(i), 1000)
+			if _, err := k.At(at, func() { l.Send(p) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var snap snapshot
+		for _, h := range horizons {
+			if err := k.RunUntil(h); err != nil {
+				t.Fatal(err)
+			}
+			snap.stats = append(snap.stats, l.Stats())
+		}
+		snap.events, snap.delivered = tap.events, rec.times
+		if !golden && l.SkippedEvents(k.Now()) == 0 {
+			t.Error("the fused leg elided no events")
+		}
+		return snap
+	}
+	for name, mk := range queues {
+		t.Run(name, func(t *testing.T) {
+			g, f := run(t, mk, true), run(t, mk, false)
+			if !reflect.DeepEqual(g.events, f.events) {
+				t.Errorf("tap events differ:\ngolden %v\nfused  %v", g.events, f.events)
+			}
+			if !reflect.DeepEqual(g.stats, f.stats) {
+				t.Errorf("stats differ:\ngolden %+v\nfused  %+v", g.stats, f.stats)
+			}
+			if !reflect.DeepEqual(g.delivered, f.delivered) {
+				t.Errorf("deliveries differ: golden %v, fused %v", g.delivered, f.delivered)
+			}
+			// The second horizon falls inside the propagation window: packets
+			// have departed, none has been delivered yet.
+			if st := g.stats[1]; st.Departures == 0 || st.Drops == 0 {
+				t.Errorf("horizon 2 stats %+v: want departures in flight and drops", st)
+			}
+		})
 	}
 }
 

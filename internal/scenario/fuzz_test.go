@@ -3,9 +3,13 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"pulsedos/internal/sim"
 )
 
 // flagDocs are documents pdos-sim's flag path compiles at its defaults: the
@@ -28,9 +32,11 @@ var flagDocs = []string{
 // FuzzLoad drives arbitrary bytes through Load, Key and Expand. Load never
 // panics; every loaded document has a key, and keys the same after a
 // json.Marshal → Load round trip; and every point it expands to validates,
-// keys and resolves its graph. The corpus seeds are the shipped scenarios,
-// the pdos-sim flag documents and a rate that overflows float64 once scaled
-// to bps, which Validate rejects (it once loaded with no key).
+// keys and resolves its graph, with its run windows and graph delays all
+// non-negative virtual times. The corpus seeds are the shipped scenarios,
+// the pdos-sim flag documents, a rate that overflows float64 once scaled to
+// bps, and a warm-up that overflows sim.Time in nanoseconds — Validate
+// rejects both (they once loaded with no key, or wrapped negative).
 func FuzzLoad(f *testing.F) {
 	shipped, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(shipped) == 0 {
@@ -47,6 +53,7 @@ func FuzzLoad(f *testing.F) {
 		f.Add([]byte(doc))
 	}
 	f.Add([]byte(`{"topology":{"kind":"dumbbell","bottleneckMbps":1e303},"measureSec":1}`))
+	f.Add([]byte(`{"topology":{"kind":"dumbbell"},"warmupSec":1e12,"measureSec":1}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		cfg, err := Load(bytes.NewReader(raw))
 		if err != nil {
@@ -78,9 +85,51 @@ func FuzzLoad(f *testing.F) {
 			if _, err := Key(pt); err != nil {
 				t.Fatalf("point %s has no key: %v", pt.Name, err)
 			}
-			if _, err := pt.Graph(); err != nil {
-				t.Fatalf("point %s has no graph: %v", pt.Name, err)
-			}
+			checkVirtualTimes(t, pt)
 		}
 	})
+}
+
+// checkVirtualTimes requires a valid document's run windows and its resolved
+// graph's delays to be non-negative virtual times. A field too long for
+// sim.Time wraps negative when converted, which Validate must reject.
+func checkVirtualTimes(t *testing.T, cfg Config) {
+	t.Helper()
+	g, err := cfg.Graph()
+	if err != nil {
+		t.Fatalf("point %s has no graph: %v", cfg.Name, err)
+	}
+	opt := cfg.runOptions()
+	type named struct {
+		name string
+		d    time.Duration
+	}
+	times := []named{
+		{"warm-up", opt.Warmup},
+		{"measure", opt.Measure},
+		{"run end", opt.Warmup + opt.Measure},
+		{"rate bin", opt.RateBin},
+		{"queue bin", opt.QueueBin},
+		{"tcp rtoMin", g.TCP.RTOMin},
+	}
+	if w := cfg.Workload; w != nil {
+		times = append(times, named{"workload span", time.Duration(w.ArrivalSpanSec * float64(time.Second))})
+	}
+	for i, tr := range g.Trunks {
+		times = append(times, named{fmt.Sprintf("trunk %d delay", i), tr.Delay})
+	}
+	for i, grp := range g.Groups {
+		times = append(times,
+			named{fmt.Sprintf("group %d rttMin", i), grp.RTTMin},
+			named{fmt.Sprintf("group %d rttMax", i), grp.RTTMax},
+			named{fmt.Sprintf("group %d access owd", i), grp.AccessOWD})
+	}
+	for i, a := range g.Attacks {
+		times = append(times, named{fmt.Sprintf("attack %d delay", i), a.Delay})
+	}
+	for _, tm := range times {
+		if sim.FromDuration(tm.d) < 0 {
+			t.Fatalf("point %s: %s is %v, a negative virtual time", cfg.Name, tm.name, tm.d)
+		}
+	}
 }

@@ -127,9 +127,6 @@ func (c Config) validateMeasure() error {
 	if m.SyncFrames < 0 {
 		return errors.New("scenario: negative syncFrames")
 	}
-	if m.QueueBinMs < 0 {
-		return errors.New("scenario: negative queueBinMs")
-	}
 	if (seen["cwnd"] || seen["queue"]) && c.Topology.Workers > 1 {
 		return errors.New("scenario: cwnd and queue taps run serial (workers must be 0 or 1)")
 	}

@@ -11,31 +11,19 @@ import (
 
 func TestEventTraceRecordsAndFormats(t *testing.T) {
 	var sb strings.Builder
-	et := NewEventTrace("bottleneck", &sb, true)
+	et := NewEventTrace("bottleneck", &sb)
 	p := &netem.Packet{Flow: 3, Class: netem.ClassData, Size: 1040, Seq: 42}
 	et.OnArrive(p, 1234567*sim.Microsecond)
 	et.OnDepart(p, 1235000*sim.Microsecond)
 	et.OnDrop(&netem.Packet{Flow: -1, Class: netem.ClassAttack, Size: 1000}, 2*sim.Second)
 
-	events := et.Events()
-	if len(events) != 3 {
-		t.Fatalf("events = %d", len(events))
+	want := []string{
+		"+ 1.234567 bottleneck data 3 42 1040",
+		"- 1.235000 bottleneck data 3 42 1040",
+		"d 2.000000 bottleneck attack -1 0 1000",
 	}
-	want := []EventKind{EventEnqueue, EventDequeue, EventDrop}
-	for i, k := range want {
-		if events[i].Kind != k {
-			t.Errorf("event %d kind = %c, want %c", i, events[i].Kind, k)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("streamed lines = %d", len(lines))
-	}
-	if lines[0] != "+ 1.234567 bottleneck data 3 42 1040" {
-		t.Errorf("line = %q", lines[0])
-	}
-	if lines[2] != "d 2.000000 bottleneck attack -1 0 1000" {
-		t.Errorf("line = %q", lines[2])
+	if got := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n"); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("streamed lines = %q, want %q", got, want)
 	}
 	if et.WriteErrors() != 0 {
 		t.Errorf("write errors = %d", et.WriteErrors())
@@ -43,25 +31,14 @@ func TestEventTraceRecordsAndFormats(t *testing.T) {
 }
 
 func TestEventTraceStartTrim(t *testing.T) {
-	et := NewEventTrace("l", nil, true)
+	var sb strings.Builder
+	et := NewEventTrace("l", &sb)
 	et.SetStart(sim.Second)
 	p := &netem.Packet{Flow: 1, Class: netem.ClassData, Size: 100}
 	et.OnArrive(p, 500*sim.Millisecond)
 	et.OnArrive(p, 1500*sim.Millisecond)
-	if got := len(et.Events()); got != 1 {
-		t.Errorf("events after trim = %d", got)
-	}
-}
-
-func TestEventTraceLimit(t *testing.T) {
-	et := NewEventTrace("l", nil, true)
-	et.SetLimit(2)
-	p := &netem.Packet{Flow: 1, Class: netem.ClassData, Size: 100}
-	for i := 0; i < 5; i++ {
-		et.OnArrive(p, sim.Time(i)*sim.Millisecond)
-	}
-	if got := len(et.Events()); got != 2 {
-		t.Errorf("buffered = %d, want limit 2", got)
+	if got, want := sb.String(), "+ 1.500000 l data 1 0 100\n"; got != want {
+		t.Errorf("trace after trim = %q, want %q", got, want)
 	}
 }
 
@@ -71,39 +48,12 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("boom") }
 
 func TestEventTraceWriterFailureCounted(t *testing.T) {
-	et := NewEventTrace("l", failWriter{}, false)
+	et := NewEventTrace("l", failWriter{})
 	p := &netem.Packet{Flow: 1, Class: netem.ClassData, Size: 100}
 	et.OnArrive(p, 0)
 	et.OnDrop(p, 0)
-	if et.WriteErrors() != 2 {
+	et.OnDepart(p, 0)
+	if et.WriteErrors() != 3 {
 		t.Errorf("write errors = %d", et.WriteErrors())
-	}
-}
-
-func TestEventTraceSummary(t *testing.T) {
-	et := NewEventTrace("l", nil, true)
-	data := &netem.Packet{Flow: 1, Class: netem.ClassData, Size: 100}
-	atk := &netem.Packet{Flow: -1, Class: netem.ClassAttack, Size: 100}
-	et.OnArrive(data, 0)
-	et.OnArrive(data, 0)
-	et.OnDrop(atk, 0)
-	sum := et.Summary()
-	if sum[netem.ClassData][EventEnqueue] != 2 {
-		t.Errorf("data enqueues = %d", sum[netem.ClassData][EventEnqueue])
-	}
-	if sum[netem.ClassAttack][EventDrop] != 1 {
-		t.Errorf("attack drops = %d", sum[netem.ClassAttack][EventDrop])
-	}
-	if !strings.Contains(et.String(), "3 events") {
-		t.Errorf("String = %q", et.String())
-	}
-}
-
-func TestEventTraceMemoryOnlyDefaultsToBuffering(t *testing.T) {
-	et := NewEventTrace("l", nil, false) // nil writer forces buffering
-	p := &netem.Packet{Flow: 1, Class: netem.ClassData, Size: 100}
-	et.OnArrive(p, 0)
-	if len(et.Events()) != 1 {
-		t.Error("memory-only trace did not buffer")
 	}
 }

@@ -20,23 +20,14 @@ type RateSeries struct {
 	binWidth sim.Time
 	start    sim.Time
 	bins     []float64 // bytes per bin
-	classes  map[netem.Class]bool
 }
 
 var _ netem.Tap = (*RateSeries)(nil)
 
 // NewRateSeries creates a series with the given bin width starting at the
-// virtual origin. If classes is empty every packet class is counted;
-// otherwise only the listed classes contribute.
-func NewRateSeries(binWidth sim.Time, classes ...netem.Class) *RateSeries {
-	rs := &RateSeries{binWidth: binWidth}
-	if len(classes) > 0 {
-		rs.classes = make(map[netem.Class]bool, len(classes))
-		for _, c := range classes {
-			rs.classes[c] = true
-		}
-	}
-	return rs
+// virtual origin. Every packet class is counted.
+func NewRateSeries(binWidth sim.Time) *RateSeries {
+	return &RateSeries{binWidth: binWidth}
 }
 
 // SetStart discards everything before t; arrivals earlier than the start are
@@ -45,9 +36,6 @@ func (rs *RateSeries) SetStart(t sim.Time) { rs.start = t }
 
 // OnArrive implements netem.Tap: count the packet's bytes into its bin.
 func (rs *RateSeries) OnArrive(p *netem.Packet, now sim.Time) {
-	if rs.classes != nil && !rs.classes[p.Class] {
-		return
-	}
 	if now < rs.start || rs.binWidth <= 0 {
 		return
 	}
@@ -60,9 +48,6 @@ func (rs *RateSeries) OnArrive(p *netem.Packet, now sim.Time) {
 
 // OnDrop implements netem.Tap (no-op: arrivals were already counted).
 func (rs *RateSeries) OnDrop(*netem.Packet, sim.Time) {}
-
-// OnDepart implements netem.Tap (no-op).
-func (rs *RateSeries) OnDepart(*netem.Packet, sim.Time) {}
 
 // BinWidth reports the series resolution.
 func (rs *RateSeries) BinWidth() sim.Time { return rs.binWidth }
@@ -109,9 +94,6 @@ func (dc *DropCounter) OnDrop(p *netem.Packet, _ sim.Time) {
 	dc.ByClass[p.Class]++
 	dc.Total++
 }
-
-// OnDepart implements netem.Tap (no-op).
-func (dc *DropCounter) OnDepart(*netem.Packet, sim.Time) {}
 
 // FlowAccount accumulates goodput per flow. TCP receivers report in-order
 // delivered segments to it, giving the Ψ_attack / Ψ_normal numerators of the
@@ -212,34 +194,27 @@ func (fa *FlowAccount) PerFlow() map[int]uint64 {
 // crossing a link, using the RFC 3550 running estimator
 // J ← J + (|D| - J)/16 over consecutive inter-arrival deviations. The paper
 // (§2.3) names increased jitter, alongside throughput loss, as the
-// quasi-global synchronization's impact on TCP performance.
+// quasi-global synchronization's impact on TCP performance. It observes
+// departures, so it is a netem.DepartureTap and pins its link to the golden
+// schedule.
 type JitterMeter struct {
 	start   sim.Time
-	classes map[netem.Class]bool
 	last    map[int]sim.Time // flow → previous arrival
 	gap     map[int]sim.Time // flow → previous inter-arrival gap
 	jitter  map[int]float64  // flow → running jitter, seconds
 	samples map[int]int      // flow → deviation samples folded in
 }
 
-var _ netem.Tap = (*JitterMeter)(nil)
+var _ netem.DepartureTap = (*JitterMeter)(nil)
 
-// NewJitterMeter creates a meter; classes defaults to data packets only.
-func NewJitterMeter(classes ...netem.Class) *JitterMeter {
-	jm := &JitterMeter{
+// NewJitterMeter creates a meter of data-packet departures.
+func NewJitterMeter() *JitterMeter {
+	return &JitterMeter{
 		last:    make(map[int]sim.Time),
 		gap:     make(map[int]sim.Time),
 		jitter:  make(map[int]float64),
 		samples: make(map[int]int),
 	}
-	if len(classes) == 0 {
-		classes = []netem.Class{netem.ClassData}
-	}
-	jm.classes = make(map[netem.Class]bool, len(classes))
-	for _, c := range classes {
-		jm.classes[c] = true
-	}
-	return jm
 }
 
 // SetStart discards arrivals before t.
@@ -252,9 +227,9 @@ func (jm *JitterMeter) OnArrive(*netem.Packet, sim.Time) {}
 // OnDrop implements netem.Tap (no-op).
 func (jm *JitterMeter) OnDrop(*netem.Packet, sim.Time) {}
 
-// OnDepart implements netem.Tap: fold one inter-arrival deviation.
+// OnDepart implements netem.DepartureTap: fold one inter-arrival deviation.
 func (jm *JitterMeter) OnDepart(p *netem.Packet, now sim.Time) {
-	if now < jm.start || !jm.classes[p.Class] {
+	if now < jm.start || p.Class != netem.ClassData {
 		return
 	}
 	prev, ok := jm.last[p.Flow]

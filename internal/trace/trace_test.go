@@ -36,16 +36,6 @@ func TestRateSeriesBinning(t *testing.T) {
 	}
 }
 
-func TestRateSeriesClassFilter(t *testing.T) {
-	rs := NewRateSeries(100*sim.Millisecond, netem.ClassAttack)
-	rs.OnArrive(pkt(netem.ClassData, 1000), 0)
-	rs.OnArrive(pkt(netem.ClassAttack, 300), 0)
-	bytes := rs.Bytes()
-	if len(bytes) != 1 || bytes[0] != 300 {
-		t.Errorf("filtered bins = %v", bytes)
-	}
-}
-
 func TestRateSeriesStartTrim(t *testing.T) {
 	rs := NewRateSeries(100 * sim.Millisecond)
 	rs.SetStart(sim.Second)
@@ -65,9 +55,8 @@ func TestRateSeriesCopiesOut(t *testing.T) {
 	if rs.Bytes()[0] != 100 {
 		t.Error("Bytes aliases internal state")
 	}
-	// Drop/Depart are no-ops but must not panic.
+	// Drop is a no-op but must not panic.
 	rs.OnDrop(pkt(netem.ClassData, 1), 0)
-	rs.OnDepart(pkt(netem.ClassData, 1), 0)
 }
 
 func TestDropCounter(t *testing.T) {
@@ -76,7 +65,6 @@ func TestDropCounter(t *testing.T) {
 	dc.OnDrop(pkt(netem.ClassData, 1000), 0)
 	dc.OnDrop(pkt(netem.ClassAttack, 1000), 0)
 	dc.OnArrive(pkt(netem.ClassData, 1000), 0) // no-op
-	dc.OnDepart(pkt(netem.ClassData, 1000), 0) // no-op
 	if dc.Total != 3 {
 		t.Errorf("total = %d", dc.Total)
 	}
