@@ -10,6 +10,7 @@ package pins
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -78,4 +79,32 @@ func (s Set) Check(t testing.TB, name, rendered string) {
 		t.Errorf("%s: digest %s, pinned %s; if the change is intended, replace the pin line with\n%s  %s",
 			name, got, want, got, name)
 	}
+}
+
+// Stdout runs fn with os.Stdout redirected into a pipe and returns what it
+// printed, for pinning a program whose report goes straight to os.Stdout.
+// fn's error fails the test.
+func Stdout(t testing.TB, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan string)
+	go func() {
+		var b strings.Builder
+		io.Copy(&b, r)
+		read <- b.String()
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	runErr := fn()
+	os.Stdout = saved
+	w.Close()
+	out := <-read
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return out
 }
