@@ -17,10 +17,10 @@ import (
 // two events, two timers, closures); with the event free list and packet
 // pool the steady state is well under one.
 func TestTCPFlowAllocRegression(t *testing.T) {
-	cfg := experiments.DefaultDumbbellConfig(1)
+	cfg := DefaultDumbbellConfig(1)
 	cfg.RTTMin = 100 * time.Millisecond
 	cfg.RTTMax = 100 * time.Millisecond
-	d, err := experiments.BuildDumbbell(cfg)
+	d, err := BuildDumbbell(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestTCPFlowAllocRegression(t *testing.T) {
 func TestManyFlowAllocRegression(t *testing.T) {
 	for _, name := range []string{"unpulsed", "pulsed"} {
 		t.Run(name, func(t *testing.T) {
-			cfg := experiments.DefaultDumbbellConfig(200)
-			d, err := experiments.BuildDumbbell(cfg)
+			cfg := DefaultDumbbellConfig(200)
+			d, err := BuildDumbbell(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,15 +131,21 @@ func TestMillionFlowAllocRegression(t *testing.T) {
 		packetFlows = 500
 		totalFlows  = 1_000_000
 	)
-	cfg := experiments.DefaultDumbbellConfig(packetFlows)
-	cfg.FluidBackgroundFlows = totalFlows - packetFlows
+	cfg := topo.DefaultDumbbellConfig(packetFlows)
 	// Match the scale figure's regime: 1 Mbps of carved residual per packet
 	// flow (rate x 500/1e6 per flow) and a 10-packets-per-flow trunk buffer,
 	// so queue high-water marks settle inside the warm-up instead of creeping
 	// through the measurement window.
 	cfg.BottleneckRate = 1e6 * totalFlows
 	cfg.QueueLimit = 10 * packetFlows
-	d, err := experiments.BuildDumbbell(cfg)
+	// The background shares the packet foreground's path and RTT band as one
+	// fluid macroflow aggregate; the foreground keeps supplying the loss
+	// signal.
+	g := topo.Dumbbell(cfg)
+	fluid := g.Groups[0]
+	fluid.Flows, fluid.Model = totalFlows-packetFlows, topo.ModelFluid
+	g.Groups = append(g.Groups, fluid)
+	d, err := topo.Build(g, topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +186,7 @@ func TestMillionFlowAllocRegression(t *testing.T) {
 // top-level function — so the sharded steady state must allocate nothing per
 // packet, same as serial.
 func TestShardedAllocRegression(t *testing.T) {
-	cfg := experiments.DefaultDumbbellConfig(100)
+	cfg := DefaultDumbbellConfig(100)
 	sd, err := topo.Build(topo.Dumbbell(cfg), topo.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

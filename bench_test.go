@@ -107,8 +107,8 @@ func BenchmarkFig3aSyncNS2(b *testing.B) {
 	scale := benchScale()
 	var period float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultDumbbellConfig(24)
-		env, err := experiments.BuildDumbbell(cfg)
+		cfg := DefaultDumbbellConfig(24)
+		env, err := BuildDumbbell(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFig3bSyncTestbed(b *testing.B) {
 	scale := benchScale()
 	var period float64
 	for i := 0; i < b.N; i++ {
-		env, err := experiments.BuildTestbed(experiments.DefaultTestbedConfig(15))
+		env, err := BuildTestbed(DefaultTestbedConfig(15))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func BenchmarkAblationPulseJitter(b *testing.B) {
 			b.Fatal(err)
 		}
 
-		baseEnv, err := experiments.BuildDumbbell(experiments.DefaultDumbbellConfig(15))
+		baseEnv, err := BuildDumbbell(DefaultDumbbellConfig(15))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func BenchmarkAblationPulseJitter(b *testing.B) {
 			b.Fatal(err)
 		}
 		measure := func(train attack.Train) (deg, score float64) {
-			env, err := experiments.BuildDumbbell(experiments.DefaultDumbbellConfig(15))
+			env, err := BuildDumbbell(DefaultDumbbellConfig(15))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -456,10 +456,10 @@ func BenchmarkPAA(b *testing.B) {
 // one additional virtual second of an established flow. Steady state is
 // allocation-free (guarded by TestTCPFlowAllocRegression).
 func BenchmarkTCPLoopbackSecond(b *testing.B) {
-	cfg := experiments.DefaultDumbbellConfig(1)
+	cfg := DefaultDumbbellConfig(1)
 	cfg.RTTMin = 100 * time.Millisecond
 	cfg.RTTMax = 100 * time.Millisecond
-	env, err := experiments.BuildDumbbell(cfg)
+	env, err := BuildDumbbell(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,18 +3,20 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"pulsedos/internal/topo"
 )
 
 // TestSingleFlowUtilization isolates the TCP sender: one NewReno flow over
 // the bottleneck should achieve near-full utilization.
 func TestSingleFlowUtilization(t *testing.T) {
-	cfg := DefaultDumbbellConfig(1)
+	cfg := topo.DefaultDumbbellConfig(1)
 	cfg.RTTMin = 100 * time.Millisecond
 	cfg.RTTMax = 100 * time.Millisecond
 	// A lone flow needs a window beyond BDP + queue to fill the pipe.
 	cfg.TCP.MaxWindow = 512
 	cfg.TCP.InitialSSThresh = 256
-	env, err := BuildDumbbell(cfg)
+	env, err := topo.Build(topo.Dumbbell(cfg), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

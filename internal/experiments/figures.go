@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // Scale trades fidelity for wall-clock time when regenerating figures. Full
 // scale matches the paper's snapshot lengths; Quick scale is for CI and
@@ -16,7 +13,6 @@ type Scale struct {
 	FlowCounts   []int // Figs. 6–9 subplot populations (paper: 15,25,35,45)
 	ScaleFlows   []int // "scale" figure populations; empty runs none
 	Seed         uint64
-	Parallel     int // concurrent attacked runs per sweep (0/1 = sequential)
 }
 
 // FullScale mirrors the paper's experiment dimensions.
@@ -29,7 +25,6 @@ func FullScale() Scale {
 		FlowCounts:   []int{15, 25, 35, 45},
 		ScaleFlows:   []int{100, 1000, 10000},
 		Seed:         1,
-		Parallel:     runtime.NumCPU(),
 	}
 }
 

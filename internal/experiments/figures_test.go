@@ -7,14 +7,15 @@ import (
 
 	"pulsedos/internal/attack"
 	"pulsedos/internal/sim"
+	"pulsedos/internal/topo"
 )
 
 func TestSyncSnapshotRecoversPeriod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	cfg := DefaultDumbbellConfig(24)
-	env, err := BuildDumbbell(cfg)
+	cfg := topo.DefaultDumbbellConfig(24)
+	env, err := topo.Build(topo.Dumbbell(cfg), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSyncSnapshotValidation(t *testing.T) {
 	if _, err := SyncSnapshot(nil, attack.Train{}, 0, time.Second, time.Millisecond, 10); err == nil {
 		t.Error("nil environment accepted")
 	}
-	env, err := BuildDumbbell(DefaultDumbbellConfig(2))
+	env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(2)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSyncSnapshotValidation(t *testing.T) {
 }
 
 func TestCwndTraceValidation(t *testing.T) {
-	env, err := BuildDumbbell(DefaultDumbbellConfig(2))
+	env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(2)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

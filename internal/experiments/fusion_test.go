@@ -9,6 +9,7 @@ import (
 	"pulsedos/internal/attack"
 	"pulsedos/internal/rng"
 	"pulsedos/internal/sim"
+	"pulsedos/internal/tcp"
 	"pulsedos/internal/topo"
 )
 
@@ -75,19 +76,38 @@ func randomFusionCases(seed uint64) []fusionCase {
 		opt:   fusionRunOptions(r, pcfg.BottleneckRate),
 	})
 
-	ccfg := topo.DefaultCrossTrafficConfig()
-	ccfg.Seed = seed
-	ccfg.Flows = 4 + int(r.Int63n(5))
-	ccfg.CrossFlows = 2 + int(r.Int63n(3))
-	ccfg.BottleneckRate = float64(1+r.Int63n(4)) * 2e6
-	ccfg.QueueLimit = 30 + int(r.Int63n(60))
-	ccfg.DropTail = r.Int63n(3) == 0
-	ccfg.StartSpread = 500 * time.Millisecond
+	// The dumbbell with cross-traffic: main flows S → M → R share the S → M
+	// bottleneck with cross flows that leave at M over an uncongested egress.
+	flows, cross := 4+int(r.Int63n(5)), 2+int(r.Int63n(3))
+	bottleneck := float64(1+r.Int63n(4)) * 2e6
+	queue := topo.QueueSpec{Kind: topo.QueueRED, Limit: 30 + int(r.Int63n(60))}
+	if r.Int63n(3) == 0 {
+		queue.Kind = topo.QueueDropTail
+	}
+	ack := topo.QueueSpec{Kind: topo.QueueDropTail, Limit: 4096}
 	cases = append(cases, fusionCase{
-		name:  fmt.Sprintf("cross-traffic/seed=%d", seed),
-		graph: topo.CrossTraffic(ccfg),
-		flows: ccfg.Flows + ccfg.CrossFlows,
-		opt:   fusionRunOptions(r, ccfg.BottleneckRate),
+		name: fmt.Sprintf("cross-traffic/seed=%d", seed),
+		graph: topo.Graph{
+			Name:    "cross-traffic",
+			Routers: []string{"S", "M", "R"},
+			Trunks: []topo.TrunkSpec{
+				{Name: "bottleneck", From: 0, To: 1, Rate: bottleneck, Delay: 5 * time.Millisecond, Queue: queue, RevQueue: ack},
+				{Name: "egress", From: 1, To: 2, Rate: 100e6, Delay: 5 * time.Millisecond,
+					Queue: topo.QueueSpec{Kind: topo.QueueDropTail, Limit: 1000}, RevQueue: ack},
+			},
+			Groups: []topo.FlowGroup{
+				{Flows: flows, Ingress: 0, Egress: 2, AccessRate: 50e6, RTTMin: 30 * time.Millisecond, RTTMax: 460 * time.Millisecond},
+				{Flows: cross, Ingress: 0, Egress: 1, AccessRate: 50e6, RTTMin: 20 * time.Millisecond, RTTMax: 460 * time.Millisecond},
+			},
+			Attacks:          []topo.AttackPoint{{Router: 0, Rate: 1e9, Delay: 2 * time.Millisecond}},
+			SinkRouter:       2,
+			TCP:              tcp.DefaultConfig(),
+			Seed:             seed,
+			StartSpread:      500 * time.Millisecond,
+			AttackPacketSize: 1000,
+		},
+		flows: flows + cross,
+		opt:   fusionRunOptions(r, bottleneck),
 	})
 	return cases
 }

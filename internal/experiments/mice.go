@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"pulsedos/internal/attack"
+	"pulsedos/internal/rng"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/stats"
 	"pulsedos/internal/topo"
-	"pulsedos/internal/workload"
 )
 
 // The mice-vs-elephants study extends the paper's evaluation with the
@@ -22,11 +22,7 @@ import (
 type MiceConfig struct {
 	Elephants    int   // long-lived background flows
 	Mice         int   // short transfers
-	MiceSegments int64 // payload per mouse, in MSS segments (fixed sizes)
-
-	// Sizes, when non-nil, overrides MiceSegments with a draw per mouse
-	// (e.g. a heavy-tailed workload.Pareto).
-	Sizes workload.Sizes
+	MiceSegments int64 // payload per mouse, in MSS segments
 
 	// Mice arrive over [Warmup, Warmup+ArrivalSpan] as a Poisson process.
 	ArrivalSpan time.Duration
@@ -70,9 +66,9 @@ type MiceResult struct {
 // a freshly built Fig. 5 dumbbell of Elephants + Mice flows seeded with
 // cfg.Seed.
 func MiceStudy(cfg MiceConfig) (*MiceResult, error) {
-	dcfg := DefaultDumbbellConfig(cfg.Elephants + cfg.Mice)
+	dcfg := topo.DefaultDumbbellConfig(cfg.Elephants + cfg.Mice)
 	dcfg.Seed = cfg.Seed
-	env, err := BuildDumbbell(dcfg)
+	env, err := topo.Build(topo.Dumbbell(dcfg), topo.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -109,28 +105,17 @@ func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig, prog
 	}
 
 	// Mice: flows [E, E+M), Poisson arrivals across ArrivalSpan, each a
-	// finite transfer timed from its own start.
+	// finite transfer of MiceSegments timed from its own start.
 	res := &MiceResult{}
-	sizes := cfg.Sizes
-	if sizes == nil {
-		sizes = &workload.Fixed{Segments: cfg.MiceSegments}
-	}
-	arrivals, err := workload.NewPoisson(
-		float64(cfg.Mice)/cfg.ArrivalSpan.Seconds(), warmup, env.Rand().Split())
-	if err != nil {
-		return nil, err
-	}
-	flows, err := workload.Generate(cfg.Mice, arrivals, sizes)
-	if err != nil {
-		return nil, err
-	}
-	for i, fl := range flows {
-		at := fl.At
-		if at >= end {
+	arrivals := env.Rand().Split()
+	mean := sim.FromSeconds(1 / (float64(cfg.Mice) / cfg.ArrivalSpan.Seconds()))
+	at := warmup
+	for i := 0; i < cfg.Mice; i++ {
+		if at = nextArrival(at, mean, arrivals); at >= end {
 			break
 		}
 		sender := env.Senders[cfg.Elephants+i]
-		sender.LimitSegments(fl.Segments)
+		sender.LimitSegments(cfg.MiceSegments)
 		startAt := at
 		sender.OnComplete(func(now sim.Time) {
 			res.Completed++
@@ -145,6 +130,7 @@ func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig, prog
 	env.Account.SetStart(warmup)
 	var gen *attack.Generator
 	if cfg.Train != nil && len(cfg.Train.Pulses) > 0 {
+		var err error
 		gen, err = env.Attach(*cfg.Train)
 		if err != nil {
 			return nil, err
@@ -170,4 +156,15 @@ func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig, prog
 		res.P95FCT, _ = stats.Percentile(res.FCTs, 95)
 	}
 	return res, nil
+}
+
+// nextArrival is the Poisson arrival after at: one exponential gap of the
+// given mean drawn from r, at least 1 ns.
+func nextArrival(at, mean sim.Time, r *rng.Source) sim.Time {
+	//pdos:vtime-ok — exponential inter-arrival draw: the one float in the Poisson process, re-rounded to the grid immediately and clamped ≥ 1ns below
+	gap := sim.Time(float64(mean) * r.ExpFloat64())
+	if gap < 1 {
+		gap = 1
+	}
+	return at + gap
 }

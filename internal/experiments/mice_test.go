@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"math"
 	"testing"
 	"time"
 
 	"pulsedos/internal/attack"
 	"pulsedos/internal/rng"
 	"pulsedos/internal/sim"
-	"pulsedos/internal/workload"
+	"pulsedos/internal/topo"
 )
 
 func TestMiceStudyBaseline(t *testing.T) {
@@ -88,27 +90,38 @@ func TestMiceStudyValidation(t *testing.T) {
 	}
 }
 
-func TestMiceStudyHeavyTailedSizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation study")
+// TestPoissonMeanRate: the mice's arrival draw is a Poisson process —
+// strictly increasing instants at the requested mean rate.
+func TestPoissonMeanRate(t *testing.T) {
+	r := rng.New(1)
+	mean := sim.FromSeconds(1 / 10.0) // 10 arrivals/s
+	const n = 20000
+	var at sim.Time
+	for i := 0; i < n; i++ {
+		next := nextArrival(at, mean, r)
+		if next <= at {
+			t.Fatal("arrivals not strictly increasing")
+		}
+		at = next
 	}
-	cfg := DefaultMiceConfig()
-	sizes, err := workload.NewPareto(1.2, 10, 500, rng.New(3))
+	rate := float64(n) / at.Seconds()
+	if math.Abs(rate-10)/10 > 0.05 {
+		t.Errorf("empirical rate = %.2f/s, want ~10", rate)
+	}
+}
+
+// TestPoissonValidation: a mice run whose arrival rate is not positive is
+// refused before any draw, and a draw never returns a gap under 1 ns.
+func TestPoissonValidation(t *testing.T) {
+	env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(2)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Sizes = sizes
-	res, err := MiceStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg := MiceConfig{Elephants: 1, Mice: 1, MiceSegments: 1, ArrivalSpan: -time.Second, Measure: time.Second}
+	if _, err := RunMiceCtx(context.Background(), env, cfg, nil); err == nil {
+		t.Error("negative arrival span accepted")
 	}
-	t.Logf("heavy-tailed: completed=%d/%d meanFCT=%.2fs p95=%.2fs",
-		res.Completed, res.Started, res.MeanFCT, res.P95FCT)
-	if res.Started == 0 || res.Completed == 0 {
-		t.Fatal("heavy-tailed workload made no progress")
-	}
-	// Heavy tails stretch the FCT distribution: p95 well above the median.
-	if res.P95FCT < 2*res.MedianFCT {
-		t.Errorf("p95 %.2f not heavy-tailed relative to median %.2f", res.P95FCT, res.MedianFCT)
+	if got := nextArrival(5, 0, rng.New(1)); got != 6 {
+		t.Errorf("zero-mean arrival after 5 ns = %d ns, want 6", got)
 	}
 }

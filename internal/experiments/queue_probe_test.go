@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"pulsedos/internal/topo"
 )
 
 // TestQueueSizeUtilizationProbe is a diagnostic: baseline utilization across
@@ -14,9 +16,9 @@ func TestQueueSizeUtilizationProbe(t *testing.T) {
 		t.Skip("diagnostic")
 	}
 	for _, q := range []int{60, 100, 150, 250, 400} {
-		cfg := DefaultDumbbellConfig(15)
+		cfg := topo.DefaultDumbbellConfig(15)
 		cfg.QueueLimit = q
-		env, err := BuildDumbbell(cfg)
+		env, err := topo.Build(topo.Dumbbell(cfg), topo.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

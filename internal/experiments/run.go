@@ -1,3 +1,14 @@
+// Package experiments holds the run primitives and result types the paper's
+// §4 experiments are built from: Run/RunCtx (one attacked or baseline run
+// with its taps), RunMiceCtx (the mice-vs-elephants workload), AnalyzeSync
+// (the Fig. 3 synchronization post-processing), GainPoint with
+// PeriodForGamma, PeakPoint and the §4.1.1 classification, the shrew
+// harmonics of Fig. 10, the risk curves of Fig. 4, the fixed figure
+// dimensions (dims.go) and the task pool (RunTasksCtx). The figures and the
+// gain, shrew, maximization and defense studies compose these as scenario
+// documents in internal/figures. The evaluation topologies themselves (the
+// ns-2 dumbbell of Fig. 5, the Dummynet test-bed of Fig. 11, and the newer
+// multi-bottleneck graphs) are generated and built by internal/topo.
 package experiments
 
 import (

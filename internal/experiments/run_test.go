@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pulsedos/internal/topo"
 )
 
 // TestRunTasksCtxCancellation pins the cancellation contract: a pre-canceled
@@ -90,7 +92,7 @@ func TestRunTasksCtxCancellation(t *testing.T) {
 // must produce identical measurements.
 func TestRunCtxChunkedMatchesRun(t *testing.T) {
 	build := func() Environment {
-		env, err := BuildDumbbell(DefaultDumbbellConfig(4))
+		env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(4)), topo.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +140,7 @@ func TestRunCtxChunkedMatchesRun(t *testing.T) {
 // TestRunCtxCancelAborts checks a done context stops a run between horizon
 // slices with the context's error.
 func TestRunCtxCancelAborts(t *testing.T) {
-	env, err := BuildDumbbell(DefaultDumbbellConfig(4))
+	env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(4)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestPlanMatchesLegacyDumbbellPlan(t *testing.T) {
 	var table strings.Builder
 	for _, flows := range []int{1, 2, 5, 17, 100} {
 		for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-			plan, err := topo.Plan(topo.Dumbbell(DefaultDumbbellConfig(flows)), workers)
+			plan, err := topo.Plan(topo.Dumbbell(topo.DefaultDumbbellConfig(flows)), workers)
 			if err != nil {
 				t.Fatalf("flows %d workers %d: %v", flows, workers, err)
 			}
@@ -107,7 +107,7 @@ func (s shardedScenario) render() string {
 
 // runScenario executes one dumbbell scenario on the graph layer: serial
 // construction at 1 worker, the parallel engine above that.
-func runScenario(t *testing.T, cfg DumbbellConfig, workers int, opt RunOptions) shardedScenario {
+func runScenario(t *testing.T, cfg topo.DumbbellConfig, workers int, opt RunOptions) shardedScenario {
 	t.Helper()
 	return runEnv(t, topo.Dumbbell(cfg), cfg.Flows, workers, opt)
 }
@@ -179,10 +179,10 @@ func compareScenarios(t *testing.T, label string, want, got shardedScenario) {
 
 // randomShardedConfig derives a randomized-but-valid dumbbell + attack from
 // the seed, the same spirit as wheel_test.go's randomized programs.
-func randomShardedConfig(seed uint64) (DumbbellConfig, RunOptions) {
+func randomShardedConfig(seed uint64) (topo.DumbbellConfig, RunOptions) {
 	r := rng.New(seed)
 	flows := 3 + int(r.Int63n(9))
-	cfg := DefaultDumbbellConfig(flows)
+	cfg := topo.DefaultDumbbellConfig(flows)
 	cfg.Seed = seed
 	cfg.BottleneckRate = float64(1+r.Int63n(4)) * 2e6
 	cfg.QueueLimit = 30 + int(r.Int63n(60))
@@ -252,7 +252,7 @@ func TestTestbedEquivalence(t *testing.T) {
 	}
 	set := pins.Load(t, topoPinFile)
 	for _, dropTail := range []bool{false, true} {
-		cfg := DefaultTestbedConfig(5)
+		cfg := topo.DefaultTestbedConfig(5)
 		cfg.Seed = 7
 		cfg.DropTail = dropTail
 		cfg.StartSpread = 500 * time.Millisecond

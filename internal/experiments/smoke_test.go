@@ -7,12 +7,13 @@ import (
 	"pulsedos/internal/attack"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/stats"
+	"pulsedos/internal/topo"
 )
 
 // TestDumbbellBaselineSaturates checks Lemma 1's premise: absent an attack,
 // the victim aggregate fills the bottleneck.
 func TestDumbbellBaselineSaturates(t *testing.T) {
-	env, err := BuildDumbbell(DefaultDumbbellConfig(15))
+	env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(15)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestDumbbellBaselineSaturates(t *testing.T) {
 // TestDumbbellAttackDegrades checks that a mid-γ pulse train produces
 // substantial throughput degradation.
 func TestDumbbellAttackDegrades(t *testing.T) {
-	baselineEnv, err := BuildDumbbell(DefaultDumbbellConfig(15))
+	baselineEnv, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(15)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestDumbbellAttackDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	env, err := BuildDumbbell(DefaultDumbbellConfig(15))
+	env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(15)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestAttackIncreasesJitter(t *testing.T) {
 		t.Skip("simulation")
 	}
 	measure := func(withAttack bool) float64 {
-		env, err := BuildDumbbell(DefaultDumbbellConfig(15))
+		env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(15)), topo.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestAttackSkewsFairness(t *testing.T) {
 		t.Skip("simulation")
 	}
 	fairness := func(withAttack bool) float64 {
-		env, err := BuildDumbbell(DefaultDumbbellConfig(15))
+		env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(15)), topo.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"pulsedos/internal/figures"
 	"pulsedos/internal/optimize"
 	"pulsedos/internal/scenario"
+	"pulsedos/internal/topo"
 )
 
 // The paper's studies run as scenario documents through internal/figures —
@@ -134,7 +135,7 @@ func TestGainSweepShape(t *testing.T) {
 		t.Errorf("measured gain peak at grid boundary gamma=%.2f; expected interior maximum", peak.Gamma)
 	}
 	// Analytic optimum should fall inside the grid too.
-	env, err := experiments.BuildDumbbell(experiments.DefaultDumbbellConfig(15))
+	env, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(15)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

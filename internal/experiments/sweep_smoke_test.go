@@ -6,11 +6,12 @@ import (
 
 	"pulsedos/internal/attack"
 	"pulsedos/internal/sim"
+	"pulsedos/internal/topo"
 )
 
 // TestTestbedBaseline checks the Fig. 11 test-bed fills its 10 Mbps pipe.
 func TestTestbedBaseline(t *testing.T) {
-	env, err := BuildTestbed(DefaultTestbedConfig(10))
+	env, err := topo.Build(topo.Testbed(topo.DefaultTestbedConfig(10)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +36,8 @@ func TestConvergedWindowMatchesEq1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	cfg := DefaultDumbbellConfig(15)
-	env, err := BuildDumbbell(cfg)
+	cfg := topo.DefaultDumbbellConfig(15)
+	env, err := topo.Build(topo.Dumbbell(cfg), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"pulsedos/internal/attack"
 	"pulsedos/internal/sim"
+	"pulsedos/internal/topo"
 )
 
 func TestPeriodForGammaInverse(t *testing.T) {
@@ -183,38 +184,38 @@ func TestGainSeriesSplit(t *testing.T) {
 }
 
 func TestBuildDumbbellValidation(t *testing.T) {
-	if _, err := BuildDumbbell(DumbbellConfig{}); err == nil {
+	if _, err := topo.Build(topo.Dumbbell(topo.DumbbellConfig{}), topo.Options{}); err == nil {
 		t.Error("zero config accepted")
 	}
-	cfg := DefaultDumbbellConfig(0)
-	if _, err := BuildDumbbell(cfg); err == nil {
+	cfg := topo.DefaultDumbbellConfig(0)
+	if _, err := topo.Build(topo.Dumbbell(cfg), topo.Options{}); err == nil {
 		t.Error("zero flows accepted")
 	}
-	cfg = DefaultDumbbellConfig(5)
+	cfg = topo.DefaultDumbbellConfig(5)
 	cfg.RTTMin = time.Millisecond // below 2×bottleneck OWD
-	if _, err := BuildDumbbell(cfg); err == nil {
+	if _, err := topo.Build(topo.Dumbbell(cfg), topo.Options{}); err == nil {
 		t.Error("infeasible RTT accepted")
 	}
-	cfg = DefaultDumbbellConfig(5)
+	cfg = topo.DefaultDumbbellConfig(5)
 	cfg.TCP.MSS = 0
-	if _, err := BuildDumbbell(cfg); err == nil {
+	if _, err := topo.Build(topo.Dumbbell(cfg), topo.Options{}); err == nil {
 		t.Error("bad TCP config accepted")
 	}
 }
 
 func TestBuildTestbedValidation(t *testing.T) {
-	if _, err := BuildTestbed(TestbedConfig{}); err == nil {
+	if _, err := topo.Build(topo.Testbed(topo.TestbedConfig{}), topo.Options{}); err == nil {
 		t.Error("zero config accepted")
 	}
-	cfg := DefaultTestbedConfig(3)
+	cfg := topo.DefaultTestbedConfig(3)
 	cfg.TCP.DupThresh = 0
-	if _, err := BuildTestbed(cfg); err == nil {
+	if _, err := topo.Build(topo.Testbed(cfg), topo.Options{}); err == nil {
 		t.Error("bad TCP config accepted")
 	}
 }
 
 func TestDumbbellTopologyInvariants(t *testing.T) {
-	d, err := BuildDumbbell(DefaultDumbbellConfig(8))
+	d, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(8)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestDumbbellTopologyInvariants(t *testing.T) {
 }
 
 func TestRunLeavesNoUnroutedPackets(t *testing.T) {
-	d, err := BuildDumbbell(DefaultDumbbellConfig(4))
+	d, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(4)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(nil, RunOptions{Measure: time.Second}); err == nil {
 		t.Error("nil environment accepted")
 	}
-	d, err := BuildDumbbell(DefaultDumbbellConfig(2))
+	d, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(2)), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	run := func() uint64 {
-		d, err := BuildDumbbell(DefaultDumbbellConfig(6))
+		d, err := topo.Build(topo.Dumbbell(topo.DefaultDumbbellConfig(6)), topo.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,9 +291,9 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestRunSeedSensitivity(t *testing.T) {
 	run := func(seed uint64) uint64 {
-		cfg := DefaultDumbbellConfig(6)
+		cfg := topo.DefaultDumbbellConfig(6)
 		cfg.Seed = seed
-		d, err := BuildDumbbell(cfg)
+		d, err := topo.Build(topo.Dumbbell(cfg), topo.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,6 @@ func equivalenceScale() experiments.Scale {
 		FlowCounts:   []int{4},
 		ScaleFlows:   []int{50},
 		Seed:         1,
-		Parallel:     runtime.NumCPU(),
 	}
 }
 
@@ -62,7 +61,7 @@ func TestFigureEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := figures.Options{Cache: store, Parallel: scale.Parallel}
+	opt := figures.Options{Cache: store, Parallel: runtime.NumCPU()}
 	for _, id := range figures.IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -110,8 +109,7 @@ func TestAllFiguresWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	scale := experiments.QuickScale()
-	scale.Parallel = runtime.NumCPU()
-	opt := figures.Options{Cache: store, Parallel: scale.Parallel}
+	opt := figures.Options{Cache: store, Parallel: runtime.NumCPU()}
 
 	cold, err := figures.AllFigures(context.Background(), scale, opt)
 	if err != nil {
@@ -220,7 +218,7 @@ func TestScaleMatchesProp2(t *testing.T) {
 	}
 	scale := equivalenceScale()
 	scale.Warmup, scale.Measure = 12*time.Second, 6*time.Second
-	fig, err := figures.Run(context.Background(), "scale", scale, figures.Options{Parallel: scale.Parallel})
+	fig, err := figures.Run(context.Background(), "scale", scale, figures.Options{Parallel: runtime.NumCPU()})
 	if err != nil {
 		t.Fatal(err)
 	}

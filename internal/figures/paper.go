@@ -5,6 +5,7 @@ import (
 
 	"pulsedos/internal/experiments"
 	"pulsedos/internal/scenario"
+	"pulsedos/internal/topo"
 )
 
 // fig1Plan compiles the cwnd sawtooth of Fig. 1: one victim flow at a fixed
@@ -170,7 +171,7 @@ func fig3bPlan(scale experiments.Scale) (*figurePlan, error) {
 // fig10Plan compiles the shrew-resonance study: the three paper settings with
 // the γ grid augmented by the exact minRTO/n harmonics.
 func fig10Plan(scale experiments.Scale) (*figurePlan, error) {
-	bottleneck := experiments.DefaultDumbbellConfig(15).BottleneckRate
+	bottleneck := topo.DefaultDumbbellConfig(15).BottleneckRate
 	cs := &curveSet{}
 	for _, st := range experiments.ShrewFigureSettings() {
 		label := fmt.Sprintf("R=%.0fM Textent=%dms", st.Rate/1e6, st.Extent.Milliseconds())

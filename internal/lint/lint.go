@@ -128,7 +128,6 @@ func Default() Config {
 			// it lives under the same determinism discipline.
 			"pulsedos/internal/tcp",
 			"pulsedos/internal/attack",
-			"pulsedos/internal/workload",
 			"pulsedos/internal/scenario",
 			"pulsedos/internal/experiments",
 			"pulsedos/internal/topo",
@@ -161,7 +160,6 @@ func Default() Config {
 			"pulsedos/internal/netem",
 			"pulsedos/internal/tcp",
 			"pulsedos/internal/attack",
-			"pulsedos/internal/workload",
 			"pulsedos/internal/scenario",
 			"pulsedos/internal/experiments",
 			"pulsedos/internal/topo",

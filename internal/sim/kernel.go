@@ -163,11 +163,6 @@ func NewHeapKernel() *Kernel {
 	return k
 }
 
-// HeapOnly reports whether the kernel bypasses the timing wheel.
-func (k *Kernel) HeapOnly() bool {
-	return k.heapOnly
-}
-
 // Now reports the current virtual instant.
 func (k *Kernel) Now() Time {
 	return k.now

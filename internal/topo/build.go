@@ -203,10 +203,6 @@ func buildQueue(spec *QueueSpec, rand *rng.Source, linkRate float64) (netem.Queu
 		return netem.NewDropTail(spec.Limit), nil
 	case QueueRED, QueueARED:
 		cfg := netem.DefaultREDConfig(spec.Limit)
-		if spec.RED != nil {
-			cfg = *spec.RED
-			cfg.Limit = spec.Limit
-		}
 		child := rand.Split()
 		if spec.Kind == QueueARED {
 			return netem.NewAdaptiveRED(cfg, child, linkRate), nil

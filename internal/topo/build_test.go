@@ -1,12 +1,14 @@
 package topo_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"pulsedos/internal/attack"
 	"pulsedos/internal/netem"
+	"pulsedos/internal/scenario"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/topo"
 )
@@ -129,14 +131,26 @@ func TestParkingLotEquivalence(t *testing.T) {
 }
 
 // TestCrossTrafficEquivalence: same contract for the dumbbell with an
-// uncongested egress trunk and cross flows leaving at the middle router.
+// uncongested egress trunk and cross flows leaving at the middle router, the
+// graph of the shipped scenarios/cross-traffic.json.
 func TestCrossTrafficEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second virtual scenarios")
 	}
-	cfg := topo.DefaultCrossTrafficConfig()
-	cfg.Seed = 13
-	g := topo.CrossTraffic(cfg)
+	f, err := os.Open("../../scenarios/cross-traffic.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg, err := scenario.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cfg.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Seed = 13
 	serial := runGraph(t, g, 1)
 	if serial.delivered == 0 {
 		t.Fatal("cross-traffic graph delivered nothing")

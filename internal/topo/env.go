@@ -1,7 +1,7 @@
 package topo
 
 import (
-	"fmt"
+	"errors"
 
 	"pulsedos/internal/attack"
 	"pulsedos/internal/model"
@@ -103,15 +103,10 @@ func (e *Environment) Macroflows() []*tcp.Macroflow { return e.macros }
 // Attach builds an attack generator feeding the first attack point's ingress
 // link, on that point's shard kernel.
 func (e *Environment) Attach(train attack.Train) (*attack.Generator, error) {
-	return e.AttachAt(0, train)
-}
-
-// AttachAt builds an attack generator feeding attack point i.
-func (e *Environment) AttachAt(i int, train attack.Train) (*attack.Generator, error) {
-	if i < 0 || i >= len(e.attackIn) {
-		return nil, fmt.Errorf("topo: attack point %d out of range (%d points)", i, len(e.attackIn))
+	if len(e.attackIn) == 0 {
+		return nil, errors.New("topo: attack point 0 out of range (0 points)")
 	}
-	g, err := attack.NewGenerator(e.attackK[i], e.attackIn[i], train, e.Graph.AttackPacketSize)
+	g, err := attack.NewGenerator(e.attackK[0], e.attackIn[0], train, e.Graph.AttackPacketSize)
 	if err != nil {
 		return nil, err
 	}

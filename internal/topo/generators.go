@@ -11,9 +11,9 @@ import (
 // This file is the generator catalog: each generator is a pure function from
 // a config struct to a Graph. The first two reproduce the paper's
 // evaluation environments (Fig. 5 ns-2 dumbbell, Fig. 11 Dummynet test-bed)
-// under the equivalence contract; the last two are topologies the paper
-// could not run — a parking-lot multi-bottleneck chain and a dumbbell with
-// cross-traffic.
+// under the equivalence contract; the third is a topology the paper could
+// not run, a parking-lot multi-bottleneck chain. Any other shape (the
+// dumbbell with cross-traffic, say) is a graph document.
 
 // DumbbellConfig parameterizes the Fig. 5 topology: M TCP sender/receiver
 // pairs over 50 Mbps access links joined by a 15 Mbps RED bottleneck between
@@ -29,7 +29,6 @@ type DumbbellConfig struct {
 	QueueLimit     int           // bottleneck queue capacity, packets
 	DropTail       bool          // true = tail-drop bottleneck (RED ablation)
 	AdaptiveRED    bool          // true = Adaptive-RED max_p self-tuning
-	RED            *netem.REDConfig
 
 	TCP tcp.Config
 
@@ -37,12 +36,6 @@ type DumbbellConfig struct {
 	StartSpread      time.Duration // flow start times jittered over [0, spread)
 	AttackAccessRate float64       // attacker's ingress link rate, bps
 	AttackPacketSize int           // attack packet wire size, bytes
-
-	// FluidBackgroundFlows adds a second flow group of this size modeled as
-	// a fluid macroflow aggregate (Model: ModelFluid) sharing the bottleneck:
-	// background load at million-flow scale without per-packet cost. The
-	// packet-accurate foreground (Flows) keeps supplying the loss signal.
-	FluidBackgroundFlows int
 }
 
 // DefaultDumbbellConfig returns the paper's ns-2 settings for the given
@@ -78,25 +71,6 @@ func Dumbbell(cfg DumbbellConfig) Graph {
 	case cfg.AdaptiveRED:
 		kind = QueueARED
 	}
-	groups := []FlowGroup{{
-		Flows:      cfg.Flows,
-		Ingress:    0,
-		Egress:     1,
-		AccessRate: cfg.AccessRate,
-		RTTMin:     cfg.RTTMin,
-		RTTMax:     cfg.RTTMax,
-	}}
-	if cfg.FluidBackgroundFlows > 0 {
-		groups = append(groups, FlowGroup{
-			Flows:      cfg.FluidBackgroundFlows,
-			Ingress:    0,
-			Egress:     1,
-			AccessRate: cfg.AccessRate,
-			RTTMin:     cfg.RTTMin,
-			RTTMax:     cfg.RTTMax,
-			Model:      ModelFluid,
-		})
-	}
 	return Graph{
 		Name:    "dumbbell",
 		Routers: []string{"S", "R"},
@@ -106,11 +80,18 @@ func Dumbbell(cfg DumbbellConfig) Graph {
 			To:    1,
 			Rate:  cfg.BottleneckRate,
 			Delay: cfg.BottleneckOWD,
-			Queue: QueueSpec{Kind: kind, Limit: cfg.QueueLimit, RED: cfg.RED},
+			Queue: QueueSpec{Kind: kind, Limit: cfg.QueueLimit},
 			// The reverse direction carries ACKs; generously buffered tail drop.
 			RevQueue: QueueSpec{Kind: QueueDropTail, Limit: 4096},
 		}},
-		Groups:           groups,
+		Groups: []FlowGroup{{
+			Flows:      cfg.Flows,
+			Ingress:    0,
+			Egress:     1,
+			AccessRate: cfg.AccessRate,
+			RTTMin:     cfg.RTTMin,
+			RTTMax:     cfg.RTTMax,
+		}},
 		Attacks:          []AttackPoint{{Router: 0, Rate: cfg.AttackAccessRate, Delay: 2 * time.Millisecond}},
 		SinkRouter:       1,
 		Target:           0,
@@ -319,105 +300,6 @@ func ParkingLot(cfg ParkingLotConfig) Graph {
 		Groups:           groups,
 		Attacks:          []AttackPoint{{Router: 0, Rate: cfg.AttackRate, Delay: 2 * time.Millisecond}},
 		SinkRouter:       cfg.Hops,
-		Target:           0,
-		TCP:              cfg.TCP,
-		Seed:             cfg.Seed,
-		StartSpread:      cfg.StartSpread,
-		AttackPacketSize: cfg.AttackPacketSize,
-	}
-}
-
-// CrossTrafficConfig parameterizes a dumbbell whose bottleneck also carries
-// traffic that exits before the far end: main flows S → M → R share the
-// S → M bottleneck with cross flows S → M, decoupling the population the
-// attack punishes from the population that measures it.
-type CrossTrafficConfig struct {
-	Flows          int // main flows, S -> R across both trunks
-	CrossFlows     int // cross flows, S -> M across the bottleneck only
-	BottleneckRate float64
-	EgressRate     float64 // second trunk M -> R, uncongested
-	AccessRate     float64
-	HopDelay       time.Duration
-	QueueLimit     int
-	DropTail       bool
-
-	TCP tcp.Config
-
-	Seed             uint64
-	StartSpread      time.Duration
-	AttackRate       float64
-	AttackPacketSize int
-}
-
-// DefaultCrossTrafficConfig returns the dumbbell's parameters with a third
-// of the population re-homed as cross traffic.
-func DefaultCrossTrafficConfig() CrossTrafficConfig {
-	return CrossTrafficConfig{
-		Flows:            10,
-		CrossFlows:       5,
-		BottleneckRate:   15 * netem.Mbps,
-		EgressRate:       100 * netem.Mbps,
-		AccessRate:       50 * netem.Mbps,
-		HopDelay:         5 * time.Millisecond,
-		QueueLimit:       150,
-		TCP:              tcp.DefaultConfig(),
-		Seed:             1,
-		StartSpread:      time.Second,
-		AttackRate:       1 * netem.Gbps,
-		AttackPacketSize: 1000,
-	}
-}
-
-// CrossTraffic generates the three-router graph: trunk 0 (the target) is the
-// congestible bottleneck, trunk 1 an uncongested egress.
-func CrossTraffic(cfg CrossTrafficConfig) Graph {
-	kind := QueueRED
-	if cfg.DropTail {
-		kind = QueueDropTail
-	}
-	return Graph{
-		Name:    "cross-traffic",
-		Routers: []string{"S", "M", "R"},
-		Trunks: []TrunkSpec{
-			{
-				Name:     "bottleneck",
-				From:     0,
-				To:       1,
-				Rate:     cfg.BottleneckRate,
-				Delay:    cfg.HopDelay,
-				Queue:    QueueSpec{Kind: kind, Limit: cfg.QueueLimit},
-				RevQueue: QueueSpec{Kind: QueueDropTail, Limit: 4096},
-			},
-			{
-				Name:     "egress",
-				From:     1,
-				To:       2,
-				Rate:     cfg.EgressRate,
-				Delay:    cfg.HopDelay,
-				Queue:    QueueSpec{Kind: QueueDropTail, Limit: 1000},
-				RevQueue: QueueSpec{Kind: QueueDropTail, Limit: 4096},
-			},
-		},
-		Groups: []FlowGroup{
-			{
-				Flows:      cfg.Flows,
-				Ingress:    0,
-				Egress:     2,
-				AccessRate: cfg.AccessRate,
-				RTTMin:     30 * time.Millisecond,
-				RTTMax:     460 * time.Millisecond,
-			},
-			{
-				Flows:      cfg.CrossFlows,
-				Ingress:    0,
-				Egress:     1,
-				AccessRate: cfg.AccessRate,
-				RTTMin:     20 * time.Millisecond,
-				RTTMax:     460 * time.Millisecond,
-			},
-		},
-		Attacks:          []AttackPoint{{Router: 0, Rate: cfg.AttackRate, Delay: 2 * time.Millisecond}},
-		SinkRouter:       2,
 		Target:           0,
 		TCP:              cfg.TCP,
 		Seed:             cfg.Seed,

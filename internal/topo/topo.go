@@ -24,11 +24,11 @@
 package topo
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
-	"pulsedos/internal/netem"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/tcp"
 )
@@ -50,15 +50,24 @@ type QueueSpec struct {
 	Kind  QueueKind
 	Limit int // capacity in packets; must be >= 1
 
-	// RED overrides the default RED parameters (Limit is still taken from
-	// this spec). Ignored for QueueDropTail.
-	RED *netem.REDConfig
-
 	// ReserveRand makes Build consume one child rng draw for this queue even
 	// when Kind is QueueDropTail. The legacy Dummynet pipe API seeded its
 	// queue unconditionally; byte-equivalence with the legacy test-bed's
 	// tail-drop ablation depends on matching that draw order.
 	ReserveRand bool
+}
+
+// MarshalJSON encodes the spec with the RED-parameter override it once
+// carried, always null. Scenario cache keys hash the JSON of the resolved
+// Graph (internal/scenario's canonical document), so the retired field keeps
+// its place and every key stays what it was.
+func (q QueueSpec) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Kind        QueueKind
+		Limit       int
+		RED         *struct{}
+		ReserveRand bool
+	}{q.Kind, q.Limit, nil, q.ReserveRand})
 }
 
 // TrunkSpec is one duplex inter-router link: a forward direction carrying

@@ -148,9 +148,9 @@ func JitteredTrain(extent time.Duration, rate float64, space time.Duration, n in
 // Simulation-environment surface.
 type (
 	// DumbbellConfig parameterizes the Fig. 5 ns-2 topology.
-	DumbbellConfig = experiments.DumbbellConfig
+	DumbbellConfig = topo.DumbbellConfig
 	// TestbedConfig parameterizes the Fig. 11 Dummynet test-bed.
-	TestbedConfig = experiments.TestbedConfig
+	TestbedConfig = topo.TestbedConfig
 	// Environment abstracts either topology for the runners.
 	Environment = experiments.Environment
 	// RunOptions parameterizes one scenario execution.
@@ -193,17 +193,17 @@ const (
 
 // DefaultDumbbellConfig returns the paper's ns-2 settings.
 func DefaultDumbbellConfig(flows int) DumbbellConfig {
-	return experiments.DefaultDumbbellConfig(flows)
+	return topo.DefaultDumbbellConfig(flows)
 }
 
 // DefaultTestbedConfig returns the paper's test-bed settings.
 func DefaultTestbedConfig(flows int) TestbedConfig {
-	return experiments.DefaultTestbedConfig(flows)
+	return topo.DefaultTestbedConfig(flows)
 }
 
 // BuildDumbbell wires a Fig. 5 dumbbell environment.
 func BuildDumbbell(cfg DumbbellConfig) (*topo.Environment, error) {
-	return experiments.BuildDumbbell(cfg)
+	return topo.Build(topo.Dumbbell(cfg), topo.Options{})
 }
 
 // BuildShardedDumbbell wires the Fig. 5 dumbbell across `workers` shards of
@@ -216,7 +216,7 @@ func BuildShardedDumbbell(cfg DumbbellConfig, workers int) (*topo.Environment, e
 
 // BuildTestbed wires a Fig. 11 test-bed environment.
 func BuildTestbed(cfg TestbedConfig) (*topo.Environment, error) {
-	return experiments.BuildTestbed(cfg)
+	return topo.Build(topo.Testbed(cfg), topo.Options{})
 }
 
 // Run executes one scenario on a freshly built environment.
