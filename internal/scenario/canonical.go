@@ -25,16 +25,19 @@ const canonicalVersion = 1
 //   - the attack with its ignored knobs zeroed and its defaults applied;
 //   - the measurement windows.
 //
-// Deliberately absent: Config.Name (a label, not a parameter) and
-// Topology.Workers (the sharded engine is proven byte-identical to the
-// serial kernel at any worker count, so a sweep re-run with more cores must
-// hit the same cache entries).
-// The measure and workload blocks are omitempty pointers: documents that
-// predate them canonicalize to the exact bytes they always did, which is what
-// keeps every pre-extension scenario.Key (and so every cache entry) stable.
+// Deliberately absent: Config.Name (a label, not a parameter). Workers is
+// present only above 1: a sharded run can order exact event ties at a shard
+// boundary differently from the serial kernel (DESIGN.md §9), so its result
+// may differ and must not share the serial run's cache entry; 0 and 1 both
+// build the serial kernel and key alike.
+// The workers count and the measure and workload blocks are omitempty:
+// documents that predate them canonicalize to the exact bytes they always
+// did, which is what keeps every serial scenario.Key (and so every cache
+// entry) stable.
 type canonicalDoc struct {
 	Canon      int                `json:"canon"`
 	Graph      topo.Graph         `json:"graph"`
+	Workers    int                `json:"workers,omitempty"`
 	Attack     *canonicalAttack   `json:"attack,omitempty"`
 	Workload   *canonicalWorkload `json:"workload,omitempty"`
 	Measure    *canonicalMeasure  `json:"measure,omitempty"`
@@ -108,6 +111,9 @@ func (c Config) Canonical() ([]byte, error) {
 		MeasureSec: c.MeasureSec,
 		RateBinMs:  c.RateBinMs,
 		Jitter:     c.Jitter,
+	}
+	if c.Topology.Workers > 1 {
+		doc.Workers = c.Topology.Workers
 	}
 	if c.Attack != nil {
 		doc.Attack = canonicalizeAttack(*c.Attack, c.Seed)

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -28,7 +30,7 @@ func keyOf(t *testing.T, cfg Config) string {
 // TestCanonicalCollidesOnSemanticTwins pins the memoization precondition:
 // documents that run the same simulation must hash to the same key no matter
 // how they spell it — field order, explicit defaults, cosmetic labels,
-// worker counts, and knobs the attack kind ignores.
+// a serial worker count, and knobs the attack kind ignores.
 func TestCanonicalCollidesOnSemanticTwins(t *testing.T) {
 	base := loadDoc(t, `{
 		"name": "terse",
@@ -51,9 +53,9 @@ func TestCanonicalCollidesOnSemanticTwins(t *testing.T) {
 			c.Seed = 1
 			return c
 		}(),
-		"workers 4 (results byte-identical at any worker count)": func() Config {
+		"workers 1 (the serial kernel, as 0 builds)": func() Config {
 			c := base
-			c.Topology.Workers = 4
+			c.Topology.Workers = 1
 			return c
 		}(),
 	}
@@ -114,6 +116,8 @@ func TestCanonicalDivergesOnSemanticChange(t *testing.T) {
 		"rate bin":         func(c *Config) { c.RateBinMs = 100 },
 		"jitter meter":     func(c *Config) { c.Jitter = true },
 		"seed":             func(c *Config) { c.Seed = 7 },
+		// A sharded run may order boundary ties differently (DESIGN.md §9).
+		"workers 4": func(c *Config) { c.Topology.Workers = 4 },
 	}
 	seen := map[string]string{keyOf(t, base): "base"}
 	for name, mutate := range mutations {
@@ -129,6 +133,24 @@ func TestCanonicalDivergesOnSemanticChange(t *testing.T) {
 			continue
 		}
 		seen[k] = name
+	}
+}
+
+// TestCanonicalKeysShardedTestbedApart: the shipped test-bed document runs
+// differently on two workers than serially (delayed ACKs and an attack meet
+// an exact event tie at the shard boundary), so the two must not share a
+// cache entry.
+func TestCanonicalKeysShardedTestbedApart(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "testbed-fig12.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := loadDoc(t, string(raw))
+	cfg.Topology.Workers = 1
+	serial := keyOf(t, cfg)
+	cfg.Topology.Workers = 2
+	if keyOf(t, cfg) == serial {
+		t.Errorf("testbed-fig12.json keys to %s at workers 1 and 2", serial)
 	}
 }
 

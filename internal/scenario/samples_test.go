@@ -12,14 +12,15 @@ import (
 // bumped — each of which deliberately invalidates the run cache. If this
 // table fails unexpectedly, canonical hashing has destabilized and cached
 // results no longer correspond to their keys; update the pins only alongside
-// the change that legitimately moved them.
+// the change that legitimately moved them. parkinglot.json is the one
+// shipped document with "workers" above 1, which its key carries.
 var shippedKeys = map[string]string{
 	"cross-traffic.json":     "057b0efe7991e38f8f2d08684c68231cce1ba4e6c68c3af0db3c8535b953b889",
 	"fig6-gain-sweep.json":   "c2e0575b5a75f333d0b2d4f0e311b285836b115e471e3460d8ce26c081a92acd",
 	"defended-jittered.json": "bf35dc196ad02045e2ceac9372caa3d4378c08460aa41d5b4c5226f351259dc1",
 	"fig8-style.json":        "d6c5203ee24c56cff2028953df80905f426e85b3c7ca7141db08f78694bd987a",
 	"flood-baseline.json":    "7ab920ac54e932aca0e81ffa266dabcb626e72c44e0d4e6883ef7571755592c6",
-	"parkinglot.json":        "4471f2df18693c1b01f53d541ce718591abbec113b6e829df0c09f59296045fc",
+	"parkinglot.json":        "f4ed8b9a2754944a3c0edf7d3b70338a3c21f9643200f758339decde1f351148",
 	"shrew-resonance.json":   "231065f044a7f41b1148c94392b905befa446d48eb4cf3805acd7c48afa47735",
 	"testbed-fig12.json":     "fe11ac633093667e8298f1904839b8dbb0a50b4acc7b431feb3b65519ffc0026",
 }
