@@ -86,8 +86,30 @@ func FuzzLoad(f *testing.F) {
 				t.Fatalf("point %s has no key: %v", pt.Name, err)
 			}
 			checkVirtualTimes(t, pt)
+			checkSeries(t, pt)
 		}
 	})
+}
+
+// checkSeries requires every binned series a valid document requests to
+// fit: its bin converts to at least 1 ns, and the measurement window holds
+// at most maxSeriesBins of it.
+func checkSeries(t *testing.T, cfg Config) {
+	t.Helper()
+	opt := cfg.runOptions()
+	series := []struct {
+		name      string
+		requested bool
+		bin       time.Duration
+	}{
+		{"rate", cfg.RateBinMs > 0, opt.RateBin},
+		{"queue", cfg.Measure.HasTap("queue"), opt.QueueBin},
+	}
+	for _, s := range series {
+		if s.requested && (s.bin <= 0 || opt.Measure/s.bin > maxSeriesBins) {
+			t.Fatalf("point %s: %s bin %v over a %v window does not fit", cfg.Name, s.name, s.bin, opt.Measure)
+		}
+	}
 }
 
 // checkVirtualTimes requires a valid document's run windows and its resolved

@@ -278,7 +278,10 @@ func (c Config) Validate() error {
 	if err := c.validateWorkload(); err != nil {
 		return err
 	}
-	return c.validateMeasure()
+	if err := c.validateMeasure(); err != nil {
+		return err
+	}
+	return c.validateSeries()
 }
 
 // validateRates rejects every Mbps field whose bits-per-second value — the
@@ -384,6 +387,41 @@ func checkDuration(v float64, unit time.Duration, field string, args ...any) err
 		return fmt.Errorf("scenario: %s %g is negative", fmt.Sprintf(field, args...), v)
 	case ns >= maxTimeNs:
 		return fmt.Errorf("scenario: %s %g does not fit in virtual time", fmt.Sprintf(field, args...), v)
+	}
+	return nil
+}
+
+// maxSeriesBins caps each binned series over the measurement window. The
+// rate series grows one bin per rateBinMs and the queue sampler schedules one
+// event per queueBinMs, so a run's memory grows linearly in the bin count; a
+// 60 s Fig. 3 snapshot at 50 ms needs 1,200.
+const maxSeriesBins = 1_000_000
+
+// validateSeries rejects a requested binned series (rateBinMs, the queue
+// tap) whose bin converts to 0 ns, which would silently return no series,
+// or cuts the measurement window into more than maxSeriesBins. It reads the
+// bins as runOptions converts them.
+func (c Config) validateSeries() error {
+	opt := c.runOptions()
+	if c.RateBinMs > 0 {
+		if err := checkBin(c.RateBinMs, opt.RateBin, opt.Measure, "rateBinMs"); err != nil {
+			return err
+		}
+	}
+	if c.Measure.HasTap("queue") {
+		return checkBin(c.Measure.queueBinMs(), opt.QueueBin, opt.Measure, "queueBinMs")
+	}
+	return nil
+}
+
+// checkBin reports an error naming the field when the bin of ms
+// milliseconds, converted to bin, is empty or too fine for the window.
+func checkBin(ms float64, bin, window time.Duration, field string) error {
+	switch {
+	case bin <= 0:
+		return fmt.Errorf("scenario: %s %g rounds to 0 ns", field, ms)
+	case window/bin > maxSeriesBins:
+		return fmt.Errorf("scenario: %s %g cuts measureSec into %d bins, more than %d", field, ms, window/bin, maxSeriesBins)
 	}
 	return nil
 }

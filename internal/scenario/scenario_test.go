@@ -208,6 +208,17 @@ func TestLoadErrorPaths(t *testing.T) {
 		{"queue bin overflows virtual time", `{"topology": {"kind": "dumbbell"}, "measureSec": 3,
 			"measure": {"taps": ["queue"], "queueBinMs": 1e300}}`,
 			"scenario: queueBinMs 1e+300 does not fit in virtual time"},
+		{"rate bin rounds to zero", `{"topology": {"kind": "dumbbell"}, "measureSec": 1, "rateBinMs": 1e-7,
+			"measure": {"taps": ["sync"]}}`,
+			"scenario: rateBinMs 1e-07 rounds to 0 ns"},
+		{"queue bin rounds to zero", `{"topology": {"kind": "dumbbell"}, "measureSec": 1,
+			"measure": {"taps": ["queue"], "queueBinMs": 1e-7}}`,
+			"scenario: queueBinMs 1e-07 rounds to 0 ns"},
+		{"rate bin too fine for the window", `{"topology": {"kind": "dumbbell"}, "measureSec": 1, "rateBinMs": 0.0005}`,
+			"scenario: rateBinMs 0.0005 cuts measureSec into 2000000 bins, more than 1000000"},
+		{"queue bin too fine for the window", `{"topology": {"kind": "dumbbell"}, "measureSec": 60000,
+			"measure": {"taps": ["queue"]}}`,
+			"scenario: queueBinMs 50 cuts measureSec into 1200000 bins, more than 1000000"},
 		{"arrival span overflows virtual time", `{"topology": {"kind": "dumbbell", "flows": 6}, "measureSec": 3,
 			"workload": {"kind": "mice", "elephants": 2, "mice": 4, "miceSegments": 10, "arrivalSpanSec": 1e10}}`,
 			"scenario: arrivalSpanSec 1e+10 does not fit in virtual time"},
