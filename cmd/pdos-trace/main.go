@@ -1,7 +1,9 @@
 // Command pdos-trace runs one attacked scenario and emits an ns-2-style
 // packet-event trace of the bottleneck link ('+' enqueue, 'd' drop, '-'
 // dequeue), for downstream analysis with the same tooling people used on
-// ns-2 trace files.
+// ns-2 trace files. The flags compile to one dumbbell scenario document with
+// an aimd attack, as pdos-sim's do; the trace taps the document's target
+// link.
 //
 // Example:
 //
@@ -10,14 +12,16 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"pulsedos"
 	"pulsedos/internal/experiments"
+	"pulsedos/internal/scenario"
 	"pulsedos/internal/sim"
 	"pulsedos/internal/trace"
 )
@@ -43,10 +47,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	cfg := pulsedos.DefaultDumbbellConfig(*flows)
-	cfg.Seed = *seed
-	env, err := pulsedos.BuildDumbbell(cfg)
+	if *flows < 1 || *seed == 0 {
+		return errors.New("-flows must be at least 1 and -seed nonzero: a scenario document reads 0 as the kind default")
+	}
+	doc := scenario.Config{
+		Name:     "pdos-trace",
+		Topology: scenario.Topology{Kind: "dumbbell", Flows: *flows},
+		Attack: &scenario.Attack{
+			Kind:     "aimd",
+			RateMbps: *rate / 1e6,
+			ExtentMs: float64(*extent) / float64(time.Millisecond),
+			Gamma:    *gamma,
+		},
+		WarmupSec:  warmup.Seconds(),
+		MeasureSec: measure.Seconds(),
+		Seed:       *seed,
+	}
+	if err := doc.Validate(); err != nil {
+		return err
+	}
+	env, err := doc.Build()
+	if err != nil {
+		return err
+	}
+	train, err := doc.Train(env)
 	if err != nil {
 		return err
 	}
@@ -57,15 +81,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tr.SetStart(sim.FromDuration(*warmup))
 	env.Target().AddTap(tr)
 
-	period := pulsedos.PeriodForGamma(*gamma, *rate, *extent, cfg.BottleneckRate)
-	if period < *extent {
-		return fmt.Errorf("gamma %.2f unreachable at %.0f Mbps pulses", *gamma, *rate/1e6)
-	}
-	train, err := pulsedos.AIMDTrain(*extent, *rate, period, experiments.PulsesFor(*measure, period))
-	if err != nil {
-		return err
-	}
-	res, err := pulsedos.Run(env, pulsedos.RunOptions{Warmup: *warmup, Measure: *measure, Train: &train})
+	res, err := experiments.RunCtx(context.Background(), env,
+		experiments.RunOptions{Warmup: *warmup, Measure: *measure, Train: train})
 	if err != nil {
 		return err
 	}
