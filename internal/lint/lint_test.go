@@ -1,8 +1,11 @@
 package lint
 
 import (
+	"go/types"
 	"path/filepath"
 	"regexp"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -136,23 +139,87 @@ func TestFixturesOutsideScopeAreQuiet(t *testing.T) {
 	}
 }
 
+// repoTree loads and type-checks the whole module once for the tests that
+// inspect the repository itself.
+var repoTree = sync.OnceValues(func() ([]*Package, error) {
+	l, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		return nil, err
+	}
+	return l.LoadAll()
+})
+
+func loadRepoTree(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	pkgs, err := repoTree()
+	if err != nil {
+		t.Fatalf("loading module packages: %v", err)
+	}
+	return pkgs
+}
+
 // TestRepoTreeClean is the acceptance gate in test form: the analyzer suite
 // under the repository Default() config must report zero findings on the
 // tree itself (make lint enforces the same from the command line).
 func TestRepoTreeClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	l, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	diags := Run(Default(), pkgs)
+	diags := Run(Default(), loadRepoTree(t))
 	for _, d := range diags {
 		t.Errorf("tree not lint-clean: %s", d)
 	}
+}
+
+// TestDefaultConfigResolves: every entry of the repository configuration
+// names code in the tree. An entry that resolves to nothing — a deleted
+// package, a renamed type — leaves its analyzer silently checking nothing.
+func TestDefaultConfigResolves(t *testing.T) {
+	byPath := map[string]*Package{}
+	for _, p := range loadRepoTree(t) {
+		byPath[p.Path] = p
+	}
+	cfg := Default()
+	for _, set := range [][]string{cfg.DeterministicPkgs, cfg.FloatPkgs, cfg.VTimePkgs, cfg.ShardSafePkgs, {cfg.KernelPkg}} {
+		for _, path := range set {
+			if byPath[path] == nil {
+				t.Errorf("package %q is not in the tree", path)
+			}
+		}
+	}
+	for _, name := range append(append([]string(nil), cfg.TimeTypes...), cfg.ShardLocalTypes...) {
+		if _, ok := resolveName(byPath, name).(*types.TypeName); !ok {
+			t.Errorf("type %q is not in the tree", name)
+		}
+	}
+	for _, name := range cfg.StampedCalls {
+		if _, ok := resolveName(byPath, name).(*types.Func); !ok {
+			t.Errorf("function %q is not in the tree", name)
+		}
+	}
+}
+
+// resolveName finds the object a configured "pkgpath.Name" or
+// "pkgpath.Recv.Method" names in the loaded packages, or nil.
+func resolveName(byPath map[string]*Package, qualified string) types.Object {
+	slash := strings.LastIndex(qualified, "/") + 1
+	dot := strings.Index(qualified[slash:], ".")
+	if dot < 0 {
+		return nil
+	}
+	pkg := byPath[qualified[:slash+dot]]
+	if pkg == nil {
+		return nil
+	}
+	name, method, isMethod := strings.Cut(qualified[slash+dot+1:], ".")
+	obj := pkg.Pkg.Scope().Lookup(name)
+	if !isMethod {
+		return obj
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return nil
+	}
+	m, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, pkg.Pkg, method)
+	return m
 }
