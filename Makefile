@@ -95,7 +95,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelCascade|BenchmarkKernelChainWheel' -benchtime 1s ./internal/sim
 
 # study-smoke runs once every caller of the facade studies outside the test
-# suite: each example under examples/ (stdout discarded), then the figure,
+# suite: each example under examples/ (stdout discarded here; each example's
+# main_test.go pins it in testdata/stdout.sha256), then the figure,
 # ablation, extension and maximization benches for one iteration each, whose
 # reported metrics (peak_gain, shrew_excess_gain, shrew_mitigation,
 # fct_inflation, gamma_peak_gap, ...) are deterministic.

@@ -46,7 +46,7 @@ func run(args []string, stdout io.Writer) error {
 		warmup   = fs.Duration("warmup", 10*time.Second, "warm-up before measurement")
 		measure  = fs.Duration("measure", 30*time.Second, "measurement window")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
-		workers  = fs.Int("workers", 1, "shard the topology across N cores (results identical to -workers 1)")
+		workers  = fs.Int("workers", 1, "shard the topology across N cores (an exact event tie at a shard boundary can make results differ from -workers 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -52,7 +52,9 @@ type Topology struct {
 	Flows int    `json:"flows"` // victim population; 0 = kind default
 
 	// Workers shards the topology over the conservative parallel engine;
-	// 0 or 1 builds serial. Results are identical at any worker count.
+	// 0 or 1 builds serial. A sharded run can order an exact shard-boundary
+	// event tie differently from the serial kernel, so the canonical key
+	// carries a count above 1.
 	Workers int `json:"workers,omitempty"`
 
 	// Bottleneck overrides (zero = default); ignored by "graph".

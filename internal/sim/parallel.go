@@ -36,20 +36,22 @@ import (
 // own past — the merge at the next barrier is always safe, with no rollback
 // machinery.
 //
-// Determinism is a hard contract: a sharded run must reproduce the serial
-// kernel's observable behaviour exactly, at any worker count. The mechanism
-// is the (when, at, seq) comparator in kernel.go — boundary events carry the
+// Determinism is a hard contract: a sharded run is a pure function of the
+// scenario and the worker count, and reproduces the serial kernel's
+// observable behaviour except at one residual freedom. The mechanism is the
+// (when, at, seq) comparator in kernel.go — boundary events carry the
 // virtual instant they were scheduled in the source shard ("at"), which is
 // precisely the key the serial kernel's monotone seq counter encodes. The
-// only residual freedom is the order of two boundary events with identical
+// residual freedom is the order of two boundary events with identical
 // (when, at) arriving over different edges, which the merge breaks by edge
 // id; the serial kernel would have broken it by the relative execution order
-// of the two source events at that instant. Real topologies make such exact
-// ties vanishingly rare (delays differ per flow), and the randomized
-// equivalence tests pin the contract end to end. Window placement does not
-// enter the argument at all — any barrier schedule that respects the
-// conservative guard injects the same events in the same merged order — so
-// the adaptive targets cannot perturb a trajectory.
+// of the two source events at that instant. Such ties are rare (delays
+// differ per flow) but real: the test-bed with delayed ACKs under attack
+// hits one, and its 2-worker run differs from the serial one (DESIGN.md §9).
+// The randomized equivalence tests pin the dumbbell end to end. Window
+// placement does not enter the argument at all — any barrier schedule that
+// respects the conservative guard injects the same events in the same
+// merged order — so the adaptive targets cannot perturb a trajectory.
 
 // ErrNoLookahead is returned when a cross-shard edge declares a non-positive
 // minimum delay: conservative synchronization requires strictly positive

@@ -15,8 +15,8 @@ import (
 // Options parameterizes Build.
 type Options struct {
 	// Workers shards the graph across the conservative parallel engine.
-	// Values <= 1 build the serial kernel; results are byte-identical at any
-	// worker count.
+	// Values <= 1 build the serial kernel. A sharded run matches the serial
+	// one except where two boundary events tie exactly (DESIGN.md §9).
 	Workers int
 }
 

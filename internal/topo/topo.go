@@ -8,12 +8,12 @@
 // dumbbell of Fig. 5 and the Dummynet test-bed of Fig. 11). Making topology
 // data instead of code unlocks the scenarios those pages could not run:
 // parking-lot multi-bottleneck chains, dumbbells with cross-traffic, and
-// anything scenario JSON can spell. Generators for all four live in
+// anything scenario JSON can spell. Generators for the first three live in
 // generators.go; they only return Graphs — every environment in the repo is
 // produced by the single Build path.
 //
 // Equivalence contract: Build reproduces the hand-wired builders it replaced
-// byte-identically (CSV-level) at any worker count. That pins down the parts
+// byte-identically (CSV-level) at every pinned worker count. That pins down the parts
 // of Build that look arbitrary: the rng draw order (one child rng per
 // RED/ARED trunk queue, in trunk declaration order, forward before reverse;
 // start jitter drawn in global flow order), the integer arithmetic deriving

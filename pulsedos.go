@@ -207,9 +207,9 @@ func BuildDumbbell(cfg DumbbellConfig) (*topo.Environment, error) {
 }
 
 // BuildShardedDumbbell wires the Fig. 5 dumbbell across `workers` shards of
-// the conservative parallel engine. Results are bit-identical to the serial
-// BuildDumbbell at any worker count; call Close when done to join the shard
-// goroutines.
+// the conservative parallel engine. Results match the serial BuildDumbbell
+// except where two shard-boundary events tie exactly (DESIGN.md §9); call
+// Close when done to join the shard goroutines.
 func BuildShardedDumbbell(cfg DumbbellConfig, workers int) (*topo.Environment, error) {
 	return topo.Build(topo.Dumbbell(cfg), topo.Options{Workers: workers})
 }
