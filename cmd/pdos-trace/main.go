@@ -1,9 +1,8 @@
 // Command pdos-trace runs one attacked scenario and emits an ns-2-style
 // packet-event trace of the bottleneck link ('+' enqueue, 'd' drop, '-'
 // dequeue), for downstream analysis with the same tooling people used on
-// ns-2 trace files. The flags compile to one dumbbell scenario document with
-// an aimd attack, as pdos-sim's do; the trace taps the document's target
-// link.
+// ns-2 trace files. Its flags compile to a dumbbell + aimd scenario document,
+// whose target link the trace taps.
 //
 // Example:
 //

@@ -161,10 +161,6 @@ func RunMiceCtx(ctx context.Context, env *topo.Environment, cfg MiceConfig, prog
 // nextArrival is the Poisson arrival after at: one exponential gap of the
 // given mean drawn from r, at least 1 ns.
 func nextArrival(at, mean sim.Time, r *rng.Source) sim.Time {
-	//pdos:vtime-ok — exponential inter-arrival draw: the one float in the Poisson process, re-rounded to the grid immediately and clamped ≥ 1ns below
-	gap := sim.Time(float64(mean) * r.ExpFloat64())
-	if gap < 1 {
-		gap = 1
-	}
-	return at + gap
+	//pdos:vtime-ok — exponential inter-arrival draw: the one float in the Poisson process, re-rounded to the grid immediately and clamped ≥ 1ns
+	return at + max(sim.Time(float64(mean)*r.ExpFloat64()), 1)
 }

@@ -6,9 +6,8 @@
 // harmonics of Fig. 10, the risk curves of Fig. 4, the fixed figure
 // dimensions (dims.go) and the task pool (RunTasksCtx). The figures and the
 // gain, shrew, maximization and defense studies compose these as scenario
-// documents in internal/figures. The evaluation topologies themselves (the
-// ns-2 dumbbell of Fig. 5, the Dummynet test-bed of Fig. 11, and the newer
-// multi-bottleneck graphs) are generated and built by internal/topo.
+// documents in internal/figures. internal/topo generates and builds the
+// topologies they run on.
 package experiments
 
 import (

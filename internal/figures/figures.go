@@ -194,11 +194,6 @@ func AllFigures(ctx context.Context, scale experiments.Scale, opt Options) ([]*e
 	return RunJobs(ctx, IDs()[:paperCount], scale, opt)
 }
 
-// ExtendedFigures regenerates the ablation and extension studies.
-func ExtendedFigures(ctx context.Context, scale experiments.Scale, opt Options) ([]*experiments.FigureResult, error) {
-	return RunJobs(ctx, IDs()[paperCount:], scale, opt)
-}
-
 // runDocs executes every document's expanded points — flattened into one
 // task pool so curve boundaries don't serialize — and returns the artifact
 // sets grouped per document, point order.

@@ -81,30 +81,25 @@ func (s Set) Check(t testing.TB, name, rendered string) {
 	}
 }
 
-// Stdout runs fn with os.Stdout redirected into a pipe and returns what it
-// printed, for pinning a program whose report goes straight to os.Stdout.
-// fn's error fails the test.
+// Stdout returns what fn prints while os.Stdout is redirected into a pipe,
+// for pinning a program that reports straight to os.Stdout. fn's error fails
+// the test.
 func Stdout(t testing.TB, fn func() error) string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := make(chan string)
-	go func() {
-		var b strings.Builder
-		io.Copy(&b, r)
-		read <- b.String()
-	}()
+	read := make(chan []byte)
+	go func() { b, _ := io.ReadAll(r); r.Close(); read <- b }()
 	saved := os.Stdout
 	os.Stdout = w
-	runErr := fn()
+	err = fn()
 	os.Stdout = saved
 	w.Close()
 	out := <-read
-	r.Close()
-	if runErr != nil {
-		t.Fatal(runErr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return string(out)
 }

@@ -25,15 +25,13 @@ const canonicalVersion = 1
 //   - the attack with its ignored knobs zeroed and its defaults applied;
 //   - the measurement windows.
 //
-// Deliberately absent: Config.Name (a label, not a parameter). Workers is
-// present only above 1: a sharded run can order exact event ties at a shard
-// boundary differently from the serial kernel (DESIGN.md §9), so its result
-// may differ and must not share the serial run's cache entry; 0 and 1 both
-// build the serial kernel and key alike.
-// The workers count and the measure and workload blocks are omitempty:
-// documents that predate them canonicalize to the exact bytes they always
-// did, which is what keeps every serial scenario.Key (and so every cache
-// entry) stable.
+// Deliberately absent: Config.Name (a label, not a parameter). Workers
+// appears only above 1 — 0 and 1 both build the serial kernel — because a
+// sharded run can break an exact event tie at a shard boundary differently
+// (DESIGN.md §9) and must not share the serial run's cache entry.
+// Workers and the measure and workload blocks are omitempty: documents that
+// predate them canonicalize to the exact bytes they always did, which is
+// what keeps every serial scenario.Key (and so every cache entry) stable.
 type canonicalDoc struct {
 	Canon      int                `json:"canon"`
 	Graph      topo.Graph         `json:"graph"`

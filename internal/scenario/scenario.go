@@ -52,9 +52,8 @@ type Topology struct {
 	Flows int    `json:"flows"` // victim population; 0 = kind default
 
 	// Workers shards the topology over the conservative parallel engine;
-	// 0 or 1 builds serial. A sharded run can order an exact shard-boundary
-	// event tie differently from the serial kernel, so the canonical key
-	// carries a count above 1.
+	// 0 or 1 builds serial. A sharded run can break an exact event tie at a
+	// shard boundary differently (DESIGN.md §9), so keys carry it above 1.
 	Workers int `json:"workers,omitempty"`
 
 	// Bottleneck overrides (zero = default); ignored by "graph".
@@ -393,37 +392,33 @@ func checkDuration(v float64, unit time.Duration, field string, args ...any) err
 	return nil
 }
 
-// maxSeriesBins caps each binned series over the measurement window. The
+// maxSeriesBins caps each binned series over the measurement window: the
 // rate series grows one bin per rateBinMs and the queue sampler schedules one
-// event per queueBinMs, so a run's memory grows linearly in the bin count; a
-// 60 s Fig. 3 snapshot at 50 ms needs 1,200.
+// event per queueBinMs, so memory grows with the count (a 60 s Fig. 3
+// snapshot at 50 ms needs 1,200).
 const maxSeriesBins = 1_000_000
 
-// validateSeries rejects a requested binned series (rateBinMs, the queue
-// tap) whose bin converts to 0 ns, which would silently return no series,
-// or cuts the measurement window into more than maxSeriesBins. It reads the
-// bins as runOptions converts them.
+// validateSeries rejects a requested series whose bin, converted as
+// runOptions converts it, is 0 ns (the series would silently be empty) or
+// cuts the measurement window into more than maxSeriesBins.
 func (c Config) validateSeries() error {
 	opt := c.runOptions()
+	check := func(ms float64, bin time.Duration, field string) error {
+		switch {
+		case bin <= 0:
+			return fmt.Errorf("scenario: %s %g rounds to 0 ns", field, ms)
+		case opt.Measure/bin > maxSeriesBins:
+			return fmt.Errorf("scenario: %s %g cuts measureSec into %d bins, more than %d", field, ms, opt.Measure/bin, maxSeriesBins)
+		}
+		return nil
+	}
 	if c.RateBinMs > 0 {
-		if err := checkBin(c.RateBinMs, opt.RateBin, opt.Measure, "rateBinMs"); err != nil {
+		if err := check(c.RateBinMs, opt.RateBin, "rateBinMs"); err != nil {
 			return err
 		}
 	}
 	if c.Measure.HasTap("queue") {
-		return checkBin(c.Measure.queueBinMs(), opt.QueueBin, opt.Measure, "queueBinMs")
-	}
-	return nil
-}
-
-// checkBin reports an error naming the field when the bin of ms
-// milliseconds, converted to bin, is empty or too fine for the window.
-func checkBin(ms float64, bin, window time.Duration, field string) error {
-	switch {
-	case bin <= 0:
-		return fmt.Errorf("scenario: %s %g rounds to 0 ns", field, ms)
-	case window/bin > maxSeriesBins:
-		return fmt.Errorf("scenario: %s %g cuts measureSec into %d bins, more than %d", field, ms, window/bin, maxSeriesBins)
+		return check(c.Measure.queueBinMs(), opt.QueueBin, "queueBinMs")
 	}
 	return nil
 }

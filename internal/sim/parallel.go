@@ -37,21 +37,20 @@ import (
 // machinery.
 //
 // Determinism is a hard contract: a sharded run is a pure function of the
-// scenario and the worker count, and reproduces the serial kernel's
-// observable behaviour except at one residual freedom. The mechanism is the
-// (when, at, seq) comparator in kernel.go — boundary events carry the
-// virtual instant they were scheduled in the source shard ("at"), which is
-// precisely the key the serial kernel's monotone seq counter encodes. The
-// residual freedom is the order of two boundary events with identical
-// (when, at) arriving over different edges, which the merge breaks by edge
-// id; the serial kernel would have broken it by the relative execution order
-// of the two source events at that instant. Such ties are rare (delays
-// differ per flow) but real: the test-bed with delayed ACKs under attack
-// hits one, and its 2-worker run differs from the serial one (DESIGN.md §9).
-// The randomized equivalence tests pin the dumbbell end to end. Window
-// placement does not enter the argument at all — any barrier schedule that
-// respects the conservative guard injects the same events in the same
-// merged order — so the adaptive targets cannot perturb a trajectory.
+// scenario and worker count, and matches the serial kernel but for one
+// residual freedom. The mechanism is the (when, at, seq) comparator in
+// kernel.go — boundary events carry the virtual instant they were scheduled
+// in the source shard ("at"), which is precisely the key the serial
+// kernel's monotone seq counter encodes. The residual freedom is the order
+// of two boundary events with identical (when, at) arriving over different
+// edges, which the merge breaks by edge id; the serial kernel would have
+// broken it by the relative execution order of the two source events at
+// that instant. Such ties are rare but real: the test-bed with delayed ACKs
+// under attack hits one (DESIGN.md §9). The randomized equivalence tests
+// pin the dumbbell end to end. Window placement does not enter the argument
+// at all — any barrier schedule that respects the conservative guard
+// injects the same events in the same merged order — so the adaptive
+// targets cannot perturb a trajectory.
 
 // ErrNoLookahead is returned when a cross-shard edge declares a non-positive
 // minimum delay: conservative synchronization requires strictly positive
@@ -207,9 +206,6 @@ func NewEngine(n int) *Engine {
 	}
 	return e
 }
-
-// Shards reports the number of partitions.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Shard returns partition i.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }

@@ -138,16 +138,6 @@ func DefaultTestbedConfig(flows int) TestbedConfig {
 	}
 }
 
-// TestbedQueueLen resolves the pipe queue capacity a config implies: the
-// configured value, or the paper's rule of thumb B = RTT·R_bottle.
-func TestbedQueueLen(cfg TestbedConfig) int {
-	if cfg.QueueLen != 0 {
-		return cfg.QueueLen
-	}
-	rtt := 2 * (cfg.PipeDelay + 2*cfg.AccessOWD)
-	return ruleOfThumbQueueLen(rtt, cfg.BottleneckRate, cfg.TCP.MSS+cfg.TCP.HeaderSize)
-}
-
 // ruleOfThumbQueueLen sizes the §4.2 test-bed's Dummynet buffer by the
 // paper's rule of thumb: it holds a bandwidth-delay product, B = RTT ×
 // R_bottle, in packets of the given size, and at least one.
@@ -168,7 +158,11 @@ func ruleOfThumbQueueLen(rtt time.Duration, bandwidth float64, packetSize int) i
 // mirrors the Dummynet pipe API's unconditional rng seeding, so the
 // tail-drop ablation stays draw-for-draw identical to the legacy builder.
 func Testbed(cfg TestbedConfig) Graph {
-	queueLen := TestbedQueueLen(cfg)
+	queueLen := cfg.QueueLen
+	if queueLen == 0 {
+		rtt := 2 * (cfg.PipeDelay + 2*cfg.AccessOWD)
+		queueLen = ruleOfThumbQueueLen(rtt, cfg.BottleneckRate, cfg.TCP.MSS+cfg.TCP.HeaderSize)
+	}
 	kind := QueueRED
 	if cfg.DropTail {
 		kind = QueueDropTail

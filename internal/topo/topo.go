@@ -57,10 +57,9 @@ type QueueSpec struct {
 	ReserveRand bool
 }
 
-// MarshalJSON encodes the spec with the RED-parameter override it once
-// carried, always null. Scenario cache keys hash the JSON of the resolved
-// Graph (internal/scenario's canonical document), so the retired field keeps
-// its place and every key stays what it was.
+// MarshalJSON keeps the retired RED-parameter override in the encoding,
+// always null: scenario cache keys hash the resolved Graph's JSON, and every
+// key stays what it was.
 func (q QueueSpec) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		Kind        QueueKind
