@@ -184,38 +184,61 @@ func TestMillionFlowAllocRegression(t *testing.T) {
 // pools (release at the source, pool get at the destination), outboxes and
 // the merge scratch are reused across barriers, and the sort comparator is a
 // top-level function — so the sharded steady state must allocate nothing per
-// packet, same as serial.
+// packet, same as serial. The pulsed run adds the cross-shard attacker,
+// which paces its emissions through the portal: the same attack and the
+// same 30 s warm-up, pulsed from its midpoint, as
+// TestManyFlowAllocRegression's.
 func TestShardedAllocRegression(t *testing.T) {
-	cfg := DefaultDumbbellConfig(100)
-	sd, err := topo.Build(topo.Dumbbell(cfg), topo.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sd.Close()
-	if err := sd.StartFlows(); err != nil {
-		t.Fatal(err)
-	}
-	warm := sim.FromDuration(15 * time.Second)
-	if err := sd.RunUntil(warm); err != nil {
-		t.Fatal(err)
-	}
-	arrivals0 := sd.BottleStats().Arrivals
+	for _, name := range []string{"unpulsed", "pulsed"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultDumbbellConfig(100)
+			sd, err := topo.Build(topo.Dumbbell(cfg), topo.Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sd.Close()
+			warm := sim.FromDuration(15 * time.Second)
+			if name == "pulsed" {
+				warm *= 2
+				period := 300 * time.Millisecond
+				train, err := attack.AIMDTrain(sim.FromDuration(75*time.Millisecond), 2*cfg.BottleneckRate,
+					sim.FromDuration(period), experiments.PulsesFor(20*time.Second, period))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen, err := sd.Attach(train)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := gen.Start(warm / 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sd.StartFlows(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sd.RunUntil(warm); err != nil {
+				t.Fatal(err)
+			}
+			arrivals0 := sd.BottleStats().Arrivals
 
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if err := sd.RunUntil(warm + sim.FromDuration(5*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&m1)
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := sd.RunUntil(warm + sim.FromDuration(5*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
 
-	packets := sd.BottleStats().Arrivals - arrivals0
-	if packets == 0 {
-		t.Fatal("no packets crossed the bottleneck")
-	}
-	perPacket := float64(m1.Mallocs-m0.Mallocs) / float64(packets)
-	t.Logf("%d packets, %.3f allocs/packet", packets, perPacket)
-	if perPacket > 0.01 {
-		t.Errorf("steady-state 4-worker sharded dumbbell allocates %.3f objects/packet, want 0", perPacket)
+			packets := sd.BottleStats().Arrivals - arrivals0
+			if packets == 0 {
+				t.Fatal("no packets crossed the bottleneck")
+			}
+			perPacket := float64(m1.Mallocs-m0.Mallocs) / float64(packets)
+			t.Logf("%d packets, %.3f allocs/packet", packets, perPacket)
+			if perPacket > 0.01 {
+				t.Errorf("steady-state %s 4-worker sharded dumbbell allocates %.3f objects/packet, want 0", name, perPacket)
+			}
+		})
 	}
 }

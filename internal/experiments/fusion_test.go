@@ -143,12 +143,12 @@ func runFusionScenario(t *testing.T, c fusionCase, opt RunOptions, golden bool, 
 	sc := collectScenario(t, env, c.flows, opt)
 	sc.processed -= uint64(len(sc.res.Queue))
 	sc.kernelEvents = env.KernelEvents()
+	sc.skipped = env.SkippedEvents()
 	sc.targetGolden = env.Target().GoldenPath()
-	skipped := env.SkippedEvents()
-	if golden && skipped != 0 {
-		t.Errorf("%s: golden build workers=%d elided %d events", c.name, workers, skipped)
+	if golden && sc.skipped != 0 {
+		t.Errorf("%s: golden build workers=%d elided %d events", c.name, workers, sc.skipped)
 	}
-	if !golden && skipped == 0 {
+	if !golden && sc.skipped == 0 {
 		t.Errorf("%s: fused build workers=%d elided no events", c.name, workers)
 	}
 	return sc
@@ -176,6 +176,23 @@ func checkFused(t *testing.T, label string, golden, fused shardedScenario) {
 	if fused.kernelEvents >= golden.kernelEvents {
 		t.Errorf("%s: fused fired %d kernel events, golden %d — fusion saved nothing",
 			label, fused.kernelEvents, golden.kernelEvents)
+	}
+}
+
+// checkShardedSchedule requires a sharded leg to run the serial leg's link
+// schedule: a fused leg runs its bottleneck fused and elides exactly the
+// events the serial fused leg elides — portal links and the cross-shard
+// attacker included — so, with the normalized Processed totals equal
+// (compareScenarios), its raw kernel count differs from the serial one only
+// by the per-shard RTO heartbeat ticks. A golden leg sends through its
+// portals on the two-event schedule.
+func checkShardedSchedule(t *testing.T, label string, serial, sharded shardedScenario, golden bool) {
+	t.Helper()
+	if sharded.targetGolden != golden {
+		t.Errorf("%s: bottleneck ran golden=%v, want %v", label, sharded.targetGolden, golden)
+	}
+	if !golden && sharded.skipped != serial.skipped {
+		t.Errorf("%s: elided %d events, the serial fused leg %d", label, sharded.skipped, serial.skipped)
 	}
 }
 
@@ -222,10 +239,14 @@ func TestFusionEquivalence(t *testing.T) {
 
 			for _, workers := range []int{2, 4, 8} {
 				golden := runFusionScenario(t, c, c.opt, true, workers)
-				fused := runFusionScenario(t, c, c.opt, false, workers)
-				compareScenarios(t, fmt.Sprintf("%s golden workers=%d", c.name, workers), ref, golden)
-				compareScenarios(t, fmt.Sprintf("%s fused workers=%d", c.name, workers), ref, fused)
-				checkFused(t, fmt.Sprintf("%s workers=%d", c.name, workers), golden, fused)
+				sharded := runFusionScenario(t, c, c.opt, false, workers)
+				label := fmt.Sprintf("%s golden workers=%d", c.name, workers)
+				compareScenarios(t, label, ref, golden)
+				checkShardedSchedule(t, label, ref, golden, true)
+				label = fmt.Sprintf("%s fused workers=%d", c.name, workers)
+				compareScenarios(t, label, ref, sharded)
+				checkShardedSchedule(t, label, fused, sharded, false)
+				checkFused(t, fmt.Sprintf("%s workers=%d", c.name, workers), golden, sharded)
 			}
 			if t.Failed() {
 				t.Fatalf("divergence in %s", c.name)

@@ -12,6 +12,7 @@ import (
 	"pulsedos/internal/pins"
 	"pulsedos/internal/rng"
 	"pulsedos/internal/sim"
+	"pulsedos/internal/tcp"
 	"pulsedos/internal/topo"
 )
 
@@ -48,6 +49,7 @@ type shardedScenario struct {
 	res          *RunResult
 	processed    uint64
 	kernelEvents uint64 // raw scheduler events, 0 unless the runner records it
+	skipped      uint64 // events the fused schedule and paced sources elided; set with kernelEvents
 	targetGolden bool   // the measured link ran the golden schedule; set with kernelEvents
 	rateCSV      []byte
 	flowCSV      []byte
@@ -273,5 +275,109 @@ func TestTestbedEquivalence(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("divergence at dropTail=%v", dropTail)
 		}
+	}
+}
+
+// attackShapedGraph is the benchmark's attack-10k document at n flows: one
+// RED trunk S → R of 1 Mbps per flow with 5 ms delay and a 10-packet-per-flow
+// queue, flows with 50 Mbps access and 20–460 ms RTTs, and an attacker at S
+// with 4x the trunk's rate as access.
+func attackShapedGraph(n int) topo.Graph {
+	trunk := float64(n) * 1e6
+	return topo.Graph{
+		Routers: []string{"S", "R"},
+		Trunks: []topo.TrunkSpec{{
+			Name: "trunk", From: 0, To: 1, Rate: trunk, Delay: 5 * time.Millisecond,
+			Queue:    topo.QueueSpec{Kind: topo.QueueRED, Limit: 10 * n},
+			RevQueue: topo.QueueSpec{Kind: topo.QueueDropTail, Limit: 4096},
+		}},
+		Groups: []topo.FlowGroup{{Flows: n, Ingress: 0, Egress: 1, AccessRate: 50e6,
+			RTTMin: 20 * time.Millisecond, RTTMax: 460 * time.Millisecond}},
+		Attacks:          []topo.AttackPoint{{Router: 0, Rate: 4 * trunk, Delay: 2 * time.Millisecond}},
+		SinkRouter:       1,
+		TCP:              tcp.DefaultConfig(),
+		Seed:             1,
+		StartSpread:      500 * time.Millisecond,
+		AttackPacketSize: 1000,
+	}
+}
+
+// generatorCapture runs an environment through Run unchanged while keeping
+// the attack generator Run attaches.
+type generatorCapture struct {
+	*topo.Environment
+	gen *attack.Generator
+}
+
+func (e *generatorCapture) Attach(train attack.Train) (*attack.Generator, error) {
+	g, err := e.Environment.Attach(train)
+	e.gen = g
+	return g, err
+}
+
+// TestShardedAttackerPacesAcrossPortal covers the cross-shard attacker of
+// the benchmark's attack-10k-2w plan: at 2 workers the attacker sits on the
+// reverse core and the trunk on the forward core, so the attacker's ingress
+// link is a portal link, and it paces (DESIGN.md §14.4) through the portal.
+// An attack-10k-shaped run at 200 flows must run no link golden, elide
+// generator events, and match the serial run's delivered bytes, per-flow
+// accounts, normalized event count and attack packets at the sink.
+func TestShardedAttackerPacesAcrossPortal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second virtual scenario")
+	}
+	const flows = 200
+	g := attackShapedGraph(flows)
+	trunk := g.Trunks[0].Rate
+	opt := RunOptions{Warmup: time.Second, Measure: 2 * time.Second}
+	period := PeriodForGamma(0.5, 2*trunk, 75*time.Millisecond, trunk)
+	train, err := attack.AIMDTrain(sim.FromDuration(75*time.Millisecond), 2*trunk,
+		sim.FromDuration(period), PulsesFor(opt.Measure, period))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Train = &train
+
+	type outcome struct {
+		res       *RunResult
+		processed uint64
+		sink      uint64
+	}
+	run := func(workers int) outcome {
+		env, err := topo.Build(g, topo.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		if workers > 1 && env.Plan.AttackShard[0] == env.Plan.TrunkFwd[0] {
+			t.Fatalf("workers %d: the attacker shares shard %d with the trunk", workers, env.Plan.AttackShard[0])
+		}
+		ec := &generatorCapture{Environment: env}
+		res, err := Run(ec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range env.Links() {
+			if l.GoldenPath() {
+				t.Errorf("workers %d: link %s runs golden", workers, l.Name())
+			}
+		}
+		if n := ec.gen.SkippedEvents(env.Kernel.Now()); n == 0 {
+			t.Errorf("workers %d: the attack generator elided no events", workers)
+		}
+		return outcome{res: res, processed: env.Processed(), sink: env.Sink.Packets}
+	}
+	want, got := run(1), run(2)
+	if got.res.Delivered != want.res.Delivered {
+		t.Errorf("delivered %d bytes, serial %d", got.res.Delivered, want.res.Delivered)
+	}
+	if !maps.Equal(got.res.PerFlow, want.res.PerFlow) {
+		t.Error("per-flow accounts differ from the serial run")
+	}
+	if got.processed != want.processed {
+		t.Errorf("processed %d events, serial %d", got.processed, want.processed)
+	}
+	if got.sink != want.sink || want.sink == 0 {
+		t.Errorf("sink received %d attack packets, serial %d", got.sink, want.sink)
 	}
 }

@@ -67,9 +67,11 @@ type DepartureTap interface {
 //     timestamp instead of a tx-done event. A tx-done-shaped chain event
 //     exists only while backlog is queued.
 //
-// Links with a DepartureTap or a cross-shard remote stay on the golden path:
-// departure taps observe the serialization instant and the portal protocol
-// fires at tx-done, and both must keep doing so (DESIGN.md §14).
+// Both paths hand every packet to one delivery step (deliver), which either
+// schedules the stamped local delivery or sends it through a cross-shard
+// remote on the same (when, at) key. Only links with a DepartureTap stay on
+// the golden path: departure taps observe the serialization instant, which
+// only the golden schedule has an event for (DESIGN.md §14).
 type Link struct {
 	name  string
 	k     *sim.Kernel
@@ -80,7 +82,7 @@ type Link struct {
 	pool  *PacketPool
 
 	busy    bool
-	golden  bool // two-event reference path (forced by departure taps, remotes, or ForceGoldenPath)
+	golden  bool // two-event reference path (forced by departure taps or ForceGoldenPath)
 	stats   LinkStats
 	taps    []Tap
 	departs []DepartureTap // the taps that also observe departures (golden only)
@@ -253,27 +255,19 @@ func (l *Link) NewPacket() *Packet {
 	return &Packet{}
 }
 
-// SetRemote routes this link's post-serialization deliveries through a shard
-// boundary (see portal.go). A nil remote (the default) keeps the serial local
-// path; the only cost on that path is one pointer nil-check per departure.
-// A remote pins the link to the golden two-event path: the portal protocol
-// transfers packets at the tx-done instant, which is what keeps the parallel
-// engine's lookahead windows conservative (the propagation delay is consumed
-// on the destination shard), so the fused single-event schedule does not
-// apply.
-func (l *Link) SetRemote(r Remote) {
-	l.remote = r
-	if r != nil {
-		l.forceGolden("SetRemote")
-	}
-}
+// SetRemote routes this link's deliveries through a shard boundary (see
+// portal.go). A nil remote (the default) keeps the serial local path; the
+// only cost on that path is one pointer nil-check per delivery. The link
+// keeps its schedule: the remote receives each packet at the delivery step,
+// with the same (when, at) key the local delivery event would carry.
+func (l *Link) SetRemote(r Remote) { l.remote = r }
 
 // ForceGoldenPath pins the link to the golden two-event schedule (one
 // tx-done event plus one delivery event per packet) instead of the fused
 // single-event default. The two paths are model-equivalent — the equivalence
 // suites prove byte-identical observables — so this is a reference/debug
 // knob, not a semantic one. It must be called before any traffic flows;
-// links with departure taps or remotes are on the golden path already.
+// links with departure taps are on the golden path already.
 func (l *Link) ForceGoldenPath() { l.forceGolden("ForceGoldenPath") }
 
 // GoldenPath reports whether the link uses the golden two-event schedule.
@@ -283,7 +277,7 @@ func (l *Link) GoldenPath() bool { return l.golden }
 // traffic has started would desynchronize the two transmitter-state
 // representations (busy vs busyUntil) and corrupt the schedule, so it
 // panics — mode selection is wiring-time configuration, as are departure
-// taps and remotes.
+// taps.
 func (l *Link) forceGolden(who string) {
 	if l.golden {
 		return
@@ -294,13 +288,25 @@ func (l *Link) forceGolden(who string) {
 	l.golden = true
 }
 
-// deliverLocal schedules the packet's propagation and delivery on the link's
-// own kernel — the serial path, also used by remotes falling back for flows
-// homed on this shard.
+// deliver hands a packet whose serialization completes at txDone to the
+// propagation hop: it arrives at txDone+delay (saturating at MaxTime),
+// stamped with txDone — the instant the golden schedule's delivery event is
+// scheduled at, so the fused schedule, which calls this when serialization
+// starts, sorts its delivery into the same (when, at) slot. A cross-shard
+// remote takes the packet on that key; otherwise the delivery is scheduled
+// on the link's own kernel.
 //
 //pdos:hotpath
-func (l *Link) deliverLocal(p *Packet) {
-	l.k.AfterTicksArg(l.delay, l.deliverFn, p)
+func (l *Link) deliver(p *Packet, txDone sim.Time) {
+	when := txDone + l.delay
+	if when < txDone {
+		when = sim.MaxTime
+	}
+	if l.remote != nil {
+		l.remote.Transfer(l, when, txDone, p)
+		return
+	}
+	l.k.AtArgStamped(when, txDone, l.deliverFn, p)
 }
 
 // AddTap attaches a traffic observer. A plain Tap leaves the link on its
@@ -433,10 +439,6 @@ func (l *Link) SendPaced(p *Packet, at, gap sim.Time) {
 	if txDone < at {
 		txDone = sim.MaxTime
 	}
-	when := txDone + l.delay
-	if when < txDone {
-		when = sim.MaxTime
-	}
 	if l.pacedN > 0 && at == l.pacedAt+l.pacedGap && gap == l.pacedGap && p.Size == l.pacedSize {
 		l.pacedN++ //pdos:counter paced-grid inc — one more serialization committed on the open grid
 	} else {
@@ -455,7 +457,7 @@ func (l *Link) SendPaced(p *Packet, at, gap sim.Time) {
 	l.lastSize = p.Size
 	l.txStart = at
 	l.busyUntil = txDone
-	l.k.AtArgStamped(when, txDone, l.deliverFn, p)
+	l.deliver(p, txDone)
 }
 
 // SkippedEvents reports how many kernel events the fused path has elided
@@ -501,13 +503,13 @@ func (l *Link) startTransmit() {
 	l.k.AfterTicksArg(l.TxTime(p.Size), l.txDoneFn, p)
 }
 
-// startFused pulls the head-of-line packet and schedules the single fused
-// event that delivers it. The event fires at tx-done+delay but is
-// back-stamped to the tx-done instant, so it occupies exactly the (when, at)
-// slot the golden path's delivery event — scheduled at tx-done — would
-// have; the saturation arithmetic mirrors the golden path's two chained
-// clampDelta calls. Departure accounting needs no event: Stats derives it
-// from starts and busyUntil.
+// startFused pulls the head-of-line packet and hands it to the delivery step
+// at once, with the tx-done instant it will reach: the single fused event
+// fires at tx-done+delay but is back-stamped to tx-done, so it occupies
+// exactly the (when, at) slot the golden path's delivery event — scheduled
+// at tx-done — would have; the saturation arithmetic here and in deliver
+// mirrors the golden path's two chained clampDelta calls. Departure
+// accounting needs no event: Stats derives it from starts and busyUntil.
 //
 //pdos:hotpath
 func (l *Link) startFused(now sim.Time) {
@@ -523,13 +525,9 @@ func (l *Link) startFused(now sim.Time) {
 	if txDone < now {
 		txDone = sim.MaxTime
 	}
-	when := txDone + l.delay
-	if when < txDone {
-		when = sim.MaxTime
-	}
 	l.txStart = now
 	l.busyUntil = txDone
-	l.k.AtArgStamped(when, txDone, l.deliverFn, p)
+	l.deliver(p, txDone)
 }
 
 // fireChain fires at busyUntil while backlog exists: it restarts the
@@ -561,11 +559,7 @@ func (l *Link) finishTransmit(p *Packet) {
 	for _, t := range l.departs {
 		t.OnDepart(p, now)
 	}
-	if l.remote != nil {
-		l.remote.Transfer(l, now, p)
-	} else {
-		l.deliverLocal(p)
-	}
+	l.deliver(p, now)
 	l.busy = false
 	if l.queue.Len() > 0 {
 		l.startTransmit()

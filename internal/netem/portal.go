@@ -13,16 +13,19 @@ import (
 // destination shard's pool by an Inbox — so pools stay strictly shard-local
 // and the 0 allocs/packet steady state survives sharding.
 //
-// The link's propagation delay is the lookahead the edge declares: a packet
-// finishing serialization at instant s is delivered at s+delay, which is at
-// or beyond the next window boundary by construction.
+// The remote sits behind the link's delivery step, so a portal link runs
+// either schedule: the fused one hands a packet over when its serialization
+// starts, the golden one at tx-done, and both send it for tx-done+delay
+// stamped with tx-done — the (when, at) key the local delivery event would
+// carry. The link's propagation delay is the lookahead the edge declares, so
+// the delivery lands at or beyond the next window boundary by construction.
 
 // Remote routes packets whose propagation crosses a shard boundary. Transfer
-// takes ownership of the packet: implementations must either forward it to a
-// boundary edge (packing and releasing it) or fall back to the link's local
-// delivery path.
+// takes ownership of a packet due at `when` with schedule stamp `at`
+// (at ≤ when): implementations must either forward it to a boundary edge
+// (packing and releasing it) or schedule it on the link's own kernel.
 type Remote interface {
-	Transfer(l *Link, now sim.Time, p *Packet)
+	Transfer(l *Link, when, at sim.Time, p *Packet)
 }
 
 // packPacket encodes a packet into a boundary payload. The layout is private
@@ -72,19 +75,19 @@ func NewSingleRemote(out *sim.Outbox) *SingleRemote {
 // Transfer implements Remote.
 //
 //pdos:hotpath
-func (r *SingleRemote) Transfer(l *Link, now sim.Time, p *Packet) {
+func (r *SingleRemote) Transfer(_ *Link, when, at sim.Time, p *Packet) {
 	var w sim.Payload
 	packPacket(p, &w)
 	p.Release()
-	r.out.Send(now.Add(l.Delay()), &w)
+	r.out.Send(when, at, &w)
 }
 
 // DemuxRemote fans a shared link's deliveries out by flow id — the bottleneck
 // case, where one link carries every flow but the flows' endpoints are spread
 // over all shards. A nil entry (or a flow outside the table, e.g. the attack
-// generator's negative ids, when deflt is nil) falls back to the link's local
-// delivery path, preserving serial behaviour for flows homed on the link's
-// own shard.
+// generator's negative ids, when deflt is nil) schedules the delivery on the
+// link's own kernel with the same (when, at) key, preserving serial
+// behaviour for flows homed on the link's own shard.
 type DemuxRemote struct {
 	byFlow []*sim.Outbox // dense, indexed by flow id
 	deflt  *sim.Outbox   // out-of-range flows; nil = deliver locally
@@ -98,19 +101,20 @@ func NewDemuxRemote(byFlow []*sim.Outbox, deflt *sim.Outbox) *DemuxRemote {
 // Transfer implements Remote.
 //
 //pdos:hotpath
-func (r *DemuxRemote) Transfer(l *Link, now sim.Time, p *Packet) {
+func (r *DemuxRemote) Transfer(l *Link, when, at sim.Time, p *Packet) {
 	out := r.deflt
 	if p.Flow >= 0 && p.Flow < len(r.byFlow) {
 		out = r.byFlow[p.Flow]
 	}
 	if out == nil {
-		l.deliverLocal(p)
+		//pdos:vtime-ok — Link.deliver passes when = at + the link's delay (MaxTime-guarded), so at ≤ when
+		l.k.AtArgStamped(when, at, l.deliverFn, p)
 		return
 	}
 	var w sim.Payload
 	packPacket(p, &w)
 	p.Release()
-	out.Send(now.Add(l.Delay()), &w)
+	out.Send(when, at, &w)
 }
 
 // Inbox is the receiving side of a boundary edge: a sim.Port that
@@ -131,7 +135,7 @@ func NewInbox(pool *PacketPool, dst Node) *Inbox {
 }
 
 // Inject implements sim.Port: decode the packet and schedule its delivery
-// with the source shard's determinism stamp.
+// with the schedule stamp its link's delivery step gave it.
 //
 //pdos:hotpath
 func (in *Inbox) Inject(k *sim.Kernel, when, at sim.Time, w *sim.Payload) {

@@ -16,6 +16,14 @@ import (
 // never alias keys under the new one.
 const canonicalVersion = 1
 
+// shardSchedule stamps the sharded engine's event schedule into the canonical
+// document of every run above one worker. Bump it whenever a change can move
+// a sharded run's result while every serial run keeps its bytes: bumping
+// experiments.EngineVersion instead would move every serial key too. The
+// first sharded schedule, whose cross-shard links all ran the golden
+// two-event path, carried no stamp.
+const shardSchedule = 2
+
 // canonicalDoc is the normalized form a scenario hashes as. It contains only
 // what determines the run's result:
 //
@@ -25,17 +33,20 @@ const canonicalVersion = 1
 //   - the attack with its ignored knobs zeroed and its defaults applied;
 //   - the measurement windows.
 //
-// Deliberately absent: Config.Name (a label, not a parameter). Workers
-// appears only above 1 — 0 and 1 both build the serial kernel — because a
-// sharded run can break an exact event tie at a shard boundary differently
-// (DESIGN.md §9) and must not share the serial run's cache entry.
-// Workers and the measure and workload blocks are omitempty: documents that
-// predate them canonicalize to the exact bytes they always did, which is
-// what keeps every serial scenario.Key (and so every cache entry) stable.
+// Deliberately absent: Config.Name (a label, not a parameter). Workers and
+// the shardSchedule stamp appear only above 1 — 0 and 1 both build the
+// serial kernel — because a sharded run can break an exact event tie at a
+// shard boundary differently (DESIGN.md §9) and must not share the serial
+// run's cache entry, nor an entry an older sharded schedule wrote.
+// Workers, the stamp and the measure and workload blocks are omitempty:
+// documents that predate them canonicalize to the exact bytes they always
+// did, which is what keeps every serial scenario.Key (and so every cache
+// entry) stable.
 type canonicalDoc struct {
 	Canon      int                `json:"canon"`
 	Graph      topo.Graph         `json:"graph"`
 	Workers    int                `json:"workers,omitempty"`
+	Schedule   int                `json:"shardSchedule,omitempty"`
 	Attack     *canonicalAttack   `json:"attack,omitempty"`
 	Workload   *canonicalWorkload `json:"workload,omitempty"`
 	Measure    *canonicalMeasure  `json:"measure,omitempty"`
@@ -112,6 +123,7 @@ func (c Config) Canonical() ([]byte, error) {
 	}
 	if c.Topology.Workers > 1 {
 		doc.Workers = c.Topology.Workers
+		doc.Schedule = shardSchedule
 	}
 	if c.Attack != nil {
 		doc.Attack = canonicalizeAttack(*c.Attack, c.Seed)

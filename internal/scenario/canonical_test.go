@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,6 +152,27 @@ func TestCanonicalKeysShardedTestbedApart(t *testing.T) {
 	cfg.Topology.Workers = 2
 	if keyOf(t, cfg) == serial {
 		t.Errorf("testbed-fig12.json keys to %s at workers 1 and 2", serial)
+	}
+}
+
+// TestCanonicalStampsShardedSchedule: only a document above one worker
+// carries the sharded-schedule stamp, so a change to the sharded schedule
+// moves sharded keys alone and every serial key stays put.
+func TestCanonicalStampsShardedSchedule(t *testing.T) {
+	cfg := loadDoc(t, `{
+		"topology": {"kind": "dumbbell", "flows": 4},
+		"attack": {"kind": "aimd", "rateMbps": 30, "extentMs": 75, "gamma": 0.5},
+		"warmupSec": 2, "measureSec": 4, "seed": 3}`)
+	stamp := fmt.Sprintf(`"shardSchedule":%d`, shardSchedule)
+	for _, workers := range []int{0, 1, 2, 4} {
+		cfg.Topology.Workers = workers
+		canon, err := cfg.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := bytes.Contains(canon, []byte(stamp)), workers > 1; got != want {
+			t.Errorf("workers %d: canonical document carries %s: %v, want %v", workers, stamp, got, want)
+		}
 	}
 }
 

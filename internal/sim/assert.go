@@ -77,12 +77,13 @@ func (k *Kernel) assertWheel() {
 	}
 }
 
-// shardAsserts counts boundary events this shard has produced. The counter
-// is written only by the shard's own goroutine during a window and read only
-// by the driver at the barrier, so it needs no synchronization beyond the
-// window barrier itself.
+// shardAsserts counts the boundary events this shard has sent and injected.
+// Each counter is written only by the shard's own goroutine during a window
+// and read only by the driver at the barrier, so it needs no
+// synchronization beyond the window barrier itself.
 type shardAsserts struct {
-	sent uint64
+	sent     uint64
+	injected uint64
 }
 
 // assertSent records one boundary event buffered by this shard.
@@ -90,32 +91,30 @@ func (s *Shard) assertSent() {
 	s.asserts.sent++
 }
 
-// engineAsserts counts boundary events injected by the driver.
-type engineAsserts struct {
-	injected uint64
-}
-
-// assertInjected records one boundary event delivered to a destination
+// assertInjected records one boundary event this shard injected into its
 // kernel.
-func (e *Engine) assertInjected() {
-	e.asserts.injected++
+func (s *Shard) assertInjected() {
+	s.asserts.injected++
 }
 
-// assertConserved verifies shard-boundary conservation at the end of an
-// exchange: every boundary event ever sent has been injected exactly once
-// (exchange drains every outbox, so nothing may remain buffered). A mismatch
-// means the barrier merge lost or duplicated a message.
+// assertConserved verifies shard-boundary conservation at the barrier,
+// right after the swap: every boundary event ever sent has been injected
+// exactly once, or sits in exactly one outbox buffer — ready for the coming
+// window, or (never, right after a swap) still filling. A mismatch means
+// the swap or a merge lost or duplicated a message.
 func (e *Engine) assertConserved() {
-	var sent, buffered uint64
+	var sent, injected, buffered, ready uint64
 	for _, s := range e.shards {
 		sent += s.asserts.sent
+		injected += s.asserts.injected
 	}
 	for _, ob := range e.outboxes {
 		buffered += uint64(len(ob.buf))
+		ready += uint64(len(ob.ready))
 	}
-	if sent != e.asserts.injected+buffered {
+	if sent != injected+buffered+ready {
 		panic(fmt.Sprintf(
-			"sim: pdosassert: boundary conservation violated: %d sent != %d injected + %d buffered",
-			sent, e.asserts.injected, buffered))
+			"sim: pdosassert: boundary conservation violated: %d sent != %d injected + %d buffered + %d ready",
+			sent, injected, buffered, ready))
 	}
 }

@@ -121,7 +121,7 @@ func TestAssertWheelBookkeeping(t *testing.T) {
 
 // TestAssertBoundaryConservation runs a two-shard ping-pong and checks the
 // conservation accounting stays balanced through every barrier (a mismatch
-// panics inside exchange).
+// panics inside the barrier's swap).
 func TestAssertBoundaryConservation(t *testing.T) {
 	e := NewEngine(2)
 	a, b := e.Shard(0), e.Shard(1)
@@ -132,7 +132,7 @@ func TestAssertBoundaryConservation(t *testing.T) {
 			if err := k.InjectArg(when, at, func(any) {
 				hops++
 				if hops < 10 {
-					(*out).Send(k.Now()+Millisecond, &Payload{})
+					(*out).Send(k.Now()+Millisecond, k.Now(), &Payload{})
 				}
 			}, nil); err != nil {
 				t.Error(err)
@@ -150,7 +150,7 @@ func TestAssertBoundaryConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Kernel().AfterTicks(0, func() { outAB.Send(Millisecond, &Payload{}) })
+	a.Kernel().AfterTicks(0, func() { outAB.Send(Millisecond, 0, &Payload{}) })
 	defer e.Close()
 	if err := e.RunUntil(20 * Millisecond); err != nil {
 		t.Fatal(err)

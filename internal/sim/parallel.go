@@ -16,41 +16,51 @@ import (
 //
 //	W = min over all cross-shard edges of their minimum delay (the lookahead)
 //	repeat:
-//	    inject every buffered boundary event, merged in (when, at, edge, seq)
-//	    order, into its destination kernel
-//	    every shard runs RunBefore(target) concurrently — the window barrier
+//	    the driver hands every outbox's buffered boundary events to its
+//	    destination shard
+//	    every shard concurrently merges its inbound events in
+//	    (when, at, edge, pos) order, injects them into its kernel, and runs
+//	    RunBefore(target) — the window barrier
 //
-// The window target is adaptive: each barrier peeks the earliest pending
-// instant m across all shards (the measured front of in-flight work,
-// including just-injected cross-shard events) and advances to min(t, m+W)
-// instead of the static now+W. When the shards are idle ahead of the next
-// event — between attack pulses, or while a fluid tier ticks on one shard —
-// this skips the empty windows entirely; it degrades gracefully to the
-// static scheme under saturation, because then m is just past the previous
+// The window target is adaptive: each barrier takes the earliest pending
+// instant m across all shards and all handed-over boundary events (the
+// measured front of in-flight work) and advances to min(t, m+W) instead of
+// the static now+W. When the shards are idle ahead of the next event —
+// between attack pulses, or while a fluid tier ticks on one shard — this
+// skips the empty windows entirely; it degrades gracefully to the static
+// scheme under saturation, because then m is just past the previous
 // barrier. Safety is unchanged: every event fired inside the window has
 // when >= m, so a boundary send occurs for m + edgeDelay >= m + W >= target.
 //
 // A shard executing inside a window ending at `target` can only create
 // boundary events for instants >= target, because every cross-shard edge
 // imposes at least W of delay. So no shard can ever receive an event for its
-// own past — the merge at the next barrier is always safe, with no rollback
-// machinery.
+// own past — the injection at the start of the next window is always safe,
+// with no rollback machinery. The barrier itself does no per-event work:
+// each outbox is double-buffered, the driver swaps the filled buffer into
+// the outbox's ready slot, and the destination shard merges and injects on
+// its own goroutine. The swap at the barrier is the only handoff between
+// goroutines.
 //
 // Determinism is a hard contract: a sharded run is a pure function of the
 // scenario and worker count, and matches the serial kernel but for one
 // residual freedom. The mechanism is the (when, at, seq) comparator in
-// kernel.go — boundary events carry the virtual instant they were scheduled
-// in the source shard ("at"), which is precisely the key the serial
-// kernel's monotone seq counter encodes. The residual freedom is the order
-// of two boundary events with identical (when, at) arriving over different
-// edges, which the merge breaks by edge id; the serial kernel would have
-// broken it by the relative execution order of the two source events at
-// that instant. Such ties are rare but real: the test-bed with delayed ACKs
-// under attack hits one (DESIGN.md §9). The randomized equivalence tests
-// pin the dumbbell end to end. Window placement does not enter the argument
-// at all — any barrier schedule that respects the conservative guard
-// injects the same events in the same merged order — so the adaptive
-// targets cannot perturb a trajectory.
+// kernel.go — a boundary event carries the schedule stamp ("at") its
+// delivery event would have carried on the serial kernel, which is
+// precisely the key the serial kernel's monotone seq counter encodes. The
+// stamp may lie ahead of the source's clock: a fused link hands its packet
+// over when serialization starts, stamped with the tx-done instant the
+// serial kernel's AtArgStamped delivery carries. The residual freedom is
+// the order of a boundary event against another event with identical
+// (when, at): the merge breaks a tie between two boundary events by edge
+// id, and an injected event draws its destination seq at injection, where
+// the serial kernel orders tied events by when each was scheduled. Such
+// ties are rare but real: the test-bed with delayed ACKs under attack hits
+// one (DESIGN.md §9). The randomized equivalence tests pin the dumbbell end
+// to end. Window placement does not enter the argument otherwise — any
+// barrier schedule that respects the conservative guard injects the same
+// events in the same merged order — so the adaptive targets cannot perturb
+// a trajectory that has no such tie.
 
 // ErrNoLookahead is returned when a cross-shard edge declares a non-positive
 // minimum delay: conservative synchronization requires strictly positive
@@ -64,52 +74,59 @@ type Payload [6]uint64
 
 // Port is the typed landing point for boundary events on a destination
 // shard. Inject must schedule the decoded event on k via k.InjectArg with
-// the provided (when, at) stamps; it runs on the engine's driver goroutine
-// between windows, never concurrently with shard execution.
+// the provided (when, at) stamps; it runs on the destination shard's
+// goroutine at the start of a window, before the window's first event.
 type Port interface {
 	Inject(k *Kernel, when, at Time, w *Payload)
 }
 
 // boundaryEntry is one boundary event buffered in its source outbox: the
-// delivery instant, the source-shard schedule instant (the determinism
-// stamp), and the packed model state. Exactly 64 bytes — one cache line per
-// event, appended sequentially by the source shard and read sequentially by
-// the driver's merge, so a window's worth of boundary traffic streams
-// through the cache instead of bouncing per-message.
+// delivery instant, the schedule stamp (the determinism key), and the
+// packed model state. Exactly 64 bytes — one cache line per event, appended
+// sequentially by the source shard and read sequentially by the destination
+// shard's merge, so a window's worth of boundary traffic streams through the
+// cache instead of bouncing per-message.
 type boundaryEntry struct {
 	when Time
 	at   Time
 	w    Payload
 }
 
-// Outbox is the sending side of one cross-shard edge. Each outbox is a
-// single-producer (its source shard's goroutine) single-consumer (the driver
-// at the barrier) buffer: the source appends during a window, the driver
-// drains between windows, and the window barrier is the synchronization
-// point — no locks or atomics are needed. The buffer is retained across
-// windows, so steady state appends allocate nothing.
+// Outbox is the sending side of one cross-shard edge. It is double-buffered:
+// during a window the source shard's goroutine appends to buf while the
+// destination shard's goroutine injects ready, the previous window's sends;
+// at the barrier the driver swaps the two. The barrier is the only
+// synchronization point — no locks or atomics are needed — and both buffers
+// are retained across windows, so steady state appends allocate nothing.
 type Outbox struct {
 	s        *Shard
 	dst      int
 	port     int32
 	edge     int32
 	minDelay Time
-	buf      []boundaryEntry
+	buf      []boundaryEntry // this window's sends (source goroutine)
+	first    Time            // earliest when in buf; valid while buf is non-empty
+	ready    []boundaryEntry // last window's sends, awaiting injection (destination goroutine)
 }
 
-// Send buffers a boundary event for delivery at `when`, stamping it with the
-// source shard's current instant. It must only be called from model code
-// running on the source shard's kernel. The per-edge append order is the
-// FIFO sequence the barrier merge uses as its final tie-break.
+// Send buffers a boundary event for delivery at `when` with schedule stamp
+// `at` — the stamp the delivery would carry on the serial kernel, which may
+// lie ahead of the source's clock (the destination clamps it to when, like
+// Kernel.AtArgStamped). It must only be called from model code running on
+// the source shard's kernel. The per-edge append order is the FIFO sequence
+// the merge uses as its final tie-break.
 //
 //pdos:hotpath
-func (o *Outbox) Send(when Time, w *Payload) {
+func (o *Outbox) Send(when, at Time, w *Payload) {
 	s := o.s
 	if when < s.eng.windowEnd {
 		o.lookaheadViolation(when)
 	}
 	s.assertSent()
-	o.buf = append(o.buf, boundaryEntry{when: when, at: s.k.now, w: *w})
+	if len(o.buf) == 0 || when < o.first {
+		o.first = when
+	}
+	o.buf = append(o.buf, boundaryEntry{when: when, at: at, w: *w})
 }
 
 // lookaheadViolation panics with the conservative-guard diagnostic; split
@@ -123,15 +140,17 @@ func (o *Outbox) lookaheadViolation(when Time) {
 // Shard is one partition of the topology: a private kernel plus the boundary
 // plumbing that connects it to its peers.
 type Shard struct {
-	id    int
-	eng   *Engine
-	k     *Kernel
-	ports []Port
+	id      int
+	eng     *Engine
+	k       *Kernel
+	ports   []Port
+	inbound []*Outbox     // edges landing here, in edge id order
+	scratch []boundaryRef // the merge's reused sort buffer
 
 	start chan shardCmd
 	done  chan error
 
-	asserts shardAsserts // pdosassert boundary-send accounting (assert.go)
+	asserts shardAsserts // pdosassert boundary accounting (assert.go)
 }
 
 type shardCmd struct {
@@ -153,9 +172,11 @@ func (s *Shard) RegisterPort(p Port) int32 {
 	return int32(len(s.ports) - 1)
 }
 
-// run is the shard's worker loop: execute one window per command.
+// run is the shard's worker loop: inject the boundary events handed over at
+// the barrier, then execute one window per command.
 func (s *Shard) run() {
 	for cmd := range s.start {
+		s.inject()
 		var err error
 		if cmd.inclusive {
 			err = s.k.RunUntil(cmd.target)
@@ -169,22 +190,18 @@ func (s *Shard) run() {
 // Engine drives a set of shards through conservative lookahead windows.
 // Build phase (NewEngine, RegisterPort, NewOutbox, model wiring) is
 // single-goroutine; RunUntil then alternates concurrent shard windows with
-// serial barrier merges. With a single shard the engine degenerates to the
-// serial kernel: RunUntil forwards directly with no goroutines, channels, or
-// barrier overhead.
+// barriers that only swap outbox buffers. With a single shard the engine
+// degenerates to the serial kernel: RunUntil forwards directly with no
+// goroutines, channels, or barrier overhead.
 type Engine struct {
 	shards    []*Shard
-	outboxes  []*Outbox   // every edge, in creation (= edge id) order
-	inbound   [][]*Outbox // per destination shard, in edge id order
-	lookahead Time        // min over outboxes; the conservative window floor
+	outboxes  []*Outbox // every edge, in creation (= edge id) order
+	lookahead Time      // min over outboxes; the conservative window floor
 	now       Time
 	windowEnd Time   // shards may not Send below this (conservative guard)
 	windows   uint64 // barrier count, for diagnostics and benchmarks
 	started   bool
 	closed    bool
-	scratch   []boundaryRef
-
-	asserts engineAsserts // pdosassert boundary-injection accounting (assert.go)
 }
 
 // NewEngine returns an engine with n empty shards (n >= 1), each owning a
@@ -193,10 +210,7 @@ func NewEngine(n int) *Engine {
 	if n < 1 {
 		n = 1
 	}
-	e := &Engine{
-		shards:  make([]*Shard, n),
-		inbound: make([][]*Outbox, n),
-	}
+	e := &Engine{shards: make([]*Shard, n)}
 	for i := range e.shards {
 		e.shards[i] = &Shard{
 			id:  i,
@@ -239,21 +253,23 @@ func (e *Engine) Processed() uint64 {
 }
 
 // Event fusion (netem's fused link path, DESIGN.md §14) never weakens the
-// conservative lookahead protocol: cross-shard links stay on the two-event
-// path, so portal timestamps and the adaptive PeekNext window bound are
-// exactly what they were, and a fused local link's single delivery event can
-// only sit at or after the tx-done event it replaces — PeekNext horizons
-// only move later, never earlier.
+// conservative lookahead protocol. A fused link's single delivery event sits
+// at tx-done+delay, at or after the tx-done event it replaces, so PeekNext
+// horizons only move later, never earlier. A fused cross-shard link sends
+// its boundary event when serialization starts, for tx-done+delay: at least
+// the sending event's instant plus the edge delay, so the conservative guard
+// holds as it does for a send at tx-done, and the barrier counts the
+// buffered event in the window's front m.
 
 // Pending reports the pending events across all shards plus boundary events
-// buffered for future windows.
+// buffered for future windows, in either outbox buffer.
 func (e *Engine) Pending() int {
 	n := 0
 	for _, s := range e.shards {
 		n += s.k.Pending()
 	}
 	for _, ob := range e.outboxes {
-		n += len(ob.buf)
+		n += len(ob.buf) + len(ob.ready)
 	}
 	return n
 }
@@ -277,16 +293,16 @@ func (e *Engine) NewOutbox(src, dst *Shard, port int32, minDelay Time) (*Outbox,
 	}
 	o := &Outbox{s: src, dst: dst.id, port: port, edge: int32(len(e.outboxes)), minDelay: minDelay}
 	e.outboxes = append(e.outboxes, o)
-	e.inbound[dst.id] = append(e.inbound[dst.id], o)
+	dst.inbound = append(dst.inbound, o)
 	if e.lookahead == 0 || minDelay < e.lookahead {
 		e.lookahead = minDelay
 	}
 	return o, nil
 }
 
-// boundaryRef points at one buffered boundary event for the barrier merge:
-// the sort key is copied out, the 48-byte payload stays in its outbox buffer
-// and is read exactly once, at injection.
+// boundaryRef points at one buffered boundary event for the merge: the sort
+// key is copied out, the 48-byte payload stays in its outbox buffer and is
+// read exactly once, at injection.
 type boundaryRef struct {
 	when Time
 	at   Time
@@ -294,11 +310,11 @@ type boundaryRef struct {
 	pos  int32
 }
 
-// compareRef orders boundary events for the barrier merge: delivery instant,
-// then source schedule instant (the determinism stamp), then edge id, then
-// the per-edge FIFO position. Within one edge the buffer position is the
-// append order, so this is the same total order the per-message transfer
-// sequence used to encode. Allocation-free under slices.SortFunc.
+// compareRef orders boundary events for the merge: delivery instant, then
+// schedule stamp (the determinism key), then edge id, then the per-edge FIFO
+// position. Within one edge the buffer position is the append order, so this
+// is the same total order the per-message transfer sequence used to encode.
+// Allocation-free under slices.SortFunc.
 func compareRef(a, b boundaryRef) int {
 	switch {
 	case a.when != b.when:
@@ -325,46 +341,63 @@ func compareRef(a, b boundaryRef) int {
 	return 0
 }
 
-// exchange drains every outbox and injects the buffered boundary events into
-// their destination kernels, merged per destination in (when, at, edge, pos)
-// order so that destination seq assignment — the final tie-break — is
-// deterministic. Runs on the driver goroutine only. The merge sorts
-// references, not messages: payloads stream once from the outbox buffers
-// straight into the destination kernels.
-func (e *Engine) exchange() {
-	for di, dst := range e.shards {
-		refs := e.scratch[:0]
-		for _, ob := range e.inbound[di] {
-			for pos := range ob.buf {
-				refs = append(refs, boundaryRef{
-					when: ob.buf[pos].when,
-					at:   ob.buf[pos].at,
-					ob:   ob,
-					pos:  int32(pos),
-				})
-			}
-		}
-		if len(refs) == 0 {
+// swap hands every outbox's buffered events to its destination shard and
+// reports the earliest delivery instant among them. Runs on the driver
+// goroutine between windows, when every ready buffer has been injected and
+// emptied; the destination shards merge and inject on their own goroutines.
+func (e *Engine) swap() (Time, bool) {
+	var m Time
+	found := false
+	for _, ob := range e.outboxes {
+		if len(ob.buf) == 0 {
 			continue
 		}
-		slices.SortFunc(refs, compareRef)
-		for i := range refs {
-			r := &refs[i]
-			ent := &r.ob.buf[r.pos]
-			dst.ports[r.ob.port].Inject(dst.k, ent.when, ent.at, &ent.w)
-			e.assertInjected()
+		if !found || ob.first < m {
+			m, found = ob.first, true
 		}
-		for _, ob := range e.inbound[di] {
-			ob.buf = ob.buf[:0]
-		}
-		e.scratch = refs[:0]
+		ob.buf, ob.ready = ob.ready[:0], ob.buf
 	}
 	e.assertConserved()
+	return m, found
 }
 
-// peekMin reports the earliest pending instant over all shard kernels, after
-// the barrier's injections. Runs on the driver goroutine between windows;
-// peeking may advance a kernel's wheel cascade but never detaches events.
+// inject merges the shard's inbound ready buffers in (when, at, edge, pos)
+// order and injects them into its kernel, so that destination seq
+// assignment — the final tie-break — is deterministic. It runs on the
+// shard's goroutine before the window's first event. The merge sorts
+// references, not messages: payloads stream once from the outbox buffers
+// straight into the kernel.
+func (s *Shard) inject() {
+	refs := s.scratch[:0]
+	for _, ob := range s.inbound {
+		for pos := range ob.ready {
+			refs = append(refs, boundaryRef{
+				when: ob.ready[pos].when,
+				at:   ob.ready[pos].at,
+				ob:   ob,
+				pos:  int32(pos),
+			})
+		}
+	}
+	if len(refs) == 0 {
+		return
+	}
+	slices.SortFunc(refs, compareRef)
+	for i := range refs {
+		r := &refs[i]
+		ent := &r.ob.ready[r.pos]
+		s.ports[r.ob.port].Inject(s.k, ent.when, ent.at, &ent.w)
+		s.assertInjected()
+	}
+	for _, ob := range s.inbound {
+		ob.ready = ob.ready[:0]
+	}
+	s.scratch = refs[:0]
+}
+
+// peekMin reports the earliest pending instant over all shard kernels. Runs
+// on the driver goroutine between windows; peeking may advance a kernel's
+// wheel cascade but never detaches events.
 func (e *Engine) peekMin() (Time, bool) {
 	var m Time
 	found := false
@@ -407,9 +440,9 @@ func (e *Engine) Close() {
 // scheduled at or before t — exactly the serial kernel's RunUntil contract,
 // lifted to the sharded topology. Each window runs concurrently to the
 // adaptive target min(t, m+W), where m is the earliest pending instant
-// across the shards at the barrier and W the conservative lookahead; the
-// final window is inclusive of t so instants at exactly t fire, matching the
-// serial semantics.
+// across the shards and the handed-over boundary events at the barrier and
+// W the conservative lookahead; the final window is inclusive of t so
+// instants at exactly t fire, matching the serial semantics.
 func (e *Engine) RunUntil(t Time) error {
 	if t < e.now {
 		return ErrPastTime
@@ -433,12 +466,15 @@ func (e *Engine) RunUntil(t Time) error {
 	}
 	e.ensureWorkers()
 	for {
-		e.exchange()
 		target := t
-		if m, ok := e.peekMin(); ok {
+		m, ok := e.swap()
+		if pm, pok := e.peekMin(); pok && (!ok || pm < m) {
+			m, ok = pm, true
+		}
+		if ok {
 			// m >= e.now always (RunBefore drained everything earlier and
-			// injections respect the guard), so nt > e.now unless m+w
-			// overflowed — in which case the t default stands.
+			// sends respect the guard), so nt > e.now unless m+w overflowed
+			// — in which case the t default stands.
 			if nt := m + w; nt < t && nt > e.now {
 				target = nt
 			}

@@ -16,9 +16,14 @@ import (
 // carried inside each message (so decisions depend only on message content,
 // never on which shard executes them). Messages between distinct nodes
 // always travel with delay >= L, the declared lookahead; self-messages may
-// use any delay. Each arrival folds the node's order-sensitive state into
-// the message value, so any divergence in event ordering cascades into the
-// logs and is caught.
+// use any delay. One message in three lands on a coarse grid, where
+// deliveries tie on their instant, stamped anywhere between its send and its
+// delivery — as a fused link stamps a delivery with its tx-done instant when
+// serialization starts. The serial kernel schedules it with AtArgStamped,
+// the sharded engine sends it with that stamp, and the stamps alone order
+// the tied deliveries. Each arrival folds the node's order-sensitive state
+// into the message value, so any divergence in event ordering cascades into
+// the logs and is caught.
 
 func pxorshift(x uint64) uint64 {
 	x ^= x << 13
@@ -47,7 +52,8 @@ type pnode struct {
 type pworld struct {
 	nodes []pnode
 	L     Time
-	emit  func(k *Kernel, src int32, when Time, m *ptmsg)
+	grid  Time // the instants stamped-ahead deliveries land on
+	emit  func(k *Kernel, src int32, when, at Time, m *ptmsg)
 }
 
 // arrive is the shared model step: record the arrival, then derive and emit
@@ -61,7 +67,12 @@ func (w *pworld) arrive(k *Kernel, m *ptmsg) {
 	if m.hops <= 0 {
 		return
 	}
-	r := pxorshift(m.rng)
+	// Every message's rng state lies on one xorshift orbit, so two messages
+	// can carry the same state; on the grid they would then make the same
+	// choices at the same instant and tie two boundary deliveries on
+	// (when, at), the one order the engine does not reproduce (parallel.go).
+	// Folding in the message value keeps their choices apart.
+	r := pxorshift(m.rng ^ m.val)
 	fan := 1
 	if r%5 == 0 {
 		fan = 2
@@ -76,8 +87,14 @@ func (w *pworld) arrive(k *Kernel, m *ptmsg) {
 		} else {
 			delay = w.L + Time(r%uint64(3*w.L))
 		}
+		when, at := now+delay, now
 		r = pxorshift(r)
-		w.emit(k, m.node, now+delay, &ptmsg{node: next, hops: m.hops - 1, rng: r, val: m.val + uint64(i)})
+		if r%3 == 0 {
+			when = (when/w.grid + 1) * w.grid
+			at += Time((r >> 8) % uint64(when-now+1))
+		}
+		r = pxorshift(r)
+		w.emit(k, m.node, when, at, &ptmsg{node: next, hops: m.hops - 1, rng: r, val: m.val + uint64(i)})
 	}
 }
 
@@ -107,10 +124,10 @@ type pworldResult struct {
 func runSerialWorld(t *testing.T, nodes int, L Time, seed uint64, horizon Time) pworldResult {
 	t.Helper()
 	k := New()
-	w := &pworld{nodes: make([]pnode, nodes), L: L}
+	w := &pworld{nodes: make([]pnode, nodes), L: L, grid: 10 * L}
 	deliver := func(a any) { w.arrive(k, a.(*ptmsg)) }
-	w.emit = func(_ *Kernel, _ int32, when Time, m *ptmsg) {
-		if _, err := k.AtArg(when, deliver, m); err != nil {
+	w.emit = func(_ *Kernel, _ int32, when, at Time, m *ptmsg) {
+		if _, err := k.AtArgStamped(when, at, deliver, m); err != nil {
 			t.Fatalf("serial schedule: %v", err)
 		}
 	}
@@ -150,7 +167,7 @@ func runShardedWorld(t *testing.T, nodes, workers int, L Time, seed uint64, hori
 	t.Helper()
 	e := NewEngine(workers)
 	defer e.Close()
-	w := &pworld{nodes: make([]pnode, nodes), L: L}
+	w := &pworld{nodes: make([]pnode, nodes), L: L, grid: 10 * L}
 	owner := func(node int32) int { return int(node) % workers }
 
 	delivers := make([]func(any), workers)
@@ -176,10 +193,10 @@ func runShardedWorld(t *testing.T, nodes, workers int, L Time, seed uint64, hori
 			outbox[s][d] = ob
 		}
 	}
-	w.emit = func(k *Kernel, src int32, when Time, m *ptmsg) {
+	w.emit = func(k *Kernel, src int32, when, at Time, m *ptmsg) {
 		so, do := owner(src), owner(m.node)
 		if so == do {
-			if _, err := k.AtArg(when, delivers[do], m); err != nil {
+			if _, err := k.AtArgStamped(when, at, delivers[do], m); err != nil {
 				panic(err)
 			}
 			return
@@ -189,7 +206,7 @@ func runShardedWorld(t *testing.T, nodes, workers int, L Time, seed uint64, hori
 		wd[1] = uint64(uint32(m.hops))
 		wd[2] = m.rng
 		wd[3] = m.val
-		outbox[so][do].Send(when, &wd)
+		outbox[so][do].Send(when, at, &wd)
 	}
 	for _, m := range w.seedInitial(seed, horizon) {
 		mm := m

@@ -171,6 +171,9 @@ func (e *Environment) SkippedEvents() uint64 {
 	return n
 }
 
+// Links exposes every link Build wired, in wiring order, for inspection.
+func (e *Environment) Links() []*netem.Link { return e.links }
+
 // BottleStats snapshots the target trunk's forward-link counters.
 func (e *Environment) BottleStats() netem.LinkStats { return e.Bottle.Stats() }
 
