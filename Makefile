@@ -39,9 +39,12 @@ lint-json:
 # race-assert reruns the determinism/equivalence suites and the assertion
 # tests with the pdosassert runtime invariants compiled in (pool
 # double-release and leak accounting, kernel firing-order monotonicity,
-# shard-boundary conservation) under the race detector.
+# shard-boundary conservation) under the race detector — also over the
+# paced attack source, every graph build, and pdos-trace's EventTrace, the
+# departure tap riding the fused chain event.
 race-assert:
-	$(GO) test -race -tags pdosassert ./internal/sim ./internal/netem ./internal/tcp ./internal/experiments
+	$(GO) test -race -tags pdosassert ./internal/sim ./internal/netem ./internal/tcp ./internal/experiments \
+		./internal/attack ./internal/topo ./cmd/pdos-trace
 
 # race-parallel drives the parallel-engine determinism contracts under the
 # race detector: the randomized engine/topology equivalence suites and the
@@ -69,7 +72,8 @@ topo-equivalence:
 # normalized processed-event totals, figure CSVs, and at 1 worker the queue,
 # cwnd and SRTT captures — at 1/2/4/8 workers, while the fused build fires
 # strictly fewer kernel events. The fused leg's tapped bottleneck runs fused
-# at 1 worker. Under the race detector.
+# at 1 worker, under a jitter meter too, whose per-flow estimates must match
+# a golden jitter leg's. Under the race detector.
 fusion-equivalence:
 	$(GO) test -race -count=1 -run TestFusionEquivalence ./internal/experiments
 

@@ -28,7 +28,7 @@ func TestTCPFlowAllocRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm up: slow start, pool and free-list growth.
-	if err := d.Kernel.RunFor(2 * time.Second); err != nil {
+	if err := d.Kernel.RunUntil(d.Kernel.Now() + 2*sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	arrivals0 := d.Bottle.Stats().Arrivals
@@ -36,7 +36,7 @@ func TestTCPFlowAllocRegression(t *testing.T) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	if err := d.Kernel.RunFor(8 * time.Second); err != nil {
+	if err := d.Kernel.RunUntil(d.Kernel.Now() + 8*sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
@@ -89,7 +89,7 @@ func TestManyFlowAllocRegression(t *testing.T) {
 			if err := d.StartFlows(); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Kernel.RunFor(30 * time.Second); err != nil {
+			if err := d.Kernel.RunUntil(d.Kernel.Now() + 30*sim.Second); err != nil {
 				t.Fatal(err)
 			}
 			arrivals0 := d.Bottle.Stats().Arrivals
@@ -97,7 +97,7 @@ func TestManyFlowAllocRegression(t *testing.T) {
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			if err := d.Kernel.RunFor(5 * time.Second); err != nil {
+			if err := d.Kernel.RunUntil(d.Kernel.Now() + 5*sim.Second); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&m1)
@@ -152,7 +152,7 @@ func TestMillionFlowAllocRegression(t *testing.T) {
 	if err := d.StartFlows(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Kernel.RunFor(15 * time.Second); err != nil {
+	if err := d.Kernel.RunUntil(d.Kernel.Now() + 15*sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	arrivals0 := d.Bottle.Stats().Arrivals
@@ -160,7 +160,7 @@ func TestMillionFlowAllocRegression(t *testing.T) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	if err := d.Kernel.RunFor(5 * time.Second); err != nil {
+	if err := d.Kernel.RunUntil(d.Kernel.Now() + 5*sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)

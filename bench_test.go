@@ -467,13 +467,13 @@ func BenchmarkTCPLoopbackSecond(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm up past slow start so the pool and free lists reach capacity.
-	if err := env.Kernel.RunFor(2 * time.Second); err != nil {
+	if err := env.Kernel.RunUntil(env.Kernel.Now() + 2*sim.Second); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := env.Kernel.RunFor(time.Second); err != nil {
+		if err := env.Kernel.RunUntil(env.Kernel.Now() + sim.Second); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"pulsedos"
 	"pulsedos/internal/experiments"
 	"pulsedos/internal/scenario"
+	"pulsedos/internal/topo"
 )
 
 func main() {
@@ -75,15 +76,15 @@ func run(args []string, stdout io.Writer) error {
 		Seed:       *seed,
 	}
 
-	// The analytic parameters do not depend on the worker count, so they
-	// come from a serial build, which owns no goroutines to join.
-	probe := doc
-	probe.Topology.Workers = 0
-	env, err := probe.Build()
+	// The analytic parameters come off the graph; nothing is built.
+	g, err := doc.Graph()
 	if err != nil {
 		return err
 	}
-	params := env.ModelParams()
+	params, _, err := topo.AnalyticModel(g)
+	if err != nil {
+		return err
+	}
 	period := pulsedos.PeriodForGamma(*gamma, *rate, *extent, params.Bottleneck)
 	if period < *extent {
 		return fmt.Errorf("gamma %.2f unreachable at %.0f Mbps pulses: would need period %v < extent %v",

@@ -11,6 +11,7 @@ import (
 	"pulsedos/internal/sim"
 	"pulsedos/internal/tcp"
 	"pulsedos/internal/topo"
+	"pulsedos/internal/trace"
 )
 
 // fusionCase is one randomized topology instance for the fused-vs-golden
@@ -169,6 +170,23 @@ func compareCaptures(t *testing.T, label string, want, got *RunResult) {
 	}
 }
 
+// compareJitter requires two runs' jitter meters to agree on every flow's
+// estimate and on the mean, and the reference to have measured some jitter.
+func compareJitter(t *testing.T, label string, flows int, want, got *trace.JitterMeter) {
+	t.Helper()
+	if want.Mean() == 0 {
+		t.Errorf("%s: the reference measured no jitter", label)
+	}
+	for i := 0; i < flows; i++ {
+		if w, g := want.Flow(i), got.Flow(i); w != g {
+			t.Errorf("%s: flow %d jitter %g s, reference %g s", label, i, g, w)
+		}
+	}
+	if w, g := want.Mean(), got.Mean(); w != g {
+		t.Errorf("%s: mean jitter %g s, reference %g s", label, g, w)
+	}
+}
+
 // checkFused requires a fused leg to have fired strictly fewer kernel events
 // than the golden leg of the same worker count.
 func checkFused(t *testing.T, label string, golden, fused shardedScenario) {
@@ -204,8 +222,9 @@ func checkShardedSchedule(t *testing.T, label string, serial, sharded shardedSce
 // and the figure CSVs — at 1, 2, 4, and 8 workers, while firing strictly
 // fewer kernel events. The serial legs also take every serial capture
 // (queue depth, cwnd, SRTT), which must match exactly, and their tapped
-// bottleneck must run fused; a jitter meter, the one departure observer a
-// document can attach, must pin it golden without changing any observable.
+// bottleneck must run fused — also under a jitter meter, the one departure
+// observer a document can attach, whose per-flow estimates must match a
+// golden jitter leg's.
 func TestFusionEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second virtual scenarios")
@@ -229,12 +248,15 @@ func TestFusionEquivalence(t *testing.T) {
 
 			jitterOpt := serial
 			jitterOpt.MeasureJitter = true
+			goldenJitter := runFusionScenario(t, c, jitterOpt, true, 1)
 			jitter := runFusionScenario(t, c, jitterOpt, false, 1)
+			compareScenarios(t, c.name+" golden workers=1 jitter", ref, goldenJitter)
 			label = c.name + " fused workers=1 jitter"
 			compareScenarios(t, label, ref, jitter)
 			compareCaptures(t, label, ref.res, jitter.res)
-			if !jitter.targetGolden {
-				t.Errorf("%s: a departure tap left the bottleneck fused", label)
+			compareJitter(t, label, c.flows, goldenJitter.res.Jitter, jitter.res.Jitter)
+			if jitter.targetGolden {
+				t.Errorf("%s: the departure-tapped bottleneck ran the golden schedule", label)
 			}
 
 			for _, workers := range []int{2, 4, 8} {

@@ -80,8 +80,9 @@ type RunOptions struct {
 
 	// MeasureJitter attaches an RFC 3550-style inter-departure jitter meter
 	// to the bottleneck's data traffic (§2.3's "increase in jitter"). It is
-	// the one observer that pins the bottleneck to the golden link schedule
-	// (netem.DepartureTap).
+	// the one observer a document can attach that sees departures
+	// (netem.DepartureTap); the bottleneck stays on the fused schedule, whose
+	// chain event then fires once per packet.
 	MeasureJitter bool
 
 	// CaptureSRTT records every victim's smoothed RTT estimate at run end

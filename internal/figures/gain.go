@@ -8,6 +8,7 @@ import (
 	"pulsedos/internal/experiments"
 	"pulsedos/internal/model"
 	"pulsedos/internal/scenario"
+	"pulsedos/internal/topo"
 )
 
 // ms renders a duration in fractional milliseconds — the unit scenario
@@ -34,18 +35,15 @@ type gainCurve struct {
 	toCfg  model.TimeoutModelConfig
 }
 
-// probe builds the document's environment once, without running it, and
-// reads the analytic parameters — the same values every run of the document
-// (or of any point it expands to) sees in its own build.
+// probe reads the analytic parameters off the document's graph — the same
+// values every run of the document (or of any point it expands to) sees in
+// its own build.
 func probe(doc scenario.Config) (model.Params, model.TimeoutModelConfig, error) {
-	env, err := doc.Build()
+	g, err := doc.Graph()
 	if err != nil {
 		return model.Params{}, model.TimeoutModelConfig{}, err
 	}
-	if cl, ok := env.(interface{ Close() }); ok {
-		defer cl.Close()
-	}
-	return env.ModelParams(), env.TimeoutModel(), nil
+	return topo.AnalyticModel(g)
 }
 
 // feasibleGammas filters a γ grid to the reachable points. A period shorter

@@ -40,12 +40,10 @@ type Tap interface {
 	OnDrop(p *Packet, now sim.Time)
 }
 
-// DepartureTap is a Tap that also observes serialization completions. Only
-// the golden schedule has an event at that instant: the fused path learns of
-// a departure at tx-done+delay, so a run horizon inside the propagation
-// window (RunUntil leaves pending events unfired) would leave it unreported
-// and break the byte-identity of tap-derived series. Attaching one pins the
-// link to the golden path.
+// DepartureTap is a Tap that also observes serialization completions. A
+// fused link reports them from its chain event, which it then arms for every
+// serialization on golden's tx-done key, so departures match the golden
+// schedule at any run horizon. Attach one before traffic starts.
 type DepartureTap interface {
 	Tap
 	// OnDepart fires when a packet finishes serialization onto the wire.
@@ -69,9 +67,8 @@ type DepartureTap interface {
 //
 // Both paths hand every packet to one delivery step (deliver), which either
 // schedules the stamped local delivery or sends it through a cross-shard
-// remote on the same (when, at) key. Only links with a DepartureTap stay on
-// the golden path: departure taps observe the serialization instant, which
-// only the golden schedule has an event for (DESIGN.md §14).
+// remote on the same (when, at) key. Only ForceGoldenPath puts a link on the
+// golden path; a DepartureTap rides the fused chain event (DESIGN.md §14).
 type Link struct {
 	name  string
 	k     *sim.Kernel
@@ -82,21 +79,24 @@ type Link struct {
 	pool  *PacketPool
 
 	busy    bool
-	golden  bool // two-event reference path (forced by departure taps or ForceGoldenPath)
+	golden  bool // two-event reference path (ForceGoldenPath)
 	stats   LinkStats
 	taps    []Tap
-	departs []DepartureTap // the taps that also observe departures (golden only)
+	departs []DepartureTap // the taps that also observe departures
 	remote  Remote         // non-nil: propagation crosses a shard boundary (portal.go)
 
 	// Fused-path transmitter state: the in-flight serialization started at
 	// txStart and ends at busyUntil (-1 = never transmitted). chained marks
-	// a pending chain event that will restart the transmitter at busyUntil.
+	// a pending chain event that will restart the transmitter at busyUntil
+	// (with departure taps, one per serialization; departing is the copy of
+	// its packet they see, as the delivery step may release the original).
 	// starts counts transmissions begun and chainFires chain events fired —
 	// together they recover the event count the golden path would have paid
 	// (see SkippedEvents).
 	busyUntil  sim.Time
 	txStart    sim.Time
 	chained    bool
+	departing  *Packet // allocated by AddTap of a DepartureTap
 	starts     uint64
 	startBytes uint64
 	lastSize   int // size of the most recently started packet
@@ -266,26 +266,22 @@ func (l *Link) SetRemote(r Remote) { l.remote = r }
 // tx-done event plus one delivery event per packet) instead of the fused
 // single-event default. The two paths are model-equivalent — the equivalence
 // suites prove byte-identical observables — so this is a reference/debug
-// knob, not a semantic one. It must be called before any traffic flows;
-// links with departure taps are on the golden path already.
-func (l *Link) ForceGoldenPath() { l.forceGolden("ForceGoldenPath") }
+// knob, not a semantic one. It must be called before any traffic flows.
+func (l *Link) ForceGoldenPath() {
+	l.beforeTraffic("ForceGoldenPath")
+	l.golden = true
+}
 
 // GoldenPath reports whether the link uses the golden two-event schedule.
 func (l *Link) GoldenPath() bool { return l.golden }
 
-// forceGolden switches the link onto the two-event path. Switching after
-// traffic has started would desynchronize the two transmitter-state
-// representations (busy vs busyUntil) and corrupt the schedule, so it
-// panics — mode selection is wiring-time configuration, as are departure
-// taps.
-func (l *Link) forceGolden(who string) {
-	if l.golden {
-		return
-	}
+// beforeTraffic panics once the link has carried traffic: the schedule and
+// the departure taps decide how Send tells a busy transmitter, so both are
+// wiring-time configuration.
+func (l *Link) beforeTraffic(who string) {
 	if l.stats.Arrivals > 0 || l.busyUntil >= 0 {
 		panic("netem: " + who + " on link " + l.name + " after traffic started")
 	}
-	l.golden = true
 }
 
 // deliver hands a packet whose serialization completes at txDone to the
@@ -309,8 +305,8 @@ func (l *Link) deliver(p *Packet, txDone sim.Time) {
 	l.k.AtArgStamped(when, txDone, l.deliverFn, p)
 }
 
-// AddTap attaches a traffic observer. A plain Tap leaves the link on its
-// schedule; a DepartureTap pins it to the golden path (see DepartureTap).
+// AddTap attaches a traffic observer; the link keeps its schedule. A
+// DepartureTap must be attached before traffic starts (see DepartureTap).
 // Any tap makes the link refuse paced commitments (CanPace), whose arrivals
 // have no Send instant to report.
 func (l *Link) AddTap(t Tap) {
@@ -318,7 +314,10 @@ func (l *Link) AddTap(t Tap) {
 		return
 	}
 	if d, ok := t.(DepartureTap); ok {
-		l.forceGolden("AddTap")
+		l.beforeTraffic("AddTap")
+		if l.departing == nil {
+			l.departing = &Packet{}
+		}
 		l.departs = append(l.departs, d)
 	}
 	l.taps = append(l.taps, t)
@@ -358,7 +357,7 @@ func (l *Link) Send(p *Packet) {
 		}
 		return
 	}
-	if l.chained || now <= l.busyUntil {
+	if l.chained || (len(l.departs) == 0 && now <= l.busyUntil) {
 		// Transmitter still serializing (or its completion instant hasn't
 		// been passed within this instant yet): arm the chain event that
 		// restarts it at busyUntil. Its stamp is the in-flight packet's
@@ -366,7 +365,10 @@ func (l *Link) Send(p *Packet) {
 		// scheduled at, so it fires at exactly the golden restart position;
 		// on a same-instant tie the kernel raises the stamp to the current
 		// sub-instant position when the golden tx-done would already have
-		// fired (see sim.Kernel.AtArgStamped).
+		// fired (see sim.Kernel.AtArgStamped). A departure-tapped link has
+		// armed its chain at startFused, so only a pending chain means busy:
+		// a second chain at an instant whose chain already fired would report
+		// the departure twice.
 		if !l.chained {
 			l.chained = true
 			//pdos:vtime-ok — busyUntil = txStart + serialization delay by construction (startTransmit/startFused), so at ≤ when holds across the field reads the analyzer cannot relate
@@ -468,9 +470,10 @@ func (l *Link) SendPaced(p *Packet, at, gap sim.Time) {
 // tx-done firings the golden run would have accumulated (one per completed
 // serialization: starts minus the one still in flight) minus the chain
 // events the fused run actually fired in their place. Golden-path links
-// report zero. With a paced grid outstanding (SendPaced) the in-flight count
-// is the grid completions not yet reached rather than a single packet; the
-// elision arithmetic is otherwise identical. Adding the sum over all links
+// report zero, and so do departure-tapped ones, whose chain fires once per
+// serialization. With a paced grid outstanding (SendPaced) the in-flight
+// count is the grid completions not yet reached rather than a single packet;
+// the elision arithmetic is otherwise identical. Adding the sum over all links
 // back to the raw kernel count normalizes a fused run to reference-model
 // event counts, keeping serial/sharded/golden/fused runs comparable through
 // one number (topo.Environment.Processed).
@@ -495,21 +498,28 @@ func (l *Link) TxTime(sizeBytes int) sim.Time {
 //
 //pdos:hotpath
 func (l *Link) startTransmit() {
-	p := l.queue.Dequeue(l.k.Now())
+	now := l.k.Now()
+	p := l.queue.Dequeue(now)
 	if p == nil {
 		return
 	}
 	l.busy = true
-	l.k.AfterTicksArg(l.TxTime(p.Size), l.txDoneFn, p)
+	txDone := now + l.TxTime(p.Size)
+	if txDone < now {
+		txDone = sim.MaxTime
+	}
+	l.k.AtArgStamped(txDone, now, l.txDoneFn, p)
 }
 
 // startFused pulls the head-of-line packet and hands it to the delivery step
 // at once, with the tx-done instant it will reach: the single fused event
 // fires at tx-done+delay but is back-stamped to tx-done, so it occupies
 // exactly the (when, at) slot the golden path's delivery event — scheduled
-// at tx-done — would have; the saturation arithmetic here and in deliver
-// mirrors the golden path's two chained clampDelta calls. Departure
-// accounting needs no event: Stats derives it from starts and busyUntil.
+// at tx-done — would have; both paths saturate the two instants at MaxTime
+// alike. Departure accounting needs no event: Stats derives it from starts
+// and busyUntil. Departure taps do need one, so a tapped link arms the chain
+// on golden's tx-done key before the delivery, which keeps a zero-time
+// serialization and hop in golden's order too (seq breaks the tie).
 //
 //pdos:hotpath
 func (l *Link) startFused(now sim.Time) {
@@ -527,21 +537,32 @@ func (l *Link) startFused(now sim.Time) {
 	}
 	l.txStart = now
 	l.busyUntil = txDone
+	if len(l.departs) > 0 {
+		*l.departing = *p
+		l.chained = true
+		l.k.AtArgStamped(txDone, now, l.chainFn, nil)
+	}
 	l.deliver(p, txDone)
 }
 
-// fireChain fires at busyUntil while backlog exists: it restarts the
-// transmitter exactly where the golden tx-done event would have, and rearms
-// itself for the next completion if more packets are still queued. An idle
-// link needs no chain — Send self-starts — so steady low-load traffic pays
-// one event per hop and the chain only reappears under backlog.
+// fireChain fires at busyUntil while backlog exists, or after every
+// serialization on a departure-tapped link: it reports the departure to the
+// taps, restarts the transmitter exactly where the golden tx-done event
+// would have, and rearms itself for the next completion if more packets are
+// still queued. An untapped idle link needs no chain — Send self-starts — so
+// steady low-load traffic pays one event per hop and the chain only
+// reappears under backlog.
 //
 //pdos:hotpath
 func (l *Link) fireChain() {
+	now := l.k.Now()
 	l.chained = false
 	l.chainFires++
-	l.startFused(l.k.Now())
-	if l.queue.Len() > 0 {
+	for _, t := range l.departs {
+		t.OnDepart(l.departing, now)
+	}
+	l.startFused(now)
+	if !l.chained && l.queue.Len() > 0 {
 		l.chained = true
 		//pdos:vtime-ok — busyUntil = txStart + serialization delay by construction (startFused just set both), so at ≤ when holds across the field reads the analyzer cannot relate
 		l.k.AtArgStamped(l.busyUntil, l.txStart, l.chainFn, nil)

@@ -166,7 +166,7 @@ type arrivalTap struct {
 }
 
 type tapEvent struct {
-	kind byte // '+' arrival, 'd' drop
+	kind byte // '+' arrival, 'd' drop, '-' departure
 	seq  int64
 	at   sim.Time
 }
@@ -179,9 +179,18 @@ func (a *arrivalTap) OnDrop(p *Packet, now sim.Time) {
 	a.events = append(a.events, tapEvent{'d', p.Seq, now})
 }
 
-// TestTapScheduleChoice: only a departure observer chooses the link
-// schedule. An arrival/drop tap leaves the link fused; a DepartureTap pins
-// it golden.
+// departTap is an arrivalTap that also records departures, in one event list
+// so the interleaving of the three kinds is compared too.
+type departTap struct{ arrivalTap }
+
+func (d *departTap) OnDepart(p *Packet, now sim.Time) {
+	d.events = append(d.events, tapEvent{'-', p.Seq, now})
+}
+
+// TestTapScheduleChoice: no tap chooses the link schedule. An arrival/drop
+// tap and a DepartureTap both leave the link fused, and a departure tap
+// attached after traffic has started panics — the fused schedule arms its
+// departure events from the first serialization on.
 func TestTapScheduleChoice(t *testing.T) {
 	l, err := NewLink(sim.New(), "l", 8e6, 0, NewDropTail(4), &Sink{})
 	if err != nil {
@@ -192,9 +201,17 @@ func TestTapScheduleChoice(t *testing.T) {
 		t.Error("an arrival/drop tap pinned the link to the golden path")
 	}
 	l.AddTap(&tapRecorder{})
-	if !l.GoldenPath() {
-		t.Error("a departure tap left the link fused")
+	if l.GoldenPath() {
+		t.Error("a departure tap pinned the link to the golden path")
 	}
+	l.Send(dataPacket(0, 1000))
+	l.AddTap(&arrivalTap{}) // a plain tap may still join
+	defer func() {
+		if recover() == nil {
+			t.Error("AddTap of a departure tap after traffic started did not panic")
+		}
+	}()
+	l.AddTap(&departTap{})
 }
 
 // TestTappedLinkRefusesPacing: an idle, empty DropTail link accepts paced
@@ -224,10 +241,16 @@ func TestTappedLinkRefusesPacing(t *testing.T) {
 // same sends — a burst that overflows the queue, and sends that tie with
 // serialization completions — and cuts the run at horizons inside the
 // propagation window of packets already serialized. The arrivals and drops
-// a tap observes, and Stats, must match at every horizon.
+// a tap observes, and Stats, must match at every horizon. With a departure
+// tap on both legs the departures must match too, and the fused leg, whose
+// chain then fires once per serialization, must elide nothing.
 func TestTapHorizonCutMatchesGolden(t *testing.T) {
 	ms := sim.Millisecond
 	sends := []sim.Time{0, 0, 0, 0, 0, 1500 * sim.Microsecond, 2 * ms, 2 * ms, 3 * ms, 7 * ms, 7 * ms}
+	// A late send is scheduled half a millisecond ahead from inside the run,
+	// so it sorts after the serialization completion it ties with: 9 ms ends
+	// the second 7 ms packet with nothing queued behind it.
+	lateSends := []sim.Time{9 * ms}
 	horizons := []sim.Time{2 * ms, 4500 * sim.Microsecond, 9 * ms, 12500 * sim.Microsecond, 30 * ms}
 	queues := map[string]func() Queue{
 		"droptail": func() Queue { return NewDropTail(2) },
@@ -240,7 +263,7 @@ func TestTapHorizonCutMatchesGolden(t *testing.T) {
 		stats     []LinkStats
 		delivered []sim.Time
 	}
-	run := func(t *testing.T, mk func() Queue, golden bool) snapshot {
+	run := func(t *testing.T, mk func() Queue, golden, departs bool) snapshot {
 		k := sim.New()
 		rec := &recorder{k: k}
 		l, err := NewLink(k, "l", 8e6, 10*ms, mk(), rec)
@@ -250,14 +273,24 @@ func TestTapHorizonCutMatchesGolden(t *testing.T) {
 		if golden {
 			l.ForceGoldenPath()
 		}
-		tap := &arrivalTap{}
-		l.AddTap(tap)
+		tap := &departTap{}
+		if departs {
+			l.AddTap(tap)
+		} else {
+			l.AddTap(&tap.arrivalTap)
+		}
 		if l.GoldenPath() != golden {
 			t.Fatalf("golden=%v leg runs GoldenPath()=%v", golden, l.GoldenPath())
 		}
 		for i, at := range sends {
 			p := dataPacket(int64(i), 1000)
 			if _, err := k.At(at, func() { l.Send(p) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, at := range lateSends {
+			p := dataPacket(int64(len(sends)+i), 1000)
+			if _, err := k.At(at-ms/2, func() { k.AfterTicks(ms/2, func() { l.Send(p) }) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -269,30 +302,48 @@ func TestTapHorizonCutMatchesGolden(t *testing.T) {
 			snap.stats = append(snap.stats, l.Stats())
 		}
 		snap.events, snap.delivered = tap.events, rec.times
-		if !golden && l.SkippedEvents(k.Now()) == 0 {
+		if skipped := l.SkippedEvents(k.Now()); !golden && departs && skipped != 0 {
+			t.Errorf("the departure-tapped fused leg elided %d events, want 0", skipped)
+		} else if !golden && !departs && skipped == 0 {
 			t.Error("the fused leg elided no events")
 		}
 		return snap
 	}
 	for name, mk := range queues {
 		t.Run(name, func(t *testing.T) {
-			g, f := run(t, mk, true), run(t, mk, false)
-			if !reflect.DeepEqual(g.events, f.events) {
-				t.Errorf("tap events differ:\ngolden %v\nfused  %v", g.events, f.events)
-			}
-			if !reflect.DeepEqual(g.stats, f.stats) {
-				t.Errorf("stats differ:\ngolden %+v\nfused  %+v", g.stats, f.stats)
-			}
-			if !reflect.DeepEqual(g.delivered, f.delivered) {
-				t.Errorf("deliveries differ: golden %v, fused %v", g.delivered, f.delivered)
-			}
-			// The second horizon falls inside the propagation window: packets
-			// have departed, none has been delivered yet.
-			if st := g.stats[1]; st.Departures == 0 || st.Drops == 0 {
-				t.Errorf("horizon 2 stats %+v: want departures in flight and drops", st)
+			for _, departs := range []bool{false, true} {
+				g, f := run(t, mk, true, departs), run(t, mk, false, departs)
+				if !reflect.DeepEqual(g.events, f.events) {
+					t.Errorf("departs=%v: tap events differ:\ngolden %v\nfused  %v", departs, g.events, f.events)
+				}
+				if !reflect.DeepEqual(g.stats, f.stats) {
+					t.Errorf("departs=%v: stats differ:\ngolden %+v\nfused  %+v", departs, g.stats, f.stats)
+				}
+				if !reflect.DeepEqual(g.delivered, f.delivered) {
+					t.Errorf("departs=%v: deliveries differ: golden %v, fused %v", departs, g.delivered, f.delivered)
+				}
+				// The second horizon falls inside the propagation window:
+				// packets have departed, none has been delivered yet.
+				if st := g.stats[1]; st.Departures == 0 || st.Drops == 0 {
+					t.Errorf("departs=%v: horizon 2 stats %+v: want departures in flight and drops", departs, st)
+				}
+				if n := countKind(f.events, '-'); departs && uint64(n) != f.stats[len(f.stats)-1].Departures {
+					t.Errorf("departs=%v: %d departure events, %d departures counted", departs, n, f.stats[len(f.stats)-1].Departures)
+				}
 			}
 		})
 	}
+}
+
+// countKind counts the tap events of one kind.
+func countKind(events []tapEvent, kind byte) int {
+	n := 0
+	for _, e := range events {
+		if e.kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 func TestLinkAccessors(t *testing.T) {

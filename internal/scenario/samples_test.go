@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pulsedos/internal/topo"
 )
 
 // shippedKeys pins the content address of every shipped scenario on the
@@ -109,5 +112,66 @@ func TestShippedScenariosAreValid(t *testing.T) {
 				t.Error("smoke run: attack never fired")
 			}
 		})
+	}
+}
+
+// TestShippedScenariosRunFused runs every point of every shipped scenario on
+// compressed windows, with measureJitter on wherever Validate allows it, and
+// requires every link the build wired to run the fused schedule: no tap a
+// document can attach — the departure-observing jitter meter included —
+// moves a link onto the golden reference path.
+func TestShippedScenariosRunFused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every shipped scenario point")
+	}
+	shipped, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(shipped) == 0 {
+		t.Fatalf("no shipped scenarios: %v", err)
+	}
+	jittered := 0
+	for _, path := range shipped {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			cfg, err := Load(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points, err := cfg.Expand()
+			if err != nil {
+				t.Fatalf("expand: %v", err)
+			}
+			for i, pt := range points {
+				pt.WarmupSec, pt.MeasureSec = 1, 2
+				pt.Jitter = true
+				if pt.Validate() != nil {
+					pt.Jitter = false
+				}
+				env, err := pt.Build()
+				if err != nil {
+					t.Fatalf("point %d: %v", i, err)
+				}
+				te := env.(*topo.Environment)
+				_, err = pt.runOn(context.Background(), env, nil)
+				te.Close()
+				if err != nil {
+					t.Fatalf("point %d: %v", i, err)
+				}
+				if pt.Jitter {
+					jittered++
+				}
+				for _, l := range te.Links() {
+					if l.GoldenPath() {
+						t.Errorf("point %d (measureJitter %v): link %s runs the golden schedule", i, pt.Jitter, l.Name())
+					}
+				}
+			}
+		})
+	}
+	if jittered == 0 {
+		t.Error("no shipped scenario point ran with measureJitter")
 	}
 }

@@ -697,6 +697,11 @@ func (c Config) RunContext(ctx context.Context, progress func(frac float64)) (*e
 	if cl, ok := env.(interface{ Close() }); ok {
 		defer cl.Close()
 	}
+	return c.runOn(ctx, env, progress)
+}
+
+// runOn runs the document on an environment built from it.
+func (c Config) runOn(ctx context.Context, env experiments.Environment, progress func(frac float64)) (*experiments.RunResult, error) {
 	train, err := c.Train(env)
 	if err != nil {
 		return nil, err

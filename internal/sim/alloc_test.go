@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // warmKernel populates the free list and heap capacity so steady-state
@@ -39,7 +38,7 @@ func TestScheduleFireArgAllocs(t *testing.T) {
 	warmKernel(k, func() {})
 	arg := &struct{ n int }{}
 	allocs := testing.AllocsPerRun(1000, func() {
-		k.AfterTicksArg(1, argFn, arg)
+		k.AtArgStamped(k.Now()+1, k.Now(), argFn, arg)
 		k.Step()
 	})
 	if allocs != 0 {
@@ -64,7 +63,7 @@ func TestScheduleCancelAllocs(t *testing.T) {
 
 // TestWheelCancelAllocs covers lazy cancel and slot-block recycling: with a
 // standing population of self-rescheduling timers 1–300 ms out, a
-// schedule→Cancel→RunFor cycle whose runs cross level-1 and level-2 slot
+// schedule→Cancel→RunUntil cycle whose runs cross level-1 and level-2 slot
 // boundaries (cascades, drains, cancelled entries released there) allocates
 // nothing once warm — events and blocks both come back to their free lists.
 func TestWheelCancelAllocs(t *testing.T) {
@@ -88,7 +87,7 @@ func TestWheelCancelAllocs(t *testing.T) {
 	cycle := func() {
 		tm := k.AfterTicks(offset(), fn)
 		tm.Cancel()
-		if err := k.RunFor(time.Millisecond); err != nil {
+		if err := k.RunUntil(k.Now() + Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}

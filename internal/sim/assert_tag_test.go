@@ -40,7 +40,7 @@ func TestAssertFireOrderViolationCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := false
-	k.After(0, func() {}) // advance origin bookkeeping deterministically
+	k.AfterTicks(0, func() {}) // advance origin bookkeeping deterministically
 	if err := k.RunUntil(3); err != nil {
 		t.Fatal(err)
 	}

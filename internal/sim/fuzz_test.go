@@ -2,8 +2,9 @@ package sim
 
 import "testing"
 
-// FuzzKernelOrder decodes arbitrary bytes into a kernel program — At, AtArg
-// and AtArgStamped schedules (optionally self-rescheduling), Cancel, Step,
+// FuzzKernelOrder decodes arbitrary bytes into a kernel program — At,
+// argument (AtArgStamped stamped with Now) and back-stamped AtArgStamped
+// schedules (the first two optionally self-rescheduling), Cancel, Step,
 // PeekNext and RunUntil — and runs it on the wheel kernel and on the heap
 // kernel. Both must produce the same observation log: every firing's
 // (instant, id), every cancel's result and every peek. Offsets land on every
@@ -141,10 +142,10 @@ func (p *kernelProgram) schedule(op byte) {
 			p.log = append(p.log, firing{at: k.Now(), id: arg.(int)})
 			if rep > 0 {
 				rep--
-				p.timers[id], _ = k.AtArg(k.Now()+delta, fn, arg)
+				p.timers[id], _ = k.AtArgStamped(k.Now()+delta, k.Now(), fn, arg)
 			}
 		}
-		p.timers[id], _ = k.AtArg(when, fn, id)
+		p.timers[id], _ = k.AtArgStamped(when, k.Now(), fn, id)
 	default:
 		// The stamp may trail the clock (a back-stamped fused delivery)
 		// or sit anywhere up to when; AtArgStamped clamps the rest.

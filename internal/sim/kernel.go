@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // ErrPastTime is returned when an event is scheduled before the current
 // virtual instant. The kernel never travels backwards.
@@ -418,44 +415,12 @@ func (k *Kernel) At(t Time, fn func()) (Timer, error) {
 	return Timer{k: k, ev: ev, gen: ev.gen, when: t}, nil
 }
 
-// AtArg schedules fn(arg) at the absolute virtual instant t. This is the
-// allocation-free flavour for hot paths: fn is typically built once per
-// component, and arg (commonly a *Packet) rides in the event instead of a
-// freshly captured closure.
-//
-//pdos:hotpath
-func (k *Kernel) AtArg(t Time, fn func(any), arg any) (Timer, error) {
-	if t < k.now {
-		return Timer{}, ErrPastTime
-	}
-	ev := k.alloc(t)
-	ev.argFn = fn
-	ev.arg = arg
-	k.enqueue(ev)
-	return Timer{k: k, ev: ev, gen: ev.gen, when: t}, nil
-}
-
-// After schedules fn to run d after the current instant. Negative delays are
-// clamped to zero, so After never fails.
-func (k *Kernel) After(d time.Duration, fn func()) Timer {
-	return k.AfterTicks(FromDuration(d), fn)
-}
-
 // AfterTicks schedules fn to run delta virtual nanoseconds after the current
 // instant. Negative deltas are clamped to zero; deltas so large that
 // now+delta would overflow are clamped to MaxTime, the last representable
 // instant.
 func (k *Kernel) AfterTicks(delta Time, fn func()) Timer {
 	tm, _ := k.At(k.clampDelta(delta), fn)
-	return tm
-}
-
-// AfterTicksArg is the closure-free counterpart of AfterTicks: it schedules
-// the prebuilt fn with arg after delta virtual nanoseconds.
-//
-//pdos:hotpath
-func (k *Kernel) AfterTicksArg(delta Time, fn func(any), arg any) Timer {
-	tm, _ := k.AtArg(k.clampDelta(delta), fn, arg)
 	return tm
 }
 
@@ -565,11 +530,6 @@ func (k *Kernel) RunUntil(t Time) error {
 	return nil
 }
 
-// RunFor advances the simulation by the given wall-duration of virtual time.
-func (k *Kernel) RunFor(d time.Duration) error {
-	return k.RunUntil(k.now + FromDuration(d))
-}
-
 // RunBefore fires all events scheduled strictly before the virtual instant t,
 // then advances the clock to exactly t. It is the window-execution primitive
 // of the conservative parallel engine (see parallel.go): a shard runs to the
@@ -594,17 +554,19 @@ func (k *Kernel) RunBefore(t Time) error {
 }
 
 // AtArgStamped schedules fn(arg) at the absolute instant `when`, carrying an
-// explicit schedule stamp `at` in place of the current instant. It is the
-// local-kernel counterpart of InjectArg, built for event fusion: a fused link
-// delivery fires at tx-done+delay but must sort at the (when, at, seq) slot
-// the golden two-event path's delivery — scheduled at tx-done — would have
-// occupied, so the fused schedule back-stamps `at` to the tx-done instant.
-// Stamps are clamped: a stamp after `when` collapses to `when`, and a
-// same-instant schedule (`when == now`) raises the stamp to at least the
-// stamp of the currently firing event — the event must fire after the
-// current one, so a smaller stamp would both break the strictly increasing
-// (when, at, seq) firing order (the pdosassert invariant) and claim a
-// sub-instant position that has already passed. For the fused link this
+// explicit schedule stamp `at`. It is the allocation-free form for hot paths:
+// fn is built once per component, and arg (commonly a *Packet) rides in the
+// event instead of a freshly captured closure. A stamp of Now() gives the
+// key At would. It is also the local-kernel counterpart of InjectArg, built
+// for event fusion: a fused link delivery fires at tx-done+delay but must
+// sort at the (when, at, seq) slot the golden two-event path's delivery —
+// scheduled at tx-done — would have occupied, so the fused schedule
+// back-stamps `at` to the tx-done instant. Stamps are clamped: a stamp after
+// `when` collapses to `when`, and a same-instant schedule (`when == now`)
+// raises the stamp to at least the stamp of the currently firing event — the
+// event must fire after the current one, so a smaller stamp would both break
+// the strictly increasing (when, at, seq) firing order (the pdosassert
+// invariant) and claim a sub-instant position that has already passed. For the fused link this
 // clamp is exactly the "did the golden tx-done already fire this instant?"
 // test: if position (now, at) passed, golden's transmitter is already free
 // and its restart would happen at the current sub-instant position, which is

@@ -103,12 +103,12 @@ func TestKernelAtPast(t *testing.T) {
 	if _, err := k.At(0, func() {}); !errors.Is(err, ErrPastTime) {
 		t.Errorf("At(past) error = %v, want ErrPastTime", err)
 	}
-	// After with negative delay clamps to now instead of failing.
+	// AfterTicks with negative delay clamps to now instead of failing.
 	fired := false
-	k.After(-time.Second, func() { fired = true })
+	k.AfterTicks(-Second, func() { fired = true })
 	k.Run()
 	if !fired {
-		t.Error("clamped After never fired")
+		t.Error("clamped AfterTicks never fired")
 	}
 }
 
@@ -226,20 +226,24 @@ func TestTimerStaleHandle(t *testing.T) {
 	}
 }
 
-// TestAtArg exercises the closure-free scheduling variant.
+// TestAtArg exercises the closure-free scheduling variant, AtArgStamped
+// stamped with the current instant.
 func TestAtArg(t *testing.T) {
 	k := New()
 	var got []int
 	fn := func(a any) { got = append(got, a.(int)) }
-	if _, err := k.AtArg(2*Second, fn, 2); err != nil {
-		t.Fatal(err)
+	at := func(when Time, arg int) Timer {
+		tm, err := k.AtArgStamped(when, k.Now(), fn, arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm
 	}
-	k.AfterTicksArg(Second, fn, 1)
-	tm := k.AfterTicksArg(3*Second, fn, 3)
+	at(2*Second, 2)
+	at(Second, 1)
+	tm := at(3*Second, 3)
 	tm.Cancel()
-	if _, err := k.AtArg(0, fn, 0); err != nil {
-		t.Fatal(err)
-	}
+	at(0, 0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +276,11 @@ func TestRunUntil(t *testing.T) {
 	if k.Pending() != 1 {
 		t.Errorf("pending = %d", k.Pending())
 	}
-	if err := k.RunFor(time.Second); err != nil {
+	if err := k.RunUntil(k.Now() + Second); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 3 || k.Now() != 3*Second {
-		t.Errorf("after RunFor: fired=%v now=%v", fired, k.Now())
+		t.Errorf("after a second more: fired=%v now=%v", fired, k.Now())
 	}
 }
 

@@ -99,14 +99,12 @@ type boundaryEntry struct {
 // synchronization point — no locks or atomics are needed — and both buffers
 // are retained across windows, so steady state appends allocate nothing.
 type Outbox struct {
-	s        *Shard
-	dst      int
-	port     int32
-	edge     int32
-	minDelay Time
-	buf      []boundaryEntry // this window's sends (source goroutine)
-	first    Time            // earliest when in buf; valid while buf is non-empty
-	ready    []boundaryEntry // last window's sends, awaiting injection (destination goroutine)
+	s     *Shard
+	port  int32
+	edge  int32
+	buf   []boundaryEntry // this window's sends (source goroutine)
+	first Time            // earliest when in buf; valid while buf is non-empty
+	ready []boundaryEntry // last window's sends, awaiting injection (destination goroutine)
 }
 
 // Send buffers a boundary event for delivery at `when` with schedule stamp
@@ -190,9 +188,9 @@ func (s *Shard) run() {
 // Engine drives a set of shards through conservative lookahead windows.
 // Build phase (NewEngine, RegisterPort, NewOutbox, model wiring) is
 // single-goroutine; RunUntil then alternates concurrent shard windows with
-// barriers that only swap outbox buffers. With a single shard the engine
-// degenerates to the serial kernel: RunUntil forwards directly with no
-// goroutines, channels, or barrier overhead.
+// barriers that only swap outbox buffers. A serial run needs no engine — it
+// drives its one kernel directly — so every engine, one shard or many, runs
+// the same window loop.
 type Engine struct {
 	shards    []*Shard
 	outboxes  []*Outbox // every edge, in creation (= edge id) order
@@ -291,7 +289,7 @@ func (e *Engine) NewOutbox(src, dst *Shard, port int32, minDelay Time) (*Outbox,
 	if int(port) >= len(dst.ports) {
 		return nil, fmt.Errorf("sim: destination shard %d has no port %d", dst.id, port)
 	}
-	o := &Outbox{s: src, dst: dst.id, port: port, edge: int32(len(e.outboxes)), minDelay: minDelay}
+	o := &Outbox{s: src, port: port, edge: int32(len(e.outboxes))}
 	e.outboxes = append(e.outboxes, o)
 	dst.inbound = append(dst.inbound, o)
 	if e.lookahead == 0 || minDelay < e.lookahead {
@@ -446,15 +444,6 @@ func (e *Engine) Close() {
 func (e *Engine) RunUntil(t Time) error {
 	if t < e.now {
 		return ErrPastTime
-	}
-	if len(e.shards) == 1 {
-		// Degenerate partition: the serial path, no goroutines or barriers.
-		k := e.shards[0].k
-		if err := k.RunUntil(t); err != nil {
-			return err
-		}
-		e.now = t
-		return nil
 	}
 	if e.closed {
 		return errors.New("sim: engine is closed")

@@ -134,7 +134,7 @@ func runSerialWorld(t *testing.T, nodes int, L Time, seed uint64, horizon Time) 
 	for _, m := range w.seedInitial(seed, horizon) {
 		mm := m
 		start := Time(mm.val & 0xffffffff)
-		if _, err := k.AtArg(start, deliver, &mm); err != nil {
+		if _, err := k.AtArgStamped(start, k.Now(), deliver, &mm); err != nil {
 			t.Fatalf("serial seed: %v", err)
 		}
 	}
@@ -212,7 +212,8 @@ func runShardedWorld(t *testing.T, nodes, workers int, L Time, seed uint64, hori
 		mm := m
 		start := Time(mm.val & 0xffffffff)
 		s := owner(mm.node)
-		if _, err := e.Shard(s).Kernel().AtArg(start, delivers[s], &mm); err != nil {
+		sk := e.Shard(s).Kernel()
+		if _, err := sk.AtArgStamped(start, sk.Now(), delivers[s], &mm); err != nil {
 			t.Fatalf("sharded seed: %v", err)
 		}
 	}
@@ -266,34 +267,6 @@ func TestEngineSerialEquivalence(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("divergence at seed %d", seed)
 		}
-	}
-}
-
-// TestEngineDegenerateIsSerial pins the zero-overhead contract for the
-// single-shard engine: RunUntil must forward to the serial kernel without
-// ever starting worker goroutines or opening barrier windows.
-func TestEngineDegenerateIsSerial(t *testing.T) {
-	e := NewEngine(1)
-	k := e.Shard(0).Kernel()
-	fired := 0
-	for i := 0; i < 10; i++ {
-		d := Time(i) * Millisecond
-		k.AfterTicks(d, func() { fired++ })
-	}
-	if err := e.RunUntil(Time(20 * Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 10 {
-		t.Errorf("fired %d events, want 10", fired)
-	}
-	if e.started {
-		t.Error("degenerate engine started worker goroutines")
-	}
-	if e.Windows() != 0 {
-		t.Errorf("degenerate engine opened %d windows, want 0", e.Windows())
-	}
-	if e.Now() != Time(20*Millisecond) {
-		t.Errorf("engine now %d, want %d", e.Now(), Time(20*Millisecond))
 	}
 }
 

@@ -104,7 +104,7 @@ func (lb *loopback) run(t *testing.T, d time.Duration) {
 // resume advances virtual time by a further d.
 func (lb *loopback) resume(t *testing.T, d time.Duration) {
 	t.Helper()
-	if err := lb.k.RunFor(d); err != nil {
+	if err := lb.k.RunUntil(lb.k.Now() + sim.FromDuration(d)); err != nil {
 		t.Fatal(err)
 	}
 }

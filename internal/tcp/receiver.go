@@ -214,7 +214,7 @@ func (r *Receiver) armDelayTimer() {
 	if r.delayTimer.Active() {
 		return
 	}
-	r.delayTimer = r.k.After(r.cfg.AckDelay, r.delayFn)
+	r.delayTimer = r.k.AfterTicks(sim.FromDuration(r.cfg.AckDelay), r.delayFn)
 }
 
 // delayedAckFire is the delayed-ACK timer callback.

@@ -2,6 +2,7 @@ package topo_test
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +219,11 @@ func TestBuildValidation(t *testing.T) {
 			g.HeapKernel = true
 			return g
 		}, topo.Options{Workers: 2}, "heap"},
+		{"tcp config", func() topo.Graph {
+			g := base()
+			g.TCP.MSS = 0
+			return g
+		}, topo.Options{}, "MSS"},
 	}
 	for _, tc := range cases {
 		_, err := topo.Build(tc.got(), tc.opts)
@@ -228,5 +234,47 @@ func TestBuildValidation(t *testing.T) {
 		if !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(tc.want)) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+		// AnalyticModel builds nothing, so only the graph errors reach it.
+		if tc.opts.Workers != 0 {
+			continue
+		}
+		if _, _, aerr := topo.AnalyticModel(tc.got()); aerr == nil || aerr.Error() != err.Error() {
+			t.Errorf("%s: AnalyticModel error %v, Build error %v", tc.name, aerr, err)
+		}
+	}
+}
+
+// TestAnalyticModelMatchesBuild: the analytic parameters read off a graph
+// equal what a build of it reports, on every generator and with a fluid
+// carve-out of the target trunk.
+func TestAnalyticModelMatchesBuild(t *testing.T) {
+	fluid := twoRouterGraph(3)
+	fluidGroup := fluid.Groups[0]
+	fluidGroup.Flows, fluidGroup.Model = 5, topo.ModelFluid
+	fluid.Groups = append(fluid.Groups, fluidGroup)
+	graphs := map[string]topo.Graph{
+		"dumbbell":   topo.Dumbbell(topo.DefaultDumbbellConfig(5)),
+		"testbed":    topo.Testbed(topo.DefaultTestbedConfig(4)),
+		"parkinglot": topo.ParkingLot(topo.DefaultParkingLotConfig()),
+		"fluid":      fluid,
+	}
+	for name, g := range graphs {
+		params, toCfg, err := topo.AnalyticModel(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		env, err := topo.Build(g, topo.Options{})
+		if err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		if want := env.ModelParams(); !reflect.DeepEqual(params, want) {
+			t.Errorf("%s: params %+v, build reports %+v", name, params, want)
+		}
+		if want := env.TimeoutModel(); toCfg != want {
+			t.Errorf("%s: timeout model %+v, build reports %+v", name, toCfg, want)
+		}
+	}
+	if params, _, _ := topo.AnalyticModel(fluid); params.Bottleneck >= fluid.Trunks[0].Rate {
+		t.Errorf("fluid: bottleneck %g not carved below the trunk's %g", params.Bottleneck, fluid.Trunks[0].Rate)
 	}
 }

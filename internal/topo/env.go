@@ -197,13 +197,7 @@ func (e *Environment) Close() {
 
 // TimeoutModel assembles the TO-state model configuration from the target
 // trunk's buffer and the victims' RTO floor.
-func (e *Environment) TimeoutModel() model.TimeoutModelConfig {
-	return model.TimeoutModelConfig{
-		MinRTO:           e.Graph.TCP.RTOMin.Seconds(),
-		BufferPackets:    e.Graph.Trunks[e.Graph.Target].Queue.Limit,
-		AttackPacketSize: e.Graph.AttackPacketSize,
-	}
-}
+func (e *Environment) TimeoutModel() model.TimeoutModelConfig { return timeoutModel(&e.Graph) }
 
 // EffectiveRate reports a trunk's forward rate after the fluid tier's
 // carve-out — the capacity the packet-accurate traffic actually contends
@@ -214,12 +208,41 @@ func (e *Environment) EffectiveRate(trunk int) float64 { return e.effRate[trunk]
 // topology instance; the bottleneck is the target trunk's effective forward
 // rate (the declared rate minus any fluid-tier carve-out), since the model
 // describes the packet-accurate flows contending there.
-func (e *Environment) ModelParams() model.Params {
+func (e *Environment) ModelParams() model.Params { return modelParams(&e.Graph, e.effRate, e.RTTs) }
+
+// AnalyticModel reports the graph's analytic-model parameters and TO-state
+// model configuration — what ModelParams and TimeoutModel report on any
+// build of it — without building the network. It runs the validation Build
+// runs first.
+func AnalyticModel(g Graph) (model.Params, model.TimeoutModelConfig, error) {
+	info, err := analyze(&g)
+	if err == nil {
+		err = g.TCP.Validate()
+	}
+	if err != nil {
+		return model.Params{}, model.TimeoutModelConfig{}, err
+	}
+	rtts := make([]float64, len(info.flows))
+	for i := range info.flows {
+		rtts[i] = info.flows[i].rttSec
+	}
+	return modelParams(&g, info.effRate, rtts), timeoutModel(&g), nil
+}
+
+func modelParams(g *Graph, effRate, rtts []float64) model.Params {
 	return model.Params{
-		AIMD:       model.AIMD{A: e.Graph.TCP.IncreaseA, B: e.Graph.TCP.DecreaseB},
-		AckRatio:   float64(e.Graph.TCP.AckEvery),
-		PacketSize: float64(e.Graph.TCP.MSS + e.Graph.TCP.HeaderSize),
-		Bottleneck: e.effRate[e.Graph.Target],
-		RTTs:       append([]float64(nil), e.RTTs...),
+		AIMD:       model.AIMD{A: g.TCP.IncreaseA, B: g.TCP.DecreaseB},
+		AckRatio:   float64(g.TCP.AckEvery),
+		PacketSize: float64(g.TCP.MSS + g.TCP.HeaderSize),
+		Bottleneck: effRate[g.Target],
+		RTTs:       append([]float64(nil), rtts...),
+	}
+}
+
+func timeoutModel(g *Graph) model.TimeoutModelConfig {
+	return model.TimeoutModelConfig{
+		MinRTO:           g.TCP.RTOMin.Seconds(),
+		BufferPackets:    g.Trunks[g.Target].Queue.Limit,
+		AttackPacketSize: g.AttackPacketSize,
 	}
 }

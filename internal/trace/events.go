@@ -25,7 +25,9 @@ const (
 //	<kind> <time> <link> <class> <flow> <seq> <size>
 //
 // e.g. "+ 1.234567 bottleneck-fwd data 3 1024 1040". It records dequeues,
-// so it is a netem.DepartureTap and pins its link to the golden schedule.
+// so it is a netem.DepartureTap: attach it before traffic starts, and the
+// link reports each dequeue from its fused chain event at the instant the
+// golden schedule would.
 type EventTrace struct {
 	link  string
 	w     io.Writer

@@ -195,8 +195,8 @@ func (fa *FlowAccount) PerFlow() map[int]uint64 {
 // J ← J + (|D| - J)/16 over consecutive inter-arrival deviations. The paper
 // (§2.3) names increased jitter, alongside throughput loss, as the
 // quasi-global synchronization's impact on TCP performance. It observes
-// departures, so it is a netem.DepartureTap and pins its link to the golden
-// schedule.
+// departures, so it is a netem.DepartureTap; the link keeps its fused
+// schedule and reports each departure from its chain event.
 type JitterMeter struct {
 	start   sim.Time
 	last    map[int]sim.Time // flow → previous arrival
