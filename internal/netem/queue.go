@@ -20,10 +20,17 @@ type Queue interface {
 
 // DropTail is the classic FIFO tail-drop queue: arrivals are accepted until
 // the packet limit is reached, then dropped.
+//
+// The packets sit in a ring whose size is a power of two. It is allocated
+// by the first packet that has to wait and doubles only when full, so it
+// never holds more than twice the queue's peak occupancy, and a link whose
+// packets all find the transmitter idle (Link.Send's idle bypass) never
+// allocates one.
 type DropTail struct {
-	limit int // capacity in packets
-	pkts  []*Packet
-	head  int
+	limit int       // capacity in packets
+	ring  []*Packet // nil until the first Enqueue; len is a power of two
+	head  int       // ring index of the head-of-line packet
+	n     int       // queued packets
 	bytes int
 }
 
@@ -42,36 +49,44 @@ func NewDropTail(limit int) *DropTail {
 //
 //pdos:hotpath
 func (q *DropTail) Enqueue(p *Packet, _ sim.Time) bool {
-	if q.Len() >= q.limit {
+	if q.n >= q.limit {
 		return false
 	}
-	q.pkts = append(q.pkts, p)
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
+	q.n++
 	q.bytes += p.Size
 	return true
+}
+
+// grow doubles the full ring (a fresh queue starts at one slot), unwrapping
+// the queued packets to its front in FIFO order.
+func (q *DropTail) grow() {
+	ring := make([]*Packet, max(2*len(q.ring), 1))
+	n := copy(ring, q.ring[q.head:])
+	copy(ring[n:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
 }
 
 // Dequeue implements Queue.
 //
 //pdos:hotpath
 func (q *DropTail) Dequeue(_ sim.Time) *Packet {
-	if q.head >= len(q.pkts) {
+	if q.n == 0 {
 		return nil
 	}
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
+	p := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	q.bytes -= p.Size
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if q.head > 64 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
 	return p
 }
 
 // Len implements Queue.
-func (q *DropTail) Len() int { return len(q.pkts) - q.head }
+func (q *DropTail) Len() int { return q.n }
 
 // Bytes implements Queue.
 func (q *DropTail) Bytes() int { return q.bytes }
