@@ -12,10 +12,11 @@ import (
 //
 //   - no fmt calls: formatting allocates and boxes every operand;
 //   - no func literals: a capturing closure is a heap allocation per
-//     construction (hot paths use the prebuilt fn(any)+arg pattern instead);
-//   - no boxing a non-pointer value into an interface: the conversion
-//     allocates (pointers ride in the interface word for free and are
-//     allowed);
+//     construction (hot paths schedule a sim.Handler plus an argument
+//     instead);
+//   - no boxing a non-pointer-shaped value into an interface: the
+//     conversion allocates (pointers, funcs, maps, chans and unsafe.Pointer
+//     ride in the interface word for free and are allowed);
 //   - append only back into the same expression (x = append(x, ...)): the
 //     reused-backing-array idiom is amortized allocation-free, while
 //     appending into anything else is a fresh copy on the hot path.
@@ -56,7 +57,7 @@ func checkHotFunc(pkg *Package, fd *ast.FuncDecl, report func(pos token.Pos, for
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			report(n.Pos(), "closure literal in //pdos:hotpath function %s: constructing a capturing closure allocates per call (prebuild it once and pass state through the fn(any)+arg event slot)",
+			report(n.Pos(), "closure literal in //pdos:hotpath function %s: constructing a capturing closure allocates per call (schedule the component itself as a sim.Handler and pass state through the event's argument)",
 				fd.Name.Name)
 			return false // don't double-report the literal's body
 		case *ast.CallExpr:
@@ -139,9 +140,11 @@ func checkCallBoxing(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr, report 
 	}
 }
 
-// reportBoxing flags converting a non-pointer concrete value into an
-// interface-typed destination. Pointers (and interfaces, and nil) ride in
-// the interface word without allocating and pass.
+// reportBoxing flags converting a concrete value that is not pointer-shaped
+// into an interface-typed destination. A pointer-shaped value — a pointer,
+// func, map, chan or unsafe.Pointer, each one machine word the runtime
+// stores directly — rides in the interface word without allocating, and so
+// do interfaces and nil.
 func reportBoxing(pkg *Package, fd *ast.FuncDecl, dst types.Type, val ast.Expr, what string, report func(pos token.Pos, format string, args ...any)) {
 	if _, ok := dst.Underlying().(*types.Interface); !ok {
 		return
@@ -150,12 +153,13 @@ func reportBoxing(pkg *Package, fd *ast.FuncDecl, dst types.Type, val ast.Expr, 
 	if vt == nil {
 		return
 	}
-	if b, ok := vt.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
+	switch u := vt.Underlying().(type) {
+	case *types.Interface, *types.Pointer, *types.Signature, *types.Map, *types.Chan:
 		return
-	}
-	switch vt.Underlying().(type) {
-	case *types.Interface, *types.Pointer:
-		return
+	case *types.Basic:
+		if u.Kind() == types.UntypedNil || u.Kind() == types.UnsafePointer {
+			return
+		}
 	}
 	report(val.Pos(), "%s boxes non-pointer %s into interface %s in //pdos:hotpath function %s: the conversion allocates (pass a pointer, or restructure to avoid the interface)",
 		what, vt.String(), dst.String(), fd.Name.Name)

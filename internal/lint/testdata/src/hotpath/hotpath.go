@@ -3,7 +3,10 @@
 // contract permits and an unannotated function the analyzer must ignore.
 package hotpath
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 type ring struct {
 	buf []int
@@ -47,6 +50,38 @@ func BoxArg(sink func(any), n int) {
 //pdos:hotpath
 func PointerRidesFree(ev *event, r *ring) {
 	ev.arg = r
+}
+
+// handler mimics sim.Handler; thunk is a func type that implements it, the
+// way the kernel adapts At's func() callbacks.
+type handler interface{ Fire(arg any) }
+
+type thunk func()
+
+func (f thunk) Fire(any) { f() }
+
+// PointerShapedRideFree: funcs, maps, chans and unsafe.Pointer are one word
+// the runtime stores in the interface directly, so converting them does not
+// allocate either.
+//
+//pdos:hotpath
+func PointerShapedRideFree(ev *event, fn func(), m map[int]int, c chan int, up unsafe.Pointer, sink func(any), h *handler) {
+	*h = thunk(fn)
+	ev.arg = fn
+	ev.arg = m
+	sink(c)
+	sink(up)
+}
+
+// StructBoxes: a struct value is not pointer-shaped, whether assigned or
+// passed; an int converted through a named type still boxes.
+//
+//pdos:hotpath
+func StructBoxes(ev *event, r ring, sink func(any)) {
+	ev.arg = r // want "boxes non-pointer fixture/hotpath.ring"
+	sink(r)    // want "boxes non-pointer fixture/hotpath.ring"
+	type count int
+	sink(count(3)) // want "boxes non-pointer"
 }
 
 // SelfAppend reuses its backing array — the one permitted append shape.

@@ -108,7 +108,7 @@ func (r *DemuxRemote) Transfer(l *Link, when, at sim.Time, p *Packet) {
 	}
 	if out == nil {
 		//pdos:vtime-ok — Link.deliver passes when = at + the link's delay (MaxTime-guarded), so at ≤ when
-		l.k.AtArgStamped(when, at, l.deliverFn, p)
+		l.k.AtArgStamped(when, at, (*deliverHop)(l), p)
 		return
 	}
 	var w sim.Payload
@@ -122,16 +122,22 @@ func (r *DemuxRemote) Transfer(l *Link, when, at sim.Time, p *Packet) {
 // their delivery to a destination node. Register it on the destination shard
 // and point the source side's Remote at the resulting port.
 type Inbox struct {
-	pool      *PacketPool
-	deliverFn func(any)
+	pool *PacketPool
+	dst  Node
 }
 
 var _ sim.Port = (*Inbox)(nil)
 
+// inboxHop is the inbox as the handler of the deliveries it injects.
+type inboxHop Inbox
+
+// Fire implements sim.Handler.
+func (h *inboxHop) Fire(arg any) { h.dst.Receive(arg.(*Packet)) }
+
 // NewInbox builds an inbox delivering to dst, drawing packets from pool (a
 // nil pool falls back to heap allocation).
 func NewInbox(pool *PacketPool, dst Node) *Inbox {
-	return &Inbox{pool: pool, deliverFn: func(arg any) { dst.Receive(arg.(*Packet)) }}
+	return &Inbox{pool: pool, dst: dst}
 }
 
 // Inject implements sim.Port: decode the packet and schedule its delivery
@@ -146,7 +152,7 @@ func (in *Inbox) Inject(k *sim.Kernel, when, at sim.Time, w *sim.Payload) {
 		p = &Packet{}
 	}
 	unpackPacket(w, p)
-	if err := k.InjectArg(when, at, in.deliverFn, p); err != nil {
+	if err := k.InjectArg(when, at, (*inboxHop)(in), p); err != nil {
 		// The engine guarantees when >= now at every barrier; reaching this
 		// indicates a wiring bug, which must not fail silently.
 		panic("netem: boundary injection in the past: " + err.Error())

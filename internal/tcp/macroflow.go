@@ -65,8 +65,13 @@ type Macroflow struct {
 	started  bool
 	stopped  bool
 	ticks    uint64
-	tickFn   func(any)
 }
+
+// macroTick is the macroflow as the handler of its fluid-update chain.
+type macroTick Macroflow
+
+// Fire implements sim.Handler.
+func (h *macroTick) Fire(any) { (*Macroflow)(h).onTick() }
 
 // NewMacroflow builds a fluid aggregate on the kernel that owns the observed
 // bottleneck link. account may be nil when goodput accounting is not needed.
@@ -105,7 +110,6 @@ func NewMacroflow(k *sim.Kernel, cfg MacroflowConfig, link *netem.Link, account 
 	if m.tick < sim.Millisecond {
 		m.tick = sim.Millisecond
 	}
-	m.tickFn = func(any) { m.onTick() }
 	return m, nil
 }
 
@@ -145,7 +149,7 @@ func (m *Macroflow) Start(at sim.Time) error {
 		first = now
 	}
 	first += m.tick
-	if err := m.k.InjectArg(first, first, m.tickFn, nil); err != nil {
+	if err := m.k.InjectArg(first, first, (*macroTick)(m), nil); err != nil {
 		return fmt.Errorf("tcp: start macroflow %d: %w", m.cfg.Flow, err)
 	}
 	return nil
@@ -201,7 +205,7 @@ func (m *Macroflow) onTick() {
 	m.window = w
 
 	next := now + m.tick
-	if err := m.k.InjectArg(next, next, m.tickFn, nil); err != nil {
+	if err := m.k.InjectArg(next, next, (*macroTick)(m), nil); err != nil {
 		panic("tcp: macroflow tick: " + err.Error())
 	}
 }

@@ -115,10 +115,16 @@ func (t *FlowTable) unenrollRTO(i int) {
 func (t *FlowTable) startTicker() {
 	at := (t.k.Now()>>rtoEpochShift + 1) << rtoEpochShift
 	t.tickAt = at
-	if err := t.k.InjectArg(at, at, t.tickFn, nil); err != nil {
+	if err := t.k.InjectArg(at, at, (*heartbeat)(t), nil); err != nil {
 		panic("tcp: rto wheel heartbeat: " + err.Error())
 	}
 }
+
+// heartbeat is the flow table as the handler of its heartbeat chain.
+type heartbeat FlowTable
+
+// Fire implements sim.Handler.
+func (h *heartbeat) Fire(any) { (*FlowTable)(h).onTick() }
 
 // onTick is the heartbeat: walk the bucket of the epoch that just began,
 // then chain to the next boundary while any slot remains enrolled. Each fire
@@ -133,7 +139,7 @@ func (t *FlowTable) onTick() {
 	if t.rtoLive > 0 {
 		at := now + rtoEpochLen
 		t.tickAt = at
-		if err := t.k.InjectArg(at, at, t.tickFn, nil); err != nil {
+		if err := t.k.InjectArg(at, at, (*heartbeat)(t), nil); err != nil {
 			panic("tcp: rto wheel heartbeat: " + err.Error())
 		}
 	} else {

@@ -101,10 +101,9 @@ type FlowTable struct {
 	rtoEpoch  []uint32
 	rtoBucket []int32 // epoch & rtoMask → head slot, -1 when empty
 	rtoMask   uint32
-	rtoLive   int       // slots currently enrolled in a bucket
-	tickAt    sim.Time  // next heartbeat instant; 0 = chain stopped
-	tickFn    func(any) // prebuilt heartbeat callback
-	tickFires uint64    // heartbeat events fired (bookkeeping, not model events)
+	rtoLive   int      // slots currently enrolled in a bucket
+	tickAt    sim.Time // next heartbeat instant; 0 = chain stopped
+	tickFires uint64   // heartbeat events fired (bookkeeping, not model events)
 
 	senders []Sender
 	recvs   []Receiver
@@ -143,7 +142,6 @@ func NewFlowTable(k *sim.Kernel, cfg Config, n int) (*FlowTable, error) {
 	for i := range t.rtoBucket {
 		t.rtoBucket[i] = -1
 	}
-	t.tickFn = func(any) { t.onTick() }
 	initial := t.rtoInitial()
 	for i := range t.hot {
 		h := &t.hot[i]
