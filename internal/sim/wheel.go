@@ -206,17 +206,25 @@ func (k *Kernel) scanFrom(lvl, from int) (int, bool) {
 
 // drainSlot empties a slot: live events go to the heap, which restores the
 // exact (when, at, seq) order among them and anything already heaped, and
-// cancelled ones return to the event free list.
+// cancelled ones return to the event free list. The drained events fire
+// next, so each block is prefetched before it is walked: first every
+// entry's event, then, as each live event is pushed, the component and the
+// argument its fire loads first (prefetch.go).
 //
 //pdos:hotpath
 func (k *Kernel) drainSlot(lvl, pos int) {
 	b, n, total := k.takeSlot(lvl, pos)
 	for b != nil {
-		for _, e := range b.entries[:n] {
-			if e.ev.index == idxWheel {
-				k.push(e.ev)
+		entries := b.entries[:n]
+		for _, e := range entries {
+			prefetchEvent(e.ev)
+		}
+		for _, e := range entries {
+			if ev := e.ev; ev.index == idxWheel {
+				prefetchFire(ev.h, ev.arg)
+				k.push(ev)
 			} else {
-				k.release(e.ev)
+				k.release(ev)
 			}
 		}
 		next := b.next
