@@ -38,3 +38,13 @@ func (p *Packet) assertDetachedRelease() {
 		panic("netem: pdosassert: double release of a pooled packet — the first Release may already have re-issued it to another flow")
 	}
 }
+
+// assertChainHead checks that a chain event's packet — the queue's head when
+// the chain was armed — is the packet its restart dequeued. A FIFO's head
+// leaves only through the chain, so anything else means a packet left the
+// queue by another path while a chain was armed.
+func (l *Link) assertChainHead(head, p *Packet) {
+	if head != nil && head != p {
+		panic("netem: pdosassert: link " + l.name + "'s chain restart dequeued a packet other than the head it was armed with")
+	}
+}

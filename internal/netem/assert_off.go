@@ -15,3 +15,5 @@ func (p *Packet) assertGet() {}
 func (p *Packet) assertRelease() {}
 
 func (p *Packet) assertDetachedRelease() {}
+
+func (l *Link) assertChainHead(head, p *Packet) {}

@@ -12,6 +12,9 @@ type Queue interface {
 	// Dequeue removes and returns the head-of-line packet, or nil when the
 	// queue is empty.
 	Dequeue(now sim.Time) *Packet
+	// Peek returns the head-of-line packet without removing it, or nil when
+	// the queue is empty.
+	Peek() *Packet
 	// Len reports the number of queued packets.
 	Len() int
 	// Bytes reports the number of queued bytes.
@@ -83,6 +86,16 @@ func (q *DropTail) Dequeue(_ sim.Time) *Packet {
 	q.n--
 	q.bytes -= p.Size
 	return p
+}
+
+// Peek implements Queue.
+//
+//pdos:hotpath
+func (q *DropTail) Peek() *Packet {
+	if q.n == 0 {
+		return nil
+	}
+	return q.ring[q.head]
 }
 
 // Len implements Queue.

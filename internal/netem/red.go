@@ -127,6 +127,9 @@ func (q *RED) Dequeue(now sim.Time) *Packet {
 	return p
 }
 
+// Peek implements Queue.
+func (q *RED) Peek() *Packet { return q.fifo.Peek() }
+
 // Len implements Queue.
 func (q *RED) Len() int { return q.fifo.Len() }
 
