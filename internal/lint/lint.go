@@ -168,6 +168,7 @@ func Default() Config {
 		TimeTypes: []string{"pulsedos/internal/sim.Time"},
 		StampedCalls: []string{
 			"pulsedos/internal/sim.Kernel.AtArgStamped",
+			"pulsedos/internal/sim.Kernel.AtKeyed",
 		},
 		// Shard isolation covers the engine itself and every package whose
 		// state the engine partitions across workers.

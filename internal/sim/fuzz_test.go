@@ -6,8 +6,10 @@ import "testing"
 // argument (AtArgStamped stamped with Now) and back-stamped AtArgStamped
 // schedules (the first two optionally self-rescheduling), component
 // handlers with a pointer argument, stamped with Now or back-stamped and
-// optionally self-rescheduling, Cancel, Step, PeekNext and RunUntil — and
-// runs it on the wheel kernel and on the heap kernel. Both must produce the same observation log: every firing's
+// optionally self-rescheduling, keyed events on a reserved seq (AtKeyed,
+// armed later unless Passed says the key has gone by), Cancel, Step,
+// PeekNext and RunUntil — and runs it on the wheel kernel and on the heap
+// kernel. Both must produce the same observation log: every firing's
 // (instant, id), every cancel's result and every peek. Offsets land on every
 // wheel boundary, and a program may open with a far-first event, the
 // startup pattern that once dragged the wheel floor ahead of the clock.
@@ -70,6 +72,7 @@ const (
 	obsPeekEmpty
 	obsPeek
 	obsError
+	obsPassed
 )
 
 // kernelProgram is the decoder state of one fuzz program.
@@ -213,12 +216,48 @@ func (p *kernelProgram) scheduleHandler() {
 	h.arm(when, &handlerArg{id: h.id})
 }
 
+// scheduleKeyed reserves a seq for an event at a target instant, stamped
+// with Now, the way a fused link reserves golden's tx-done key when a
+// serialization starts. A plain event at or before that instant arms it:
+// if Passed reports the key gone by, the arming event logs obsPassed;
+// otherwise it schedules the keyed event through AtKeyed, which logs its id
+// when it fires. The flags byte's low bit draws the arming event's seq
+// after the reservation instead of before it, so at a tie on (when, at)
+// the arming event sorts after the key; the rest pull the arming instant
+// back from the target by whole ticks.
+func (p *kernelProgram) scheduleKeyed() {
+	k := p.k
+	when, flags := p.target(), p.next()
+	arm := max(when-Time(flags>>1)<<tickShift, k.Now())
+	at, id := k.Now(), len(p.timers)
+	p.timers = append(p.timers, Timer{})
+	var seq uint64
+	armKey := func() {
+		if k.Passed(when, at, seq) {
+			p.log = append(p.log, firing{at: k.Now(), id: obsPassed})
+			return
+		}
+		fn := handlerFunc(func(any) { p.log = append(p.log, firing{at: k.Now(), id: id}) })
+		var err error
+		if p.timers[id], err = k.AtKeyed(when, at, seq, fn, nil); err != nil {
+			p.log = append(p.log, firing{at: k.Now(), id: obsError})
+		}
+	}
+	if flags&1 == 1 {
+		seq = k.ReserveSeq()
+	}
+	k.At(arm, armKey)
+	if flags&1 == 0 {
+		seq = k.ReserveSeq()
+	}
+}
+
 // runKernelProgram executes prog against k and returns its observation log
 // and each timer's last handle. The first byte's low bit schedules a
 // far-first event at one second; then each op byte selects a schedule, a
-// cancel, a step, a peek, a RunUntil or a handler schedule, followed by its
-// operands. Whatever
-// is left pending finally runs out.
+// cancel, a step, a peek, a RunUntil, a handler schedule or a keyed
+// schedule, followed by its operands. Whatever is left pending finally
+// runs out.
 func runKernelProgram(k *Kernel, prog []byte) ([]firing, []Timer) {
 	k.SetEventLimit(1 << 16)
 	p := &kernelProgram{k: k, data: prog}
@@ -233,7 +272,7 @@ func runKernelProgram(k *Kernel, prog []byte) ([]firing, []Timer) {
 		}
 	}
 	for ops := 0; len(p.data) > 0 && ops < 512; ops++ {
-		switch op := p.next() % 8; op {
+		switch op := p.next() % 9; op {
 		case 0, 1, 2:
 			p.schedule(op)
 		case 3:
@@ -257,8 +296,10 @@ func runKernelProgram(k *Kernel, prog []byte) ([]firing, []Timer) {
 			p.log = append(p.log, firing{at: when, id: id})
 		case 6:
 			observe(k.RunUntil(p.target()))
-		default:
+		case 7:
 			p.scheduleHandler()
+		default:
+			p.scheduleKeyed()
 		}
 	}
 	observe(k.Run())

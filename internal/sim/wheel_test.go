@@ -73,7 +73,7 @@ func runProgram(k *Kernel, seed int64, ops int) []firing {
 }
 
 // TestWheelHeapEquivalence is the golden ordering test the tentpole hangs
-// on: the wheel kernel must fire the exact (when, seq) order of the pure
+// on: the wheel kernel must fire the exact (when, at, seq) order of the pure
 // heap kernel on arbitrary programs, not merely a sorted-by-time order.
 func TestWheelHeapEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
@@ -457,4 +457,68 @@ func BenchmarkKernelPending10kHeap(b *testing.B) {
 // the levels and draining level-0 slots.
 func BenchmarkKernelCascade(b *testing.B) {
 	benchKernelPending(b, New(), 100000, 299*Millisecond)
+}
+
+// coldHandler is a 64-byte component that is its own event handler, the way
+// a netem link is, and coldArg the 64-byte argument it re-arms itself with,
+// the way a packet rides a link's event.
+type coldHandler struct {
+	k     *Kernel
+	state uint64 // xorshift state: the re-arm offsets
+	sum   uint64
+	_     [5]uint64
+}
+
+type coldArg struct {
+	size uint64
+	_    [7]uint64
+}
+
+// coldSpread bounds the re-arm offsets. With 100,000 handlers the pending
+// events near the clock are about 2·100,000/coldSpread per nanosecond, eight
+// to a 1.024 µs level-0 slot, so every slot drains several at once.
+const coldSpread = 25 * Millisecond
+
+// Fire implements Handler: it reads its argument, updates its own state and
+// re-arms itself with the same argument up to coldSpread out.
+func (h *coldHandler) Fire(arg any) {
+	a := arg.(*coldArg)
+	h.sum += a.size
+	a.size++
+	h.state ^= h.state << 13
+	h.state ^= h.state >> 7
+	h.state ^= h.state << 17
+	now := h.k.Now()
+	h.k.AtArgStamped(now+Time(h.state%uint64(coldSpread)), now, h, a)
+}
+
+// BenchmarkKernelColdHandlers fires 100,000 self-rescheduling component
+// handlers, each touching its own struct and a separate argument: with the
+// events, 19 MB of working set, larger than L2, so each fire's event,
+// handler and argument are cache misses unless the level-0 drain, which
+// moves several events at a time, has prefetched them. It isolates the
+// drain's prefetch (DESIGN.md §7) from the 20 s benchmark; ns/op is per
+// event fired.
+func BenchmarkKernelColdHandlers(b *testing.B) {
+	const handlers = 100000
+	k := New()
+	hs := make([]*coldHandler, handlers)
+	for i := range hs {
+		hs[i] = &coldHandler{k: k, state: uint64(i)*0x9e3779b97f4a7c15 + 1}
+	}
+	args := make([]*coldArg, handlers) // allocated apart from the handlers
+	for i := range args {
+		args[i] = &coldArg{}
+	}
+	for i, h := range hs {
+		k.AtArgStamped(Time(h.state%uint64(coldSpread)), 0, h, args[i])
+	}
+	for i := 0; i < 2*handlers; i++ { // every handler re-armed: steady state
+		k.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
 }
