@@ -93,10 +93,12 @@ figure-equivalence:
 # root package's kernel, link and TCP bodies, then the timing wheel's two
 # extremes in internal/sim — BenchmarkKernelCascade (100,000 timers 1–300 ms
 # out: dense upper-level slots re-bucketed down the levels) and
-# BenchmarkKernelChainWheel (one timer at a time, held outside the wheel).
+# BenchmarkKernelChainWheel (one timer at a time, held outside the wheel) —
+# and BenchmarkKernelColdHandlers (100,000 component handlers and arguments
+# larger than L2, drained several to a level-0 slot: the drain's prefetch).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelEvents|BenchmarkLinkDropTail|BenchmarkLinkRED|BenchmarkREDEnqueue|BenchmarkTCPLoopbackSecond' -benchtime 1s .
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelCascade|BenchmarkKernelChainWheel' -benchtime 1s ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelCascade|BenchmarkKernelChainWheel|BenchmarkKernelColdHandlers' -benchtime 1s ./internal/sim
 
 # study-smoke runs once every caller of the facade studies outside the test
 # suite: each example under examples/ (stdout discarded here; each example's
@@ -112,14 +114,15 @@ study-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation|BenchmarkExt|BenchmarkMaximization' -benchtime 1x .
 
 # fuzz-smoke runs each stdlib fuzz target for FUZZTIME (go test fuzzes one
-# target per invocation): the kernel's wheel-versus-heap firing order, the
-# analysis and detector numerics, and scenario documents through Load, Key
-# and Expand. About 70 s at the default FUZZTIME. Their seed corpora (f.Add
-# and testdata/fuzz/) also run in every plain `go test`; a failing input is
-# written to testdata/fuzz/.
+# target per invocation): the kernel's wheel-versus-heap firing order, a
+# fused link against its golden twin, the analysis and detector numerics,
+# and scenario documents through Load, Key and Expand. About 80 s at the
+# default FUZZTIME. Their seed corpora (f.Add and testdata/fuzz/) also run in
+# every plain `go test`; a failing input is written to testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkSchedule$$' -fuzztime $(FUZZTIME) ./internal/netem
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPAA$$' -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzAutocorrelation$$' -fuzztime $(FUZZTIME) ./internal/analysis
