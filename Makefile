@@ -93,7 +93,7 @@ figure-equivalence:
 # root package's kernel, link and TCP bodies, then the timing wheel's two
 # extremes in internal/sim — BenchmarkKernelCascade (100,000 timers 1–300 ms
 # out: dense upper-level slots re-bucketed down the levels) and
-# BenchmarkKernelChainWheel (one timer at a time, held outside the wheel) —
+# BenchmarkKernelChainWheel (one timer at a time, filed in the wheel) —
 # and BenchmarkKernelColdHandlers (100,000 component handlers and arguments
 # larger than L2, drained several to a level-0 slot: the drain's prefetch).
 bench-smoke:

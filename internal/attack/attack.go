@@ -246,10 +246,11 @@ func (g *Generator) Stats() GeneratorStats {
 
 // SkippedEvents reports how many source-side kernel events paced emission
 // has elided relative to the per-packet reference schedule, exact as of the
-// virtual instant now. A generator that never paced reports zero; the sum
-// with the link-side elisions normalizes a fused run back to reference
-// event counts (topo.Environment.Processed).
-func (g *Generator) SkippedEvents(now sim.Time) uint64 {
+// generator kernel's current instant. A generator that never paced reports
+// zero; the sum with the link-side elisions normalizes a fused run back to
+// reference event counts (topo.Environment.Processed).
+func (g *Generator) SkippedEvents() uint64 {
+	now := g.k.Now()
 	if g.stopped && now > g.stopAt {
 		now = g.stopAt
 	}

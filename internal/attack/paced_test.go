@@ -84,8 +84,8 @@ func runLeg(t *testing.T, tr Train, linkRate float64, delay sim.Time, horizons [
 		leg.gen = append(leg.gen, g.Stats())
 		leg.link = append(leg.link, link.Stats())
 		leg.kernel = append(leg.kernel, k.Processed())
-		leg.skipped = append(leg.skipped, link.SkippedEvents(k.Now())+g.SkippedEvents(k.Now()))
-		leg.genSkipped = append(leg.genSkipped, g.SkippedEvents(k.Now()))
+		leg.skipped = append(leg.skipped, link.SkippedEvents()+g.SkippedEvents())
+		leg.genSkipped = append(leg.genSkipped, g.SkippedEvents())
 	}
 	leg.tapped = tap.at
 	return leg
@@ -224,7 +224,7 @@ func TestPacedEmissionEquivalence(t *testing.T) {
 				if err := k.Run(); err != nil {
 					t.Fatal(err)
 				}
-				if got := g.SkippedEvents(k.Now()); got != 0 {
+				if got := g.SkippedEvents(); got != 0 {
 					t.Errorf("%s: generator elided %d events on a tx==gap tie", tc.name, got)
 				}
 			}
@@ -246,9 +246,10 @@ func TestCanPaceDemotion(t *testing.T) {
 
 	t.Run("red-queue", func(t *testing.T) {
 		// RED's admission decision depends on the EWMA queue average, so it
-		// does not implement PacedAdmissible and CanPace must stay false —
-		// pacing never engages even though gap >> serialization time. The
-		// link still fuses its own events; only source-side elisions vanish.
+		// is not the plain FIFO CanPace requires, and CanPace must stay
+		// false — pacing never engages even though gap >> serialization
+		// time. The link still fuses its own events; only source-side
+		// elisions vanish.
 		mk := func() netem.Queue { return netem.NewRED(netem.DefaultREDConfig(1<<20), rng.New(7), linkRate) }
 		golden := runLeg(t, tr, linkRate, delay, horizons, legOpts{golden: true, mkQueue: mk})
 		fused := runLeg(t, tr, linkRate, delay, horizons, legOpts{mkQueue: mk})

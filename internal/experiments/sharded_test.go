@@ -362,7 +362,7 @@ func TestShardedAttackerPacesAcrossPortal(t *testing.T) {
 				t.Errorf("workers %d: link %s runs golden", workers, l.Name())
 			}
 		}
-		if n := ec.gen.SkippedEvents(env.Kernel.Now()); n == 0 {
+		if n := ec.gen.SkippedEvents(); n == 0 {
 			t.Errorf("workers %d: the attack generator elided no events", workers)
 		}
 		return outcome{res: res, processed: env.Processed(), sink: env.Sink.Packets}

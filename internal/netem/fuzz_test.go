@@ -15,13 +15,19 @@ import (
 // packet of 125–1500 bytes (125 µs to 1.5 ms at 8 Mb/s), either scheduled up
 // front or from inside the run — by an event that fires on the 125 µs grid,
 // on which serializations complete, or a nanosecond to either side of it, and
-// schedules the send up to 1.875 ms ahead. At every horizon the two legs must
-// agree on Stats, Queue().Len(), the event count normalized by SkippedEvents
-// and how many deliveries and tap events they have seen; at the end, on the
-// delivery list and the tap-event list. The two lists are compared
-// separately: at a zero-delay delivery instant their interleaving differs by
+// schedules the send up to 1.875 ms ahead — or sends it directly, outside
+// any event, right after one of the first 160 horizons; or it reads the
+// link from inside the run, at an instant chosen like a scheduled send's.
+// An op byte of 6 or 7 modulo 8 is a direct send or a read; otherwise its
+// parity picks an up-front or a scheduled send. At every horizon and at
+// every read the two legs must agree on Stats, Queue().Len(), the event
+// count normalized by SkippedEvents and how many tap events they have seen,
+// and at every horizon on how many deliveries; at the end, on the delivery
+// list and the tap-event list. Deliveries are compared apart: at a delivery
+// instant their interleaving with other events stamped like them differs by
 // design, since the fused schedule draws a delivery's seq when the
-// serialization starts and golden draws it at tx-done (DESIGN.md §14).
+// serialization starts and golden draws it at tx-done (DESIGN.md §14), so a
+// read leaves them out of its counts.
 func FuzzLinkSchedule(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0x1d, 3, 2, 0, 3, 0, 0, 3, 1, 4, 2, 1, 0, 30, 1, 17, 4, 0, 1, 2, 8, 3, 0, 22, 4})
@@ -35,6 +41,9 @@ func FuzzLinkSchedule(f *testing.F) {
 				}
 			}
 		}
+		if !reflect.DeepEqual(golden.reads, fused.reads) {
+			t.Fatalf("reads inside the run differ:\ngolden %+v\nfused  %+v", golden.reads, fused.reads)
+		}
 		if !reflect.DeepEqual(golden.delivered, fused.delivered) {
 			t.Fatalf("deliveries differ:\ngolden %v\nfused  %v", golden.delivered, fused.delivered)
 		}
@@ -45,28 +54,32 @@ func FuzzLinkSchedule(f *testing.F) {
 }
 
 // linkHorizons horizons are linkHorizonStep apart, on and between the grid
-// points. The last, at 30 ms, is past every delivery a program can produce:
-// its last send is at 9.75 ms and waits for at most 9 packets of 1.5 ms,
-// then takes 1.5 ms to serialize and 1.5 ms to propagate (26.25 ms).
+// points; direct sends follow one of the first linkDirectHorizons. The last
+// horizon, at 30 ms, is past every delivery a program can produce: its last
+// send is at 10 ms (a direct one; a scheduled one is at 9.75 ms at the
+// latest) and waits for at most 9 packets of 1.5 ms, then takes 1.5 ms to
+// serialize and 1.5 ms to propagate (26.5 ms).
 const (
-	linkHorizonStep = 125 * sim.Microsecond / 2
-	linkHorizons    = 480
+	linkHorizonStep    = 125 * sim.Microsecond / 2
+	linkHorizons       = 480
+	linkDirectHorizons = 160
 )
 
 func linkHorizon(i int) sim.Time { return sim.Time(i+1) * linkHorizonStep }
 
-// linkSnapshot is what one leg shows at one horizon.
+// linkSnapshot is what one leg shows at one horizon or read.
 type linkSnapshot struct {
 	stats     LinkStats
 	queued    int
-	events    uint64 // kernel events, plus SkippedEvents on the fused leg
-	delivered int
+	events    uint64 // kernel events, plus SkippedEvents on the fused leg; a read's leave out deliveries
+	delivered int    // zero at a read
 	tapped    int
 }
 
 // linkRun is one leg's record of a program.
 type linkRun struct {
 	horizons  []linkSnapshot
+	reads     []linkSnapshot
 	delivered []tapEvent // kind '>' for every delivery
 	events    []tapEvent
 }
@@ -90,6 +103,12 @@ func (p *linkProgram) instant() sim.Time {
 	b := p.next()
 	t := sim.Time(b>>2)*125*sim.Microsecond + [4]sim.Time{0, -1, 1, 0}[b&3]
 	return max(t, 0)
+}
+
+// lead decodes how far ahead of its trigger a scheduled op fires: 0 to 15
+// grid steps.
+func (p *linkProgram) lead() sim.Time {
+	return sim.Time(p.next()%16) * 125 * sim.Microsecond
 }
 
 // size decodes a packet size whose serialization at 8 Mb/s is a whole number
@@ -129,13 +148,33 @@ func runLinkProgram(t *testing.T, prog []byte, golden bool) linkRun {
 	} else {
 		l.AddTap(&tap.arrivalTap)
 	}
+	snapshot := func() linkSnapshot {
+		n := k.Processed()
+		if !golden {
+			n += l.SkippedEvents()
+		}
+		return linkSnapshot{l.Stats(), q.Len(), n, len(run.delivered), len(tap.events)}
+	}
+	read := func() {
+		s := snapshot()
+		s.events -= uint64(s.delivered)
+		s.delivered = 0
+		run.reads = append(run.reads, s)
+	}
+	direct := make(map[int][]*Packet) // horizon index → packets sent right after it
 	for id := int64(0); len(p.data) > 0 && id < 64; id++ {
-		switch p.next() % 2 {
-		case 0:
+		switch op := p.next() % 8; {
+		case op == 6:
+			h, pk := int(p.next())%linkDirectHorizons, dataPacket(id, p.size())
+			direct[h] = append(direct[h], pk)
+		case op == 7:
+			trigger, lead := p.instant(), p.lead()
+			k.At(trigger, func() { k.AfterTicks(lead, read) })
+		case op%2 == 0:
 			at, pk := p.instant(), dataPacket(id, p.size())
 			k.At(at, func() { l.Send(pk) })
 		default:
-			trigger, lead := p.instant(), sim.Time(p.next()%16)*125*sim.Microsecond
+			trigger, lead := p.instant(), p.lead()
 			pk := dataPacket(id, p.size())
 			k.At(trigger, func() { k.AfterTicks(lead, func() { l.Send(pk) }) })
 		}
@@ -144,11 +183,10 @@ func runLinkProgram(t *testing.T, prog []byte, golden bool) linkRun {
 		if err := k.RunUntil(linkHorizon(i)); err != nil {
 			t.Fatal(err)
 		}
-		n := k.Processed()
-		if !golden {
-			n += l.SkippedEvents(k.Now())
+		for _, pk := range direct[i] {
+			l.Send(pk)
 		}
-		run.horizons = append(run.horizons, linkSnapshot{l.Stats(), q.Len(), n, len(run.delivered), len(tap.events)})
+		run.horizons = append(run.horizons, snapshot())
 	}
 	if k.Pending() != 0 {
 		t.Fatalf("golden=%v: %d events still pending past the last horizon", golden, k.Pending())

@@ -86,7 +86,7 @@ type Link struct {
 	stats   LinkStats
 	taps    []Tap
 	departs []DepartureTap // the taps that also observe departures
-	remote  Remote         // non-nil: propagation crosses a shard boundary (portal.go)
+	remote  *DemuxRemote   // non-nil: propagation crosses a shard boundary (portal.go)
 
 	// Fused-path transmitter state: the in-flight serialization started at
 	// txStart and ends at busyUntil (-1 = never transmitted); txSeq is the
@@ -188,13 +188,14 @@ func (l *Link) Queue() Queue { return l.queue }
 
 // Stats returns a snapshot of the link counters. On the fused path the
 // departure counters are derived at read time — a departure is a completed
-// serialization (starts minus those still in flight), which is exactly when
-// the golden path's tx-done event counts it — so snapshots are identical
-// between the two paths at any horizon, even while a fused delivery event is
-// still pending. With a paced grid outstanding (SendPaced) the arrival
-// counters are likewise rolled back to the grid starts that have actually
-// been reached, matching the instants the reference schedule would have
-// counted the arrivals at.
+// serialization (starts minus the one still in flight: golden's tx-done key
+// for it has not passed, the question Send asks), which is exactly when the
+// golden path's tx-done event counts it — so snapshots are identical between
+// the two paths at any horizon and inside any event, even while a fused
+// delivery event is still pending. With a paced grid outstanding
+// (SendPaced) the arrival counters are likewise rolled back to the grid
+// starts that have actually been reached, matching the instants the
+// reference schedule would have counted the arrivals at.
 func (l *Link) Stats() LinkStats {
 	s := l.stats
 	if !l.golden {
@@ -210,7 +211,7 @@ func (l *Link) Stats() LinkStats {
 				s.Arrivals -= fut
 				s.ArrivalBytes -= fut * uint64(l.pacedSize)
 			}
-		} else if l.busyUntil > now {
+		} else if !l.k.Passed(l.busyUntil, l.txStart, l.txSeq) {
 			s.Departures--
 			s.DepartureBytes -= uint64(l.lastSize)
 		}
@@ -279,7 +280,7 @@ func (l *Link) NewPacket() *Packet {
 // only cost on that path is one pointer nil-check per delivery. The link
 // keeps its schedule: the remote receives each packet at the delivery step,
 // with the same (when, at) key the local delivery event would carry.
-func (l *Link) SetRemote(r Remote) { l.remote = r }
+func (l *Link) SetRemote(r *DemuxRemote) { l.remote = r }
 
 // ForceGoldenPath pins the link to the golden two-event schedule (one
 // tx-done event plus one delivery event per packet) instead of the fused
@@ -380,7 +381,7 @@ func (l *Link) Send(p *Packet) {
 		// An idle fused transmitter has an empty queue (queued packets
 		// always have a chain armed), and an empty FIFO admits every
 		// packet, so p starts at once without the Enqueue/Dequeue round
-		// trip — the argument PacedAdmissible makes for SendPaced.
+		// trip — the fact CanPace relies on for SendPaced.
 		l.start(p, now)
 		return
 	}
@@ -420,26 +421,17 @@ func (l *Link) Send(p *Packet) {
 	l.start(l.queue.Dequeue(now), now)
 }
 
-// pacedAdmitter marks queue disciplines whose admission decision for a
-// packet arriving to an empty queue in front of an idle transmitter is an
-// unconditional accept — the only disciplines SendPaced may bypass. DropTail
-// qualifies (an empty FIFO under any positive limit always accepts); RED
-// does not (its decaying average can drop into an instantaneously empty
-// queue).
-type pacedAdmitter interface{ PacedAdmissible() bool }
-
 // CanPace reports whether the link can accept SendPaced commitments as of
 // now: the fused path with no taps, an idle transmitter with no chain armed
-// and nothing queued, and a queue discipline that admits unconditionally
-// when empty. Sources re-check this at every batch boundary so that any
-// interleaved plain traffic demotes them back to per-packet Send, which
-// handles busy transmitters exactly.
+// and an empty FIFO (DropTail) queue — an empty FIFO admits every packet,
+// the fact Send's idle bypass relies on too. RED refuses: its decaying
+// average can drop into an instantaneously empty queue. Sources re-check
+// this at every batch boundary so that any interleaved plain traffic
+// demotes them back to per-packet Send, which handles busy transmitters
+// exactly.
 func (l *Link) CanPace(now sim.Time) bool {
-	if l.golden || len(l.taps) != 0 || l.chained || l.busyUntil >= now || l.queue.Len() != 0 {
-		return false
-	}
-	q, ok := l.queue.(pacedAdmitter)
-	return ok && q.PacedAdmissible()
+	return !l.golden && len(l.taps) == 0 && !l.chained && l.busyUntil < now &&
+		l.fifo != nil && l.fifo.Len() == 0
 }
 
 // SendPaced commits a future transmission of p starting at the exact virtual
@@ -503,25 +495,26 @@ func (l *Link) SendPaced(p *Packet, at, gap sim.Time) {
 }
 
 // SkippedEvents reports how many kernel events the fused path has elided
-// relative to the golden two-event schedule, exact as of the virtual instant
-// now. Per packet the golden path fires one tx-done event at serialization
-// end plus one delivery event — the delivery the fused path pays identically
-// (its fused event fires at the same instant), so the difference is the
-// tx-done firings the golden run would have accumulated (one per completed
-// serialization: starts minus the one still in flight) minus the chain
-// events the fused run actually fired in their place. Golden-path links
-// report zero, and so do departure-tapped ones, whose chain fires once per
-// serialization. With a paced grid outstanding (SendPaced) the in-flight
-// count is the grid completions not yet reached rather than a single packet;
-// the elision arithmetic is otherwise identical. Adding the sum over all links
-// back to the raw kernel count normalizes a fused run to reference-model
-// event counts, keeping serial/sharded/golden/fused runs comparable through
-// one number (topo.Environment.Processed).
-func (l *Link) SkippedEvents(now sim.Time) uint64 {
+// relative to the golden two-event schedule, exact as of the link kernel's
+// position. Per packet the golden path fires one tx-done event at
+// serialization end plus one delivery event — the delivery the fused path
+// pays identically (its fused event fires at the same instant), so the
+// difference is the tx-done firings the golden run would have accumulated
+// (one per completed serialization: starts minus the one still in flight,
+// as Stats counts it) minus the chain events the fused run actually fired in
+// their place. Golden-path links report zero, and so do departure-tapped
+// ones, whose chain fires once per serialization. With a paced grid
+// outstanding (SendPaced) the in-flight count is the grid completions not
+// yet reached rather than a single packet; the elision arithmetic is
+// otherwise identical. Adding the sum over all links back to the raw kernel
+// count normalizes a fused run to reference-model event counts, keeping
+// serial/sharded/golden/fused runs comparable through one number
+// (topo.Environment.Processed).
+func (l *Link) SkippedEvents() uint64 {
 	n := l.starts - l.chainFires
 	if l.pacedN > 0 {
-		n -= l.pacedPending(now)
-	} else if l.busyUntil > now {
+		n -= l.pacedPending(l.k.Now())
+	} else if !l.k.Passed(l.busyUntil, l.txStart, l.txSeq) {
 		n--
 	}
 	return n

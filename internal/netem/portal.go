@@ -6,12 +6,12 @@ import (
 
 // This file is the netem side of the conservative parallel engine
 // (internal/sim/parallel.go): when a topology is sharded, a link whose
-// propagation hop crosses a shard boundary hands its packets to a Remote
-// instead of scheduling a local delivery event. The packet is packed into a
-// fixed-size sim.Payload, released to the source shard's pool, carried over
-// the engine's boundary-event machinery, and re-materialized from the
-// destination shard's pool by an Inbox — so pools stay strictly shard-local
-// and the 0 allocs/packet steady state survives sharding.
+// propagation hop crosses a shard boundary hands its packets to a
+// DemuxRemote instead of scheduling a local delivery event. The packet is
+// packed into a fixed-size sim.Payload, released to the source shard's pool,
+// carried over the engine's boundary-event machinery, and re-materialized
+// from the destination shard's pool by an Inbox — so pools stay strictly
+// shard-local and the 0 allocs/packet steady state survives sharding.
 //
 // The remote sits behind the link's delivery step, so a portal link runs
 // either schedule: the fused one hands a packet over when its serialization
@@ -19,14 +19,6 @@ import (
 // stamped with tx-done — the (when, at) key the local delivery event would
 // carry. The link's propagation delay is the lookahead the edge declares, so
 // the delivery lands at or beyond the next window boundary by construction.
-
-// Remote routes packets whose propagation crosses a shard boundary. Transfer
-// takes ownership of a packet due at `when` with schedule stamp `at`
-// (at ≤ when): implementations must either forward it to a boundary edge
-// (packing and releasing it) or schedule it on the link's own kernel.
-type Remote interface {
-	Transfer(l *Link, when, at sim.Time, p *Packet)
-}
 
 // packPacket encodes a packet into a boundary payload. The layout is private
 // to this file; unpackPacket is its inverse.
@@ -61,30 +53,12 @@ func unpackPacket(w *sim.Payload, p *Packet) {
 	p.EchoSentAt = sim.Time(w[5])
 }
 
-// SingleRemote sends every transferred packet over one boundary edge — the
-// common case of an access link whose far end lives on another shard.
-type SingleRemote struct {
-	out *sim.Outbox
-}
-
-// NewSingleRemote returns a Remote that forwards everything over out.
-func NewSingleRemote(out *sim.Outbox) *SingleRemote {
-	return &SingleRemote{out: out}
-}
-
-// Transfer implements Remote.
-//
-//pdos:hotpath
-func (r *SingleRemote) Transfer(_ *Link, when, at sim.Time, p *Packet) {
-	var w sim.Payload
-	packPacket(p, &w)
-	p.Release()
-	r.out.Send(when, at, &w)
-}
-
-// DemuxRemote fans a shared link's deliveries out by flow id — the bottleneck
-// case, where one link carries every flow but the flows' endpoints are spread
-// over all shards. A nil entry (or a flow outside the table, e.g. the attack
+// DemuxRemote routes a link's packets whose propagation crosses a shard
+// boundary, fanning them out by flow id. A shared link — the bottleneck, one
+// link carrying every flow while the flows' endpoints are spread over all
+// shards — gets a table; an access link whose far end lives on another
+// shard gets none, and every packet misses the empty table and takes the
+// default edge. A nil entry (or a flow outside the table, e.g. the attack
 // generator's negative ids, when deflt is nil) schedules the delivery on the
 // link's own kernel with the same (when, at) key, preserving serial
 // behaviour for flows homed on the link's own shard.
@@ -93,12 +67,15 @@ type DemuxRemote struct {
 	deflt  *sim.Outbox   // out-of-range flows; nil = deliver locally
 }
 
-// NewDemuxRemote returns a demuxing Remote over a dense flow table.
+// NewDemuxRemote returns a demuxing remote over a dense flow table; a nil
+// table sends every packet to deflt.
 func NewDemuxRemote(byFlow []*sim.Outbox, deflt *sim.Outbox) *DemuxRemote {
 	return &DemuxRemote{byFlow: byFlow, deflt: deflt}
 }
 
-// Transfer implements Remote.
+// Transfer takes ownership of a packet due at `when` with schedule stamp
+// `at` (at ≤ when): it packs and releases the packet and forwards it over
+// its boundary edge, or schedules it on the link's own kernel.
 //
 //pdos:hotpath
 func (r *DemuxRemote) Transfer(l *Link, when, at sim.Time, p *Packet) {
@@ -120,7 +97,7 @@ func (r *DemuxRemote) Transfer(l *Link, when, at sim.Time, p *Packet) {
 // Inbox is the receiving side of a boundary edge: a sim.Port that
 // re-materializes packets from the destination shard's pool and injects
 // their delivery to a destination node. Register it on the destination shard
-// and point the source side's Remote at the resulting port.
+// and point the source side's DemuxRemote at the resulting port.
 type Inbox struct {
 	pool *PacketPool
 	dst  Node
@@ -152,7 +129,8 @@ func (in *Inbox) Inject(k *sim.Kernel, when, at sim.Time, w *sim.Payload) {
 		p = &Packet{}
 	}
 	unpackPacket(w, p)
-	if err := k.InjectArg(when, at, (*inboxHop)(in), p); err != nil {
+	//pdos:vtime-ok — the stamps are Link.deliver's, when = at + the link's delay (MaxTime-guarded), so at ≤ when
+	if _, err := k.AtArgStamped(when, at, (*inboxHop)(in), p); err != nil {
 		// The engine guarantees when >= now at every barrier; reaching this
 		// indicates a wiring bug, which must not fail silently.
 		panic("netem: boundary injection in the past: " + err.Error())

@@ -60,7 +60,7 @@ func TestCrossShardLinkDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.SetPool(srcPool)
-	l.SetRemote(NewSingleRemote(ob))
+	l.SetRemote(NewDemuxRemote(nil, ob))
 
 	p := l.NewPacket()
 	p.Flow = 3

@@ -106,9 +106,3 @@ func (q *DropTail) Bytes() int { return q.bytes }
 
 // Limit reports the queue's packet capacity.
 func (q *DropTail) Limit() int { return q.limit }
-
-// PacedAdmissible marks DropTail safe for Link.SendPaced: a packet offered
-// to an empty tail-drop queue is always accepted (the limit is at least 1),
-// so bypassing the enqueue/dequeue round-trip on an idle transmitter cannot
-// change a drop decision.
-func (q *DropTail) PacedAdmissible() bool { return true }

@@ -372,48 +372,3 @@ func TestPlainREDDoesNotAdapt(t *testing.T) {
 		t.Errorf("plain RED max_p changed: %g -> %g", start, q.MaxP())
 	}
 }
-
-func TestREDByteModeScalesWithPacketSize(t *testing.T) {
-	// In byte mode, tiny packets held at the same *count* produce a far
-	// smaller queue average than full-size packets, so they survive where
-	// packet-mode RED would drop them.
-	fill := func(byteMode bool, pktSize int) (accepted int, avg float64) {
-		cfg := DefaultREDConfig(100)
-		cfg.ByteMode = byteMode
-		q := NewRED(cfg, rng.New(1), 1e6)
-		var seq int64
-		for ; seq < 60; seq++ {
-			q.Enqueue(dataPacket(seq, pktSize), 0)
-		}
-		for i := 0; i < 5000; i++ {
-			now := sim.Time(i) * sim.Millisecond
-			if q.Enqueue(dataPacket(seq, pktSize), now) {
-				accepted++
-			}
-			seq++
-			if q.Len() > 60 {
-				q.Dequeue(now)
-			}
-		}
-		return accepted, q.Average()
-	}
-	// 50-byte packets at 60-deep queue: byte mode sees avg ≈ 3 equivalents
-	// (below min_th 20, no early drops); packet mode sees avg ≈ 60.
-	pmAccepted, pmAvg := fill(false, 50)
-	bmAccepted, bmAvg := fill(true, 50)
-	if bmAvg >= pmAvg/5 {
-		t.Errorf("byte-mode average %.1f not far below packet-mode %.1f", bmAvg, pmAvg)
-	}
-	if bmAccepted <= pmAccepted {
-		t.Errorf("byte mode accepted %d <= packet mode %d for tiny packets", bmAccepted, pmAccepted)
-	}
-	// Full-size packets: the two modes agree.
-	pmFull, pmFullAvg := fill(false, 1000)
-	bmFull, bmFullAvg := fill(true, 1000)
-	if diff := bmFullAvg - pmFullAvg; diff > 5 || diff < -5 {
-		t.Errorf("full-size averages diverged: %.1f vs %.1f", bmFullAvg, pmFullAvg)
-	}
-	if ratio := float64(bmFull) / float64(pmFull); ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("full-size acceptance diverged: %d vs %d", bmFull, pmFull)
-	}
-}

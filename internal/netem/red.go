@@ -22,13 +22,6 @@ type REDConfig struct {
 	// MeanPacketSize (bytes) calibrates the idle-period decay of the queue
 	// average. Defaults to 1000 when zero.
 	MeanPacketSize int
-
-	// ByteMode switches RED to byte-based accounting (ns-2's queue-in-bytes
-	// mode): the queue average is measured in mean-packet-size equivalents
-	// of the queued bytes, and a packet's early-drop probability scales
-	// with its size. Small attack packets then contribute proportionally to
-	// their bytes instead of counting as full slots.
-	ByteMode bool
 }
 
 // DefaultREDConfig returns the paper's RED parameterization for a queue of
@@ -103,7 +96,7 @@ func (q *RED) Enqueue(p *Packet, now sim.Time) bool {
 		q.count = 0
 		return false
 	}
-	if q.dropEarly(p) {
+	if q.dropEarly() {
 		q.earlyDrops++
 		return false
 	}
@@ -145,17 +138,6 @@ func (q *RED) EarlyDrops() uint64 { return q.earlyDrops }
 // ForcedDrops reports the count of buffer-overflow drops.
 func (q *RED) ForcedDrops() uint64 { return q.forcedDrops }
 
-// occupancy reports the instantaneous queue size in the units the EWMA
-// tracks: packets, or mean-packet-size equivalents in byte mode.
-//
-//pdos:hotpath
-func (q *RED) occupancy() float64 {
-	if q.cfg.ByteMode {
-		return float64(q.fifo.Bytes()) / float64(q.cfg.MeanPacketSize)
-	}
-	return float64(q.fifo.Len())
-}
-
 // updateAverage folds the instantaneous queue length into the EWMA. Across
 // an idle period the average decays as if m small packets had drained, per
 // the RED paper's idle-time adjustment.
@@ -163,7 +145,7 @@ func (q *RED) occupancy() float64 {
 //pdos:hotpath
 func (q *RED) updateAverage(now sim.Time) {
 	if q.fifo.Len() > 0 || q.idleSince < 0 || q.drainRate <= 0 {
-		q.avg = (1-q.cfg.Wq)*q.avg + q.cfg.Wq*q.occupancy()
+		q.avg = (1-q.cfg.Wq)*q.avg + q.cfg.Wq*float64(q.fifo.Len())
 		return
 	}
 	idle := now.Sub(q.idleSince).Seconds()
@@ -188,7 +170,7 @@ func pow1mWq(wq, m float64) float64 {
 // dropEarly applies the RED probabilistic drop test to an arriving packet.
 //
 //pdos:hotpath
-func (q *RED) dropEarly(p *Packet) bool {
+func (q *RED) dropEarly() bool {
 	avg := q.avg
 	cfg := q.cfg
 	var pb float64
@@ -203,14 +185,6 @@ func (q *RED) dropEarly(p *Packet) bool {
 	default:
 		q.count = 0
 		return true
-	}
-	if q.cfg.ByteMode {
-		// Byte mode: a packet's drop probability scales with its share of
-		// the mean packet size (ns-2's setbit-free byte-mode behaviour).
-		pb *= float64(p.Size) / float64(q.cfg.MeanPacketSize)
-		if pb > 1 {
-			pb = 1
-		}
 	}
 	q.count++
 	// Inter-drop spacing correction: pa = pb / (1 - count·pb).

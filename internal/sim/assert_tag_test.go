@@ -29,9 +29,11 @@ func mustPanic(t *testing.T, fn func()) string {
 }
 
 // TestAssertFireOrderViolationCaught drives the raw kernel into the exact
-// situation the parallel engine must never create: a boundary injection
-// whose (when, at) key lands in the kernel's already-fired past. The
-// pdosassert firing-order monitor must trip.
+// situation the parallel engine must never create: a boundary event whose
+// (when, at) key lands in the kernel's already-fired past. No exported
+// schedule can file one there — AtArgStamped raises a same-instant stamp to
+// the kernel's position — so the test files it through the kernel's own
+// alloc and enqueue. The pdosassert firing-order monitor must trip.
 func TestAssertFireOrderViolationCaught(t *testing.T) {
 	k := New()
 	// An event scheduled at instant 3 for instant 5: after it fires, the
@@ -53,12 +55,13 @@ func TestAssertFireOrderViolationCaught(t *testing.T) {
 	if !fired {
 		t.Fatal("setup event did not fire")
 	}
-	// A foreign injection for the same instant 5 but stamped at=0 sorts
-	// BEFORE the event that already fired — a serial kernel would have run
-	// it first, so firing it now is a determinism violation.
-	if err := k.InjectArg(5, 0, handlerFunc(func(any) {}), nil); err != nil {
-		t.Fatal(err)
-	}
+	// A boundary event for the same instant 5 but stamped at=0 sorts BEFORE
+	// the event that already fired — a serial kernel would have run it
+	// first, so firing it now is a determinism violation.
+	ev := k.alloc(5)
+	ev.at = 0
+	ev.h = handlerFunc(func(any) {})
+	k.enqueue(ev)
 	msg := mustPanic(t, func() { _ = k.Run() })
 	if !strings.Contains(msg, "fired out of order") {
 		t.Fatalf("wrong panic: %q", msg)
@@ -129,7 +132,7 @@ func TestAssertBoundaryConservation(t *testing.T) {
 	var outAB, outBA *Outbox
 	mk := func(s *Shard, out **Outbox) int32 {
 		return s.RegisterPort(portFunc(func(k *Kernel, when, at Time, w *Payload) {
-			if err := k.InjectArg(when, at, handlerFunc(func(any) {
+			if _, err := k.AtArgStamped(when, at, handlerFunc(func(any) {
 				hops++
 				if hops < 10 {
 					(*out).Send(k.Now()+Millisecond, k.Now(), &Payload{})

@@ -12,7 +12,6 @@ const (
 	idxNone      = -1 // not pending: fired, cancelled and released, or on the free list
 	idxWheel     = -2 // pending, filed in a timer-wheel slot
 	idxCancelled = -3 // cancelled while filed in a slot; released when its slot drains
-	idxLone      = -4 // the only pending event, held in Kernel.lone
 )
 
 // Handler is what an event runs: when the event fires, the kernel calls
@@ -54,12 +53,11 @@ type event struct {
 // the clock when they are scheduled this is the classic (when, seq) order —
 // seq is monotone in schedule time, so comparing at first can never disagree
 // with seq. The stamp is what lets an event sort where another schedule
-// would have placed it: the parallel engine's boundary events (InjectArg)
-// carry the virtual instant they were scheduled at in their source shard, so
-// they sort against local events exactly where the serial run's schedule
-// sequence would have placed them, and a fused link's deliveries and chain
-// events carry the golden schedule's stamps and keys (AtArgStamped,
-// AtKeyed).
+// would have placed it: the parallel engine's boundary events carry the
+// virtual instant they were scheduled at in their source shard, so they sort
+// against local events exactly where the serial run's schedule sequence
+// would have placed them, and a fused link's deliveries and chain events
+// carry the golden schedule's stamps and keys (AtArgStamped, AtKeyed).
 func (e *event) before(o *event) bool {
 	if e.when != o.when {
 		return e.when < o.when
@@ -118,27 +116,31 @@ func (t *Timer) When() Time {
 // safe — see DESIGN.md's Performance section.
 //
 // The pending set is split between a hierarchical timing wheel (near future,
-// O(1) insert and lazy O(1) cancel — see wheel.go), an inlined 4-ary index
-// heap (events beyond the wheel horizon, and events behind the floor — which
-// leads the clock only right after a slot drain or cascade, because an empty
-// wheel snaps its floor to the clock rather than to the next event), and
-// Kernel.lone, which holds the only pending event outside both. The firing
-// order is exactly (when, at, seq) — identical to a pure heap — because due
-// wheel slots are drained through the heap before anything in them fires.
-// The heap is inlined rather than container/heap: no interface dispatch, no
-// `any` boxing on push/pop, and a shallower tree than a binary heap (fewer
-// cache-missing levels per sift).
+// O(1) insert and lazy O(1) cancel — see wheel.go) and an inlined 4-ary
+// index heap (events beyond the wheel horizon, and events behind the floor —
+// which leads the clock only right after a slot drain or cascade, because an
+// empty wheel snaps its floor to the clock rather than to the next event).
+// The firing order is exactly (when, at, seq) — identical to a pure heap —
+// because due wheel slots are drained through the heap before anything in
+// them fires. The heap is inlined rather than container/heap: no interface
+// dispatch, no `any` boxing on push/pop, and a shallower tree than a binary
+// heap (fewer cache-missing levels per sift).
+//
+// The kernel's position in that order is (now, nowAt, nowSeq): inside a
+// fire, the firing event's key; after RunUntil(t), the end of instant t,
+// past every key at t drawn so far; after RunBefore(t), the start of t,
+// before every key at t. Passed, AtKeyed and AtArgStamped's same-instant
+// raise read it, so they answer alike inside an event and at a window edge.
 type Kernel struct {
 	now       Time
-	nowAt     Time     // schedule stamp (`at`) of the most recently fired event
-	nowSeq    uint64   // sequence number of the most recently fired event
+	nowAt     Time     // position stamp: the firing event's `at`, or a window edge's
+	nowSeq    uint64   // position seq: the firing event's seq, or a window edge's
 	events    []*event // 4-ary min-heap ordered by (when, at, seq)
 	free      []*event // recycled event structs
 	seq       uint64
 	processed uint64
 	limit     uint64 // 0 = unlimited
-	pending   int    // live events: lone + heap + uncancelled wheel entries
-	lone      *event // the only pending event, held outside wheel and heap; else nil
+	pending   int    // live events: heap + uncancelled wheel entries
 
 	// ---- hierarchical timing wheel (see wheel.go) ----
 	heapOnly   bool // true: bypass the wheel entirely (golden-reference mode)
@@ -336,9 +338,10 @@ func (k *Kernel) release(ev *event) {
 
 // ---- scheduling ----
 
-// enqueue adds a freshly allocated event to the pending set. The only
-// pending event is held in k.lone, so a chain of one timer at a time never
-// touches the wheel; the next schedule files the held event first.
+// enqueue adds a freshly allocated event to the pending set: it files ev in
+// the wheel when its instant maps onto a live slot, and pushes it to the
+// heap otherwise (a heap-only kernel, instants behind a floor a slot drain
+// or cascade moved past the clock, or beyond the wheel horizon).
 //
 //pdos:hotpath
 func (k *Kernel) enqueue(ev *event) {
@@ -347,24 +350,6 @@ func (k *Kernel) enqueue(ev *event) {
 		k.push(ev)
 		return
 	}
-	if k.pending == 1 {
-		ev.index = idxLone
-		k.lone = ev
-		return
-	}
-	if held := k.lone; held != nil {
-		k.lone = nil
-		k.insert(held)
-	}
-	k.insert(ev)
-}
-
-// insert files ev in the wheel when its instant maps onto a live slot, and
-// pushes it to the heap otherwise (instants behind a floor a slot drain or
-// cascade moved past the clock, or beyond the wheel horizon).
-//
-//pdos:hotpath
-func (k *Kernel) insert(ev *event) {
 	if k.wheelCount == 0 {
 		// Empty wheel: nothing constrains the mapping origin, so snap it to
 		// the clock. Every later schedule is at or after now, so none lands
@@ -385,25 +370,21 @@ func (k *Kernel) insert(ev *event) {
 	k.push(ev)
 }
 
-// cancel removes a pending event. Heap-resident and held events leave at
-// once; a wheel-resident one is only marked, and its entry stays in its slot
-// until locate drains the slot or the pending set empties (wheel.go).
+// cancel removes a pending event. A heap-resident event leaves at once; a
+// wheel-resident one is only marked, and its entry stays in its slot until
+// locate drains the slot or the pending set empties (wheel.go).
 //
 //pdos:hotpath
 func (k *Kernel) cancel(ev *event) {
 	k.pending-- //pdos:counter kernel-pending dec — the event is cancelled
-	switch {
-	case ev.index >= 0:
+	if ev.index >= 0 {
 		k.remove(int(ev.index))
 		k.release(ev)
-	case ev.index == idxWheel:
+	} else {
 		ev.index = idxCancelled
 		ev.h = nil
 		ev.arg = nil
 		ev.gen++
-	default:
-		k.lone = nil
-		k.release(ev)
 	}
 	if k.pending == 0 {
 		k.emptied()
@@ -469,13 +450,10 @@ func (k *Kernel) clampDelta(delta Time) Time {
 func (k *Kernel) fire(ev *event) {
 	k.assertFire(ev)
 	k.pending-- //pdos:counter kernel-pending dec — the event fires
-	switch {
-	case ev.index >= 0:
+	if ev.index >= 0 {
 		k.remove(int(ev.index))
-	case ev.index == idxWheel:
+	} else {
 		k.unslot(ev)
-	default:
-		k.lone = nil
 	}
 	if k.pending == 0 {
 		k.emptied()
@@ -527,8 +505,10 @@ func (k *Kernel) Run() error {
 }
 
 // RunUntil fires all events scheduled at or before the virtual instant t,
-// then advances the clock to exactly t. Events scheduled after t remain
-// pending.
+// then advances the clock to exactly t and leaves the position at the end of
+// t, (t, t, next seq): every key at t drawn so far has passed, as every
+// event at t has fired. Events scheduled after t remain pending. A t behind
+// the clock fires nothing and moves nothing.
 func (k *Kernel) RunUntil(t Time) error {
 	for {
 		ev := k.locate()
@@ -540,18 +520,20 @@ func (k *Kernel) RunUntil(t Time) error {
 			return ErrEventLimit
 		}
 	}
-	if t > k.now {
-		k.now = t
+	if t >= k.now {
+		k.now, k.nowAt, k.nowSeq = t, t, k.seq
 	}
 	return nil
 }
 
 // RunBefore fires all events scheduled strictly before the virtual instant t,
-// then advances the clock to exactly t. It is the window-execution primitive
+// then advances the clock to exactly t and leaves the position at the start
+// of t, where no key at t has passed. It is the window-execution primitive
 // of the conservative parallel engine (see parallel.go): a shard runs to the
 // window edge exclusively, so that boundary events injected at the barrier
 // for instant t still order against local events at t through the full
-// (when, at, seq) comparator rather than having already fired past them.
+// (when, at, seq) comparator rather than having already fired past them. A
+// t at or behind the clock fires nothing and moves nothing.
 func (k *Kernel) RunBefore(t Time) error {
 	for {
 		ev := k.locate()
@@ -564,7 +546,7 @@ func (k *Kernel) RunBefore(t Time) error {
 		}
 	}
 	if t > k.now {
-		k.now = t
+		k.now, k.nowAt, k.nowSeq = t, minTime, 0
 	}
 	return nil
 }
@@ -574,20 +556,23 @@ func (k *Kernel) RunBefore(t Time) error {
 // is the component itself (see Handler), and arg (commonly a *Packet) rides
 // in the event instead of a freshly captured closure, so scheduling
 // allocates nothing and firing loads no closure. A stamp of Now() gives the
-// key At would. It is also the local-kernel counterpart of InjectArg, built
-// for event fusion: a fused link delivery fires at tx-done+delay but must
+// key At would. The stamp is what lets an event sort where another schedule
+// would have put it: a fused link delivery fires at tx-done+delay but must
 // sort at the (when, at, seq) slot the golden two-event path's delivery —
 // scheduled at tx-done — would have occupied, so the fused schedule
-// back-stamps `at` to the tx-done instant. Stamps are clamped: a stamp after
+// back-stamps `at` to the tx-done instant; a shard's boundary event carries
+// the stamp its source gave it (Port). Stamps are clamped: a stamp after
 // `when` collapses to `when`, and a same-instant schedule (`when == now`)
-// raises the stamp to at least the stamp of the currently firing event — the
-// event must fire after the current one, so a smaller stamp would both break
-// the strictly increasing (when, at, seq) firing order (the pdosassert
-// invariant) and claim a sub-instant position that has already passed. An
-// event that must take the exact key of an event the golden schedule would
-// have scheduled earlier — a fused link's chain, on golden's tx-done key —
-// reserves its seq then (ReserveSeq) and schedules through AtKeyed instead.
-// Scheduling in the past still fails with ErrPastTime.
+// raises the stamp to at least the position's (see Kernel) — the event must
+// fire after the current one, so a smaller stamp would both break the
+// strictly increasing (when, at, seq) firing order (the pdosassert
+// invariant) and claim a sub-instant position that has already passed. At
+// the start of an instant (after RunBefore) nothing at it has passed, so no
+// stamp is raised there. An event that must take the exact key of an event
+// the golden schedule would have scheduled earlier — a fused link's chain,
+// on golden's tx-done key — reserves its seq then (ReserveSeq) and schedules
+// through AtKeyed instead. Scheduling in the past still fails with
+// ErrPastTime.
 //
 //pdos:hotpath
 func (k *Kernel) AtArgStamped(when, at Time, h Handler, arg any) (Timer, error) {
@@ -621,9 +606,10 @@ func (k *Kernel) ReserveSeq() uint64 {
 }
 
 // Passed reports whether an event on the key (when, at, seq) would already
-// have fired: the key sorts before that of the event now firing (the most
-// recently fired one). Inside a fire at now, a key at now has passed when its
-// (at, seq) sorts before the firing event's.
+// have fired: the key sorts before the kernel's position (see Kernel).
+// Inside a fire at now, a key at now has passed when its (at, seq) sorts
+// before the firing event's; after RunUntil(now), every key at now drawn so
+// far has; after RunBefore(now), none has.
 //
 //pdos:hotpath
 func (k *Kernel) Passed(when, at Time, seq uint64) bool {
@@ -658,27 +644,4 @@ func (k *Kernel) AtKeyed(when, at Time, seq uint64, h Handler, arg any) (Timer, 
 	ev.arg = arg
 	k.enqueue(ev)
 	return Timer{k: k, ev: ev, gen: ev.gen, when: when}, nil
-}
-
-// InjectArg schedules h.Fire(arg) at the absolute instant `when`, carrying the
-// foreign schedule stamp `at` — the virtual instant the event was created in
-// its source shard. It is the boundary-event entry point of the parallel
-// engine: injected events interleave with locally scheduled ones in the same
-// (when, at, seq) order the serial kernel would have produced, because a
-// serial kernel would have assigned the event a seq drawn at exactly that
-// source instant. Callers must present injections in deterministic order:
-// ties at identical (when, at) fall back to the local seq counter.
-func (k *Kernel) InjectArg(when, at Time, h Handler, arg any) error {
-	if when < k.now {
-		return ErrPastTime
-	}
-	if at > when {
-		at = when
-	}
-	ev := k.alloc(when)
-	ev.at = at
-	ev.h = h
-	ev.arg = arg
-	k.enqueue(ev)
-	return nil
 }

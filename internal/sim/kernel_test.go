@@ -284,6 +284,73 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestKernelPosition pins the position RunUntil and RunBefore leave, which
+// Passed, AtKeyed and AtArgStamped's same-instant raise read outside any
+// event. After RunUntil(t) — whether its last event fired before t or at t —
+// every key at t drawn so far has passed, a stamp behind t is raised to t,
+// and a key drawn afterwards has not passed. After RunBefore(t) no key at t
+// has passed and no stamp is raised. A call that does not advance the clock
+// moves nothing.
+func TestKernelPosition(t *testing.T) {
+	const edge = 10 * Millisecond
+	var k *Kernel
+	var stamp Time // the firing event's stamp, as record saw it
+	record := handlerFunc(func(any) { stamp = k.nowAt })
+	for _, last := range []Time{5 * Millisecond, edge} {
+		k = New()
+		if _, err := k.At(last, func() {}); err != nil {
+			t.Fatal(err)
+		}
+		drawn := k.ReserveSeq()
+		if err := k.RunUntil(edge); err != nil {
+			t.Fatal(err)
+		}
+		if !k.Passed(edge, edge-1, drawn+100) || !k.Passed(edge, edge, drawn) {
+			t.Errorf("last event at %v: a key at the edge has not passed after RunUntil(edge)", last)
+		}
+		if k.Passed(edge, edge, k.ReserveSeq()) {
+			t.Errorf("last event at %v: a key drawn after RunUntil(edge) has passed", last)
+		}
+		if _, err := k.AtArgStamped(edge, edge-1, record, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.RunUntil(edge); err != nil {
+			t.Fatal(err)
+		}
+		if stamp != edge {
+			t.Errorf("last event at %v: AtArgStamped(edge, edge-1) after RunUntil(edge) fired stamped %v, want the edge", last, stamp)
+		}
+		if err := k.RunBefore(edge); err != nil {
+			t.Fatal(err)
+		}
+		if !k.Passed(edge, edge-1, 0) {
+			t.Errorf("last event at %v: RunBefore at the clock moved the position back", last)
+		}
+	}
+
+	// The last event before the edge is stamped 3 ms, so a stale position
+	// would report keys stamped before 3 ms as passed and raise their stamps.
+	k = New()
+	if _, err := k.At(3*Millisecond, func() { k.AfterTicks(2*Millisecond, func() {}) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunBefore(edge); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != edge || k.Passed(edge, 0, 0) || k.Passed(edge, Millisecond, 0) {
+		t.Errorf("after RunBefore(edge) at %v, a key at the edge has passed", k.Now())
+	}
+	if _, err := k.AtArgStamped(edge, Millisecond, record, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntil(edge); err != nil {
+		t.Fatal(err)
+	}
+	if stamp != Millisecond {
+		t.Errorf("AtArgStamped(edge, 1ms) after RunBefore(edge) fired stamped %v, want 1ms", stamp)
+	}
+}
+
 func TestEventLimit(t *testing.T) {
 	k := New()
 	var reschedule func()

@@ -73,9 +73,13 @@ var ErrNoLookahead = errors.New("sim: cross-shard edge with non-positive lookahe
 type Payload [6]uint64
 
 // Port is the typed landing point for boundary events on a destination
-// shard. Inject must schedule the decoded event on k via k.InjectArg with
-// the provided (when, at) stamps; it runs on the destination shard's
-// goroutine at the start of a window, before the window's first event.
+// shard. Inject must schedule the decoded event on k with
+// k.AtArgStamped(when, at, …), the provided stamps; it runs on the
+// destination shard's goroutine at the start of a window, before the
+// window's first event. An injected event is due at or after the kernel's
+// clock, and one due at the clock meets the position RunBefore left at the
+// start of the window edge, where no key has passed, so it keeps the stamp
+// its source gave it (DESIGN.md §9 has the one exception).
 type Port interface {
 	Inject(k *Kernel, when, at Time, w *Payload)
 }

@@ -156,7 +156,7 @@ func (p *pport) Inject(k *Kernel, when, at Time, wd *Payload) {
 		rng:  wd[2],
 		val:  wd[3],
 	}
-	if err := k.InjectArg(when, at, p.deliver, m); err != nil {
+	if _, err := k.AtArgStamped(when, at, p.deliver, m); err != nil {
 		panic(err)
 	}
 }
@@ -284,7 +284,7 @@ func TestEngineInjectOrdering(t *testing.T) {
 	}
 	// Boundary event scheduled in its source shard at virtual time 40,
 	// delivered at t=100.
-	if err := k.InjectArg(100, 40, handlerFunc(func(any) { order = append(order, "inject-at40") }), nil); err != nil {
+	if _, err := k.AtArgStamped(100, 40, handlerFunc(func(any) { order = append(order, "inject-at40") }), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Local event scheduled at virtual time 60 (after the injection's source

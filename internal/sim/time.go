@@ -24,6 +24,10 @@ type Time int64
 // Kernel.AfterTicks saturates to it instead of wrapping negative.
 const MaxTime Time = math.MaxInt64
 
+// minTime is the first representable instant. It sorts before every
+// schedule stamp, so RunBefore leaves it as the position's stamp.
+const minTime Time = math.MinInt64
+
 // Common virtual-time unit spans, expressed as Time deltas.
 const (
 	Nanosecond  Time = 1

@@ -13,7 +13,7 @@ import "math/bits"
 // the horizon — or behind the floor, which only happens to events displaced
 // by a slot drain or scheduled before the clock catches up with a floor a
 // drain or cascade advanced — live in the kernel's 4-ary heap. An empty wheel
-// snaps its floor to the clock (Kernel.insert), never ahead of it.
+// snaps its floor to the clock (Kernel.enqueue), never ahead of it.
 //
 // Slots. A slot holds {when, event} entries in blocks of seven: the slot
 // header keeps the newest block and the slot's entry count, and every older
@@ -280,12 +280,6 @@ func (k *Kernel) purge() {
 func (k *Kernel) locate() *event {
 	if k.pending == 0 {
 		return nil
-	}
-	if ev := k.lone; ev != nil {
-		// Exactly one event pending, held outside the wheel and heap. This
-		// keeps the ubiquitous one-timer-chain pattern off the slots and the
-		// scan machinery entirely.
-		return ev
 	}
 	if k.heapOnly {
 		return k.events[0]

@@ -43,12 +43,13 @@ type MacroflowConfig struct {
 // the group's share out of the trunk link rates it traverses, so the
 // packet-accurate foreground contends for exactly the residual capacity.
 //
-// Determinism: the tick chain is injected with canonical (when, at) = (T, T)
-// event stamps, so each tick orders after every event scheduled before T and
-// before any zero-delay event spawned during T. All drop and arrival counter
-// mutations at instant T happen inside events scheduled before T, which
-// makes the observed loss fraction — and therefore the whole fluid
-// trajectory — byte-identical between serial and sharded builds.
+// Determinism: the tick chain is scheduled ahead of T on the canonical
+// (when, at) = (T, T) key (AtArgStamped), so each tick orders after every
+// event scheduled before T and before any zero-delay event spawned during T.
+// All drop and arrival counter mutations at instant T happen inside events
+// scheduled before T, which makes the observed loss fraction — and
+// therefore the whole fluid trajectory — byte-identical between serial and
+// sharded builds.
 type Macroflow struct {
 	k       *sim.Kernel
 	cfg     MacroflowConfig
@@ -149,7 +150,7 @@ func (m *Macroflow) Start(at sim.Time) error {
 		first = now
 	}
 	first += m.tick
-	if err := m.k.InjectArg(first, first, (*macroTick)(m), nil); err != nil {
+	if _, err := m.k.AtArgStamped(first, first, (*macroTick)(m), nil); err != nil {
 		return fmt.Errorf("tcp: start macroflow %d: %w", m.cfg.Flow, err)
 	}
 	return nil
@@ -205,7 +206,7 @@ func (m *Macroflow) onTick() {
 	m.window = w
 
 	next := now + m.tick
-	if err := m.k.InjectArg(next, next, (*macroTick)(m), nil); err != nil {
+	if _, err := m.k.AtArgStamped(next, next, (*macroTick)(m), nil); err != nil {
 		panic("tcp: macroflow tick: " + err.Error())
 	}
 }

@@ -32,12 +32,13 @@ import (
 // deadline itself, and the callback re-checks the live deadline so stale
 // probes and stale bucket entries are harmless.
 //
-// Determinism: heartbeats are injected with canonical (when, at) = (T, T)
-// stamps, so their position among instant-T events — after everything
-// scheduled before T, before anything scheduled during T — is identical
-// whether the population lives in one serial table or is split across shard
-// tables walking the same absolute epoch boundaries. Probes scheduled by a
-// walk inherit at = T the same way on both sides.
+// Determinism: heartbeats are scheduled ahead of T on the canonical
+// (when, at) = (T, T) key (AtArgStamped), so their position among instant-T
+// events — after everything scheduled before T, before anything scheduled
+// during T — is identical whether the population lives in one serial table
+// or is split across shard tables walking the same absolute epoch
+// boundaries. Probes scheduled by a walk inherit at = T the same way on both
+// sides.
 
 // rtoEpochShift sets the wheel granularity: one epoch is 2^25 ns ≈ 33.6 ms,
 // comfortably below RTOMin for every supported configuration (≥ 200 ms), so
@@ -115,7 +116,7 @@ func (t *FlowTable) unenrollRTO(i int) {
 func (t *FlowTable) startTicker() {
 	at := (t.k.Now()>>rtoEpochShift + 1) << rtoEpochShift
 	t.tickAt = at
-	if err := t.k.InjectArg(at, at, (*heartbeat)(t), nil); err != nil {
+	if _, err := t.k.AtArgStamped(at, at, (*heartbeat)(t), nil); err != nil {
 		panic("tcp: rto wheel heartbeat: " + err.Error())
 	}
 }
@@ -139,7 +140,7 @@ func (t *FlowTable) onTick() {
 	if t.rtoLive > 0 {
 		at := now + rtoEpochLen
 		t.tickAt = at
-		if err := t.k.InjectArg(at, at, (*heartbeat)(t), nil); err != nil {
+		if _, err := t.k.AtArgStamped(at, at, (*heartbeat)(t), nil); err != nil {
 			panic("tcp: rto wheel heartbeat: " + err.Error())
 		}
 	} else {

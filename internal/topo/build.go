@@ -286,7 +286,7 @@ func (b *builder) wireSinkAndAttacks() error {
 		l.SetPool(b.pools[as])
 		first := b.info.attackPath[ai][0]
 		if ob := b.remote(as, b.plan.TrunkFwd[first], ap.Router); ob != nil {
-			l.SetRemote(netem.NewSingleRemote(ob))
+			l.SetRemote(netem.NewDemuxRemote(nil, ob))
 		}
 		b.env.attackIn[ai] = l
 		b.env.attackK[ai] = b.kernels[as]
@@ -420,7 +420,7 @@ func (b *builder) wireFlow(f int) error {
 	}
 	fwdIn.SetPool(b.pools[s])
 	if ob := b.remote(s, b.plan.TrunkFwd[first], fi.ingress); ob != nil {
-		fwdIn.SetRemote(netem.NewSingleRemote(ob))
+		fwdIn.SetRemote(netem.NewDemuxRemote(nil, ob))
 	}
 	revOut, err := b.newLink(k, "acc-rev-out-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue),
 		b.routers[s][fi.egress])
@@ -429,7 +429,7 @@ func (b *builder) wireFlow(f int) error {
 	}
 	revOut.SetPool(b.pools[s])
 	if ob := b.remote(s, b.plan.TrunkRev[last], fi.egress); ob != nil {
-		revOut.SetRemote(netem.NewSingleRemote(ob))
+		revOut.SetRemote(netem.NewDemuxRemote(nil, ob))
 	}
 
 	sender, err := b.tables[s].BindSender(b.slots[s], f, fwdIn)

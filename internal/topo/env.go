@@ -156,17 +156,16 @@ func (e *Environment) KernelEvents() uint64 {
 
 // SkippedEvents reports the number of reference-model events elided by fused
 // links and by paced attack sources, summed over every link and attached
-// generator in the build as of the current virtual instant (zero on a
-// GoldenLinks build) — see netem.Link.SkippedEvents and
+// generator in the build, each as of its own shard kernel's position (zero
+// on a GoldenLinks build) — see netem.Link.SkippedEvents and
 // attack.Generator.SkippedEvents.
 func (e *Environment) SkippedEvents() uint64 {
-	now := e.Kernel.Now()
 	var n uint64
 	for _, l := range e.links {
-		n += l.SkippedEvents(now)
+		n += l.SkippedEvents()
 	}
 	for _, g := range e.gens {
-		n += g.SkippedEvents(now)
+		n += g.SkippedEvents()
 	}
 	return n
 }
