@@ -184,10 +184,10 @@ func TestMillionFlowAllocRegression(t *testing.T) {
 // pools (release at the source, pool get at the destination), outboxes and
 // the merge scratch are reused across barriers, and the sort comparator is a
 // top-level function — so the sharded steady state must allocate nothing per
-// packet, same as serial. The pulsed run adds the cross-shard attacker,
-// which paces its emissions through the portal: the same attack and the
-// same 30 s warm-up, pulsed from its midpoint, as
-// TestManyFlowAllocRegression's.
+// packet, same as serial. The pulsed run adds the attacker, which paces its
+// emissions on the forward core while its packets cross the trunk's
+// boundary to the sink: the same attack and the same 30 s warm-up, pulsed
+// from its midpoint, as TestManyFlowAllocRegression's.
 func TestShardedAllocRegression(t *testing.T) {
 	for _, name := range []string{"unpulsed", "pulsed"} {
 		t.Run(name, func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pulsedos/internal/attack"
+	"pulsedos/internal/netem"
 	"pulsedos/internal/pins"
 	"pulsedos/internal/rng"
 	"pulsedos/internal/sim"
@@ -16,12 +17,12 @@ import (
 	"pulsedos/internal/topo"
 )
 
-// TestPlanMatchesLegacyDumbbellPlan pins the generalized planner's dumbbell
-// shard assignment (cores, per-flow shards, clamping) across a table of flow
-// and worker counts. The digest was recorded from the retired
-// dumbbell-specific planner, and the equivalence contract depends on the
-// flow→shard map staying unchanged.
-func TestPlanMatchesLegacyDumbbellPlan(t *testing.T) {
+// TestPlanDumbbellTable pins the planner's dumbbell shard assignment (the
+// shards of each flow's sender and receiver halves, clamping, lookahead)
+// across a table of flow and worker counts. Sharded bytes of tie-prone
+// documents depend on the plan, so the pin moves only with a deliberate
+// plan change.
+func TestPlanDumbbellTable(t *testing.T) {
 	var table strings.Builder
 	for _, flows := range []int{1, 2, 5, 17, 100} {
 		for _, workers := range []int{1, 2, 3, 4, 8, 16} {
@@ -29,9 +30,8 @@ func TestPlanMatchesLegacyDumbbellPlan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("flows %d workers %d: %v", flows, workers, err)
 			}
-			// The dumbbell has one trunk and one attack point.
-			fmt.Fprintf(&table, "flows=%d workers=%d shards=%d attack=%d fwd=%d rev=%d flow-shards=%v\n",
-				flows, workers, plan.Workers, plan.AttackShard[0], plan.TrunkFwd[0], plan.TrunkRev[0], plan.FlowShard)
+			fmt.Fprintf(&table, "flows=%d workers=%d shards=%d lookahead=%d send-shards=%v recv-shards=%v\n",
+				flows, workers, plan.Workers, plan.Lookahead, plan.SendShard, plan.RecvShard)
 		}
 	}
 	pins.Load(t, topoPinFile).Check(t, "plan/dumbbell", table.String())
@@ -302,6 +302,23 @@ func attackShapedGraph(n int) topo.Graph {
 	}
 }
 
+// attackShapedOptions is the benchmark's attack-10k run shape, shortened:
+// 1 s of warm-up, then 2 s of aimd pulses at twice the trunk rate for 75 ms
+// at γ 0.5.
+func attackShapedOptions(t *testing.T, g topo.Graph) RunOptions {
+	t.Helper()
+	trunk := g.Trunks[0].Rate
+	opt := RunOptions{Warmup: time.Second, Measure: 2 * time.Second}
+	period := PeriodForGamma(0.5, 2*trunk, 75*time.Millisecond, trunk)
+	train, err := attack.AIMDTrain(sim.FromDuration(75*time.Millisecond), 2*trunk,
+		sim.FromDuration(period), PulsesFor(opt.Measure, period))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Train = &train
+	return opt
+}
+
 // generatorCapture runs an environment through Run unchanged while keeping
 // the attack generator Run attaches.
 type generatorCapture struct {
@@ -315,28 +332,39 @@ func (e *generatorCapture) Attach(train attack.Train) (*attack.Generator, error)
 	return g, err
 }
 
-// TestShardedAttackerPacesAcrossPortal covers the cross-shard attacker of
-// the benchmark's attack-10k-2w plan: at 2 workers the attacker sits on the
-// reverse core and the trunk on the forward core, so the attacker's ingress
-// link is a portal link, and it paces (DESIGN.md §14.4) through the portal.
-// An attack-10k-shaped run at 200 flows must run no link golden, elide
-// generator events, and match the serial run's delivered bytes, per-flow
-// accounts, normalized event count and attack packets at the sink.
+// sinkShardTap checks that every arrival on the attack sink's link runs on
+// one shard's kernel: a link hands its taps its own kernel's clock, which
+// another shard's clock matches only by chance (and under -race a read of it
+// from another shard's goroutine is reported).
+type sinkShardTap struct {
+	k         *sim.Kernel
+	arrivals  uint64
+	elsewhere uint64
+}
+
+func (s *sinkShardTap) OnArrive(_ *netem.Packet, now sim.Time) {
+	s.arrivals++
+	if now != s.k.Now() {
+		s.elsewhere++
+	}
+}
+
+func (s *sinkShardTap) OnDrop(*netem.Packet, sim.Time) {}
+
+// TestShardedAttackerPacesAcrossPortal covers the attacker of the
+// benchmark's attack-10k-2w plan: at 2 workers the attacker shares the
+// forward core with the trunk, so it paces (DESIGN.md §14.4) on a local
+// ingress link, and its packets cross the trunk's boundary to the sink on
+// the reverse core. An attack-10k-shaped run at 200 flows must run no link
+// golden, elide generator events, deliver every sink arrival on shard 1,
+// and match the serial run's delivered bytes, per-flow accounts, normalized
+// event count and attack packets at the sink.
 func TestShardedAttackerPacesAcrossPortal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second virtual scenario")
 	}
-	const flows = 200
-	g := attackShapedGraph(flows)
-	trunk := g.Trunks[0].Rate
-	opt := RunOptions{Warmup: time.Second, Measure: 2 * time.Second}
-	period := PeriodForGamma(0.5, 2*trunk, 75*time.Millisecond, trunk)
-	train, err := attack.AIMDTrain(sim.FromDuration(75*time.Millisecond), 2*trunk,
-		sim.FromDuration(period), PulsesFor(opt.Measure, period))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Train = &train
+	g := attackShapedGraph(200)
+	opt := attackShapedOptions(t, g)
 
 	type outcome struct {
 		res       *RunResult
@@ -349,8 +377,19 @@ func TestShardedAttackerPacesAcrossPortal(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer env.Close()
-		if workers > 1 && env.Plan.AttackShard[0] == env.Plan.TrunkFwd[0] {
-			t.Fatalf("workers %d: the attacker shares shard %d with the trunk", workers, env.Plan.AttackShard[0])
+		var tap *sinkShardTap
+		if workers > 1 {
+			tap = &sinkShardTap{k: env.Engine().Shard(1).Kernel()}
+			for _, l := range env.Links() {
+				switch l.Name() {
+				case "attacker":
+					if l.Pool() != env.Pools[0] {
+						t.Errorf("workers %d: the attacker is not on the forward core", workers)
+					}
+				case "attack-sink":
+					l.AddTap(tap)
+				}
+			}
 		}
 		ec := &generatorCapture{Environment: env}
 		res, err := Run(ec, opt)
@@ -364,6 +403,10 @@ func TestShardedAttackerPacesAcrossPortal(t *testing.T) {
 		}
 		if n := ec.gen.SkippedEvents(); n == 0 {
 			t.Errorf("workers %d: the attack generator elided no events", workers)
+		}
+		if tap != nil && (tap.arrivals != env.Sink.Packets || tap.elsewhere != 0) {
+			t.Errorf("workers %d: %d of %d sink arrivals ran off shard 1 (sink counted %d)",
+				workers, tap.elsewhere, tap.arrivals, env.Sink.Packets)
 		}
 		return outcome{res: res, processed: env.Processed(), sink: env.Sink.Packets}
 	}
@@ -380,4 +423,32 @@ func TestShardedAttackerPacesAcrossPortal(t *testing.T) {
 	if got.sink != want.sink || want.sink == 0 {
 		t.Errorf("sink received %d attack packets, serial %d", got.sink, want.sink)
 	}
+}
+
+// TestShardedCriticalPath bounds the 2-worker plan's critical path on an
+// attack-10k-shaped run at 200 flows: the events of each window's busiest
+// shard, summed over the windows, are at most 0.62 of all events. Cut at
+// the trunks, every packet fires events on both shards within one trunk
+// delay, so each window's work splits between them; a plan that keeps
+// whole flows together leaves about 0.72 on one shard.
+func TestShardedCriticalPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second virtual scenario")
+	}
+	g := attackShapedGraph(200)
+	opt := attackShapedOptions(t, g)
+	env, err := topo.Build(g, topo.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	if _, err := Run(env, opt); err != nil {
+		t.Fatal(err)
+	}
+	eng := env.Engine()
+	crit, all := eng.CriticalPath(), eng.Processed()
+	if crit == 0 || float64(crit) > 0.62*float64(all) {
+		t.Errorf("critical path %d of %d events (%.3f), want at most 0.62", crit, all, float64(crit)/float64(all))
+	}
+	t.Logf("critical path %d of %d events (%.3f) over %d windows", crit, all, float64(crit)/float64(all), eng.Windows())
 }

@@ -21,8 +21,9 @@ const canonicalVersion = 1
 // a sharded run's result while every serial run keeps its bytes: bumping
 // experiments.EngineVersion instead would move every serial key too. The
 // first sharded schedule, whose cross-shard links all ran the golden
-// two-event path, carried no stamp.
-const shardSchedule = 2
+// two-event path, carried no stamp; 2 fused them; 3 cuts each flow at the
+// trunks instead of placing it whole.
+const shardSchedule = 3
 
 // canonicalDoc is the normalized form a scenario hashes as. It contains only
 // what determines the run's result:

@@ -137,10 +137,11 @@ func TestCanonicalDivergesOnSemanticChange(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeysShardedTestbedApart: the shipped test-bed document runs
-// differently on two workers than serially (delayed ACKs and an attack meet
-// an exact event tie at the shard boundary), so the two must not share a
-// cache entry.
+// TestCanonicalKeysShardedTestbedApart: a sharded run's bytes can differ
+// from the serial run's — the shipped test-bed document, delayed ACKs under
+// attack, still does at 8 workers, where boundary events tie on (when, at)
+// — so a document above one worker must not share a cache entry with its
+// serial form.
 func TestCanonicalKeysShardedTestbedApart(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "testbed-fig12.json"))
 	if err != nil {

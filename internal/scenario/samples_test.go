@@ -24,7 +24,7 @@ var shippedKeys = map[string]string{
 	"defended-jittered.json": "bf35dc196ad02045e2ceac9372caa3d4378c08460aa41d5b4c5226f351259dc1",
 	"fig8-style.json":        "d6c5203ee24c56cff2028953df80905f426e85b3c7ca7141db08f78694bd987a",
 	"flood-baseline.json":    "7ab920ac54e932aca0e81ffa266dabcb626e72c44e0d4e6883ef7571755592c6",
-	"parkinglot.json":        "79801f6967a6eabc1c277a4dbf1b51e76142b17581542feacc7f8229ae4533e3",
+	"parkinglot.json":        "014196f4ea1482eefe7f51e5336bb20c2945cad21e437fdae29c7a3931d5c4f4",
 	"shrew-resonance.json":   "231065f044a7f41b1148c94392b905befa446d48eb4cf3805acd7c48afa47735",
 	"testbed-fig12.json":     "fe11ac633093667e8298f1904839b8dbb0a50b4acc7b431feb3b65519ffc0026",
 }

@@ -21,6 +21,8 @@ import (
 //	    every shard concurrently merges its inbound events in
 //	    (when, at, edge, pos) order, injects them into its kernel, and runs
 //	    RunBefore(target) — the window barrier
+//	until target reaches the horizon t; then one last round, the same but
+//	for RunUntil(t), fires instant t itself
 //
 // The window target is adaptive: each barrier takes the earliest pending
 // instant m across all shards and all handed-over boundary events (the
@@ -79,7 +81,7 @@ type Payload [6]uint64
 // window's first event. An injected event is due at or after the kernel's
 // clock, and one due at the clock meets the position RunBefore left at the
 // start of the window edge, where no key has passed, so it keeps the stamp
-// its source gave it (DESIGN.md §9 has the one exception).
+// its source gave it.
 type Port interface {
 	Inject(k *Kernel, when, at Time, w *Payload)
 }
@@ -151,6 +153,7 @@ type Shard struct {
 
 	start chan shardCmd
 	done  chan error
+	fired uint64 // kernel Processed() at the last barrier (CriticalPath)
 
 	asserts shardAsserts // pdosassert boundary accounting (assert.go)
 }
@@ -202,6 +205,7 @@ type Engine struct {
 	now       Time
 	windowEnd Time   // shards may not Send below this (conservative guard)
 	windows   uint64 // barrier count, for diagnostics and benchmarks
+	critical  uint64 // sum over windows of the busiest shard's fired events
 	started   bool
 	closed    bool
 }
@@ -232,6 +236,14 @@ func (e *Engine) Now() Time { return e.now }
 
 // Windows reports how many barrier windows have been executed.
 func (e *Engine) Windows() uint64 { return e.windows }
+
+// CriticalPath reports the sum, over every window, of the events fired by
+// that window's busiest shard. Windows run one after another and a window
+// lasts as long as its busiest shard, so Processed()/CriticalPath() bounds
+// the speedup of this plan on any host, counting events. The count is a
+// pure function of the scenario and the worker count, like the window
+// sequence, and is summed at the barrier, at no per-event cost.
+func (e *Engine) CriticalPath() uint64 { return e.critical }
 
 // Lookahead reports the conservative window width: the minimum declared
 // delay over all cross-shard edges (0 until the first edge exists). The
@@ -443,8 +455,13 @@ func (e *Engine) Close() {
 // lifted to the sharded topology. Each window runs concurrently to the
 // adaptive target min(t, m+W), where m is the earliest pending instant
 // across the shards and the handed-over boundary events at the barrier and
-// W the conservative lookahead; the final window is inclusive of t so
-// instants at exactly t fire, matching the serial semantics.
+// W the conservative lookahead. These windows stop short of t (RunBefore);
+// one final window then fires instant t itself (RunUntil). A boundary event
+// sent for exactly t in the last exclusive window is injected at the start
+// of that final window, at the start-of-instant position RunBefore(t) left,
+// so it fires inside this call and orders against t's local events by its
+// full (when, at, seq) key, as on the serial kernel. The final window sends
+// nothing for t: every boundary edge adds at least W.
 func (e *Engine) RunUntil(t Time) error {
 	if t < e.now {
 		return ErrPastTime
@@ -458,7 +475,7 @@ func (e *Engine) RunUntil(t Time) error {
 		w = t - e.now + 1
 	}
 	e.ensureWorkers()
-	for {
+	for e.now < t {
 		target := t
 		m, ok := e.swap()
 		if pm, pok := e.peekMin(); pok && (!ok || pm < m) {
@@ -472,25 +489,39 @@ func (e *Engine) RunUntil(t Time) error {
 				target = nt
 			}
 		}
-		final := target >= t
-		e.windowEnd = target
-		for _, s := range e.shards {
-			s.start <- shardCmd{target: target, inclusive: final}
-		}
-		var firstErr error
-		for _, s := range e.shards {
-			if err := <-s.done; err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-		e.now = target
-		e.windows++
-		if final {
-			break
+		if err := e.window(target, false); err != nil {
+			return err
 		}
 	}
+	e.swap()
+	return e.window(t, true)
+}
+
+// window runs every shard to target — RunUntil when inclusive, RunBefore
+// otherwise — waits at the barrier, and charges the window's busiest shard
+// to the critical path.
+func (e *Engine) window(target Time, inclusive bool) error {
+	e.windowEnd = target
+	for _, s := range e.shards {
+		s.start <- shardCmd{target: target, inclusive: inclusive}
+	}
+	var firstErr error
+	for _, s := range e.shards {
+		if err := <-s.done; err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr != nil {
+		return firstErr
+	}
+	var busiest uint64
+	for _, s := range e.shards {
+		n := s.k.Processed()
+		busiest = max(busiest, n-s.fired)
+		s.fired = n
+	}
+	e.critical += busiest
+	e.now = target
+	e.windows++
 	return nil
 }

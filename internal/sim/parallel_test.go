@@ -309,3 +309,59 @@ func TestEngineInjectOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineFinalWindow: a boundary event sent for exactly the horizon of
+// Engine.RunUntil fires inside that call, ordered among the instant's local
+// events by its full (when, at, seq) key, as on the serial kernel. Two
+// shards, a 1 ms edge: an event at 4 ms on shard 0 sends for 5 ms, stamped
+// 4 ms; shard 1 holds local events at 5 ms stamped 0 and 4.5 ms.
+func TestEngineFinalWindow(t *testing.T) {
+	const ms = Millisecond
+	var order []string
+	record := func(name string) Handler {
+		return handlerFunc(func(any) { order = append(order, name) })
+	}
+	schedule := func(k *Kernel, when, at Time, h Handler) {
+		t.Helper()
+		if _, err := k.AtArgStamped(when, at, h, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"local-at0", "boundary-at4", "local-at4.5"}
+
+	k := New()
+	schedule(k, 5*ms, 0, record("local-at0"))
+	schedule(k, 5*ms, 4*ms+ms/2, record("local-at4.5"))
+	schedule(k, 4*ms, 0, handlerFunc(func(any) { schedule(k, 5*ms, 4*ms, record("boundary-at4")) }))
+	if err := k.RunUntil(5 * ms); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("serial fired %v, want %v", order, want)
+	}
+
+	order = nil
+	e := NewEngine(2)
+	defer e.Close()
+	port := e.Shard(1).RegisterPort(&pport{deliver: record("boundary-at4")})
+	ob, err := e.NewOutbox(e.Shard(0), e.Shard(1), port, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, k1 := e.Shard(0).Kernel(), e.Shard(1).Kernel()
+	schedule(k1, 5*ms, 0, record("local-at0"))
+	schedule(k1, 5*ms, 4*ms+ms/2, record("local-at4.5"))
+	schedule(k0, 4*ms, 0, handlerFunc(func(any) { ob.Send(5*ms, 4*ms, &Payload{}) }))
+	if err := e.RunUntil(5 * ms); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) || e.Pending() != 0 {
+		t.Errorf("RunUntil(5 ms) fired %v with %d pending, want %v with none", order, e.Pending(), want)
+	}
+	if e.Processed() != k.Processed() {
+		t.Errorf("processed %d events, serial %d", e.Processed(), k.Processed())
+	}
+	if cp := e.CriticalPath(); cp == 0 || cp > e.Processed() {
+		t.Errorf("critical path %d of %d events", cp, e.Processed())
+	}
+}

@@ -81,7 +81,7 @@ func Build(g Graph, opts Options) (*Environment, error) {
 			env.tables = append(env.tables, t)
 		}
 	}
-	env.Kernel = b.kernels[env.Plan.TrunkFwd[g.Target]]
+	env.Kernel = b.kernels[0]
 	env.Bottle = b.fwdLinks[g.Target]
 	env.Pools = b.pools
 	env.eng = b.eng
@@ -105,7 +105,8 @@ type builder struct {
 	fwdLinks []*netem.Link // per trunk
 	revLinks []*netem.Link
 	tables   []*tcp.FlowTable // per shard
-	slots    []int            // per shard: next free table slot
+	sendSlot []int            // per shard: next free sender slot
+	recvSlot []int            // per shard: next free receiver slot
 }
 
 // scaffold creates kernels, pools, router replicas, inbox ports, and the
@@ -212,15 +213,16 @@ func buildQueue(spec *QueueSpec, rand *rng.Source, linkRate float64) (netem.Queu
 	return nil, fmt.Errorf("topo: unknown queue kind %d", spec.Kind)
 }
 
-// wireTrunks creates the duplex trunk links in declaration order and
+// wireTrunks creates the duplex trunk links in declaration order, forward
+// links on the forward core and reverse links on the reverse core, and
 // installs each router's default routes (first outgoing trunk forward, first
-// incoming trunk reverse — on the replica of the shard that owns the link).
+// incoming trunk reverse — on the replica of the core that owns the link).
 func (b *builder) wireTrunks() error {
 	b.fwdLinks = make([]*netem.Link, len(b.g.Trunks))
 	b.revLinks = make([]*netem.Link, len(b.g.Trunks))
+	sf, sr := 0, b.plan.revCore()
 	for ti := range b.g.Trunks {
 		t := &b.g.Trunks[ti]
-		sf, sr := b.plan.TrunkFwd[ti], b.plan.TrunkRev[ti]
 		// Forward trunks run at the effective rate: the declared rate minus
 		// the fluid tier's carve-out (identical to t.Rate when no fluid group
 		// crosses this trunk), so packet-accurate traffic contends for
@@ -260,50 +262,47 @@ func (b *builder) wireTrunks() error {
 }
 
 // wireSinkAndAttacks terminates attack traffic in a counting sink behind the
-// sink router and builds each attacker's ingress link on its own shard.
+// sink router, on the reverse core, and builds each attacker's ingress link
+// on the forward core beside the trunks it feeds.
 func (b *builder) wireSinkAndAttacks() error {
-	sinkLink, err := b.newLink(b.kernels[b.plan.SinkShard], "attack-sink", 10*netem.Gbps, 0,
+	sink := b.plan.revCore()
+	sinkLink, err := b.newLink(b.kernels[sink], "attack-sink", 10*netem.Gbps, 0,
 		netem.NewDropTail(1<<20), b.env.Sink)
 	if err != nil {
 		return err
 	}
-	b.routers[b.plan.SinkShard][b.g.SinkRouter].SetDefault(netem.DirForward, sinkLink)
+	b.routers[sink][b.g.SinkRouter].SetDefault(netem.DirForward, sinkLink)
 
 	b.env.attackIn = make([]*netem.Link, len(b.g.Attacks))
-	b.env.attackK = make([]*sim.Kernel, len(b.g.Attacks))
 	for ai := range b.g.Attacks {
 		ap := &b.g.Attacks[ai]
-		as := b.plan.AttackShard[ai]
 		name := "attacker"
 		if ai > 0 {
 			name = "attacker-" + strconv.Itoa(ai)
 		}
-		l, err := b.newLink(b.kernels[as], name, ap.Rate, sim.FromDuration(ap.Delay),
-			netem.NewDropTail(1<<20), b.routers[as][ap.Router])
+		l, err := b.newLink(b.kernels[0], name, ap.Rate, sim.FromDuration(ap.Delay),
+			netem.NewDropTail(1<<20), b.routers[0][ap.Router])
 		if err != nil {
 			return err
 		}
-		l.SetPool(b.pools[as])
-		first := b.info.attackPath[ai][0]
-		if ob := b.remote(as, b.plan.TrunkFwd[first], ap.Router); ob != nil {
-			l.SetRemote(netem.NewDemuxRemote(nil, ob))
-		}
+		l.SetPool(b.pools[0])
 		b.env.attackIn[ai] = l
-		b.env.attackK[ai] = b.kernels[as]
 	}
 	return nil
 }
 
 // wireDemuxes attaches the per-trunk boundary demultiplexers: deliveries off
-// a trunk fan out by flow id to each flow's next-hop shard, and default
-// (attack) traffic follows the forward default chain. A nil entry keeps the
-// serial local-delivery path.
+// a flow's last forward trunk fan out by flow id to its receiver half, those
+// off its first reverse trunk to its sender half, and default (attack)
+// traffic reaching the sink router crosses to the sink. A nil entry keeps
+// the serial local-delivery path: hops between trunks stay on their core.
 //
 //pdos:hotpath
 func (b *builder) wireDemuxes() {
 	if b.plan.Workers == 1 {
 		return
 	}
+	rev := b.plan.revCore()
 	flows := len(b.info.flows)
 	byFlowFwd := make([][]*sim.Outbox, len(b.g.Trunks))
 	byFlowRev := make([][]*sim.Outbox, len(b.g.Trunks))
@@ -312,29 +311,15 @@ func (b *builder) wireDemuxes() {
 		byFlowRev[ti] = make([]*sim.Outbox, flows)
 	}
 	for f := 0; f < flows; f++ {
-		fi := &b.info.flows[f]
-		s := b.plan.FlowShard[f]
-		for j := 0; j < len(fi.path); j++ {
-			t := fi.path[j]
-			dst := s
-			if j+1 < len(fi.path) {
-				dst = b.plan.TrunkFwd[fi.path[j+1]]
-			}
-			byFlowFwd[t][f] = b.remote(b.plan.TrunkFwd[t], dst, b.g.Trunks[t].To)
-			dst = s
-			if j > 0 {
-				dst = b.plan.TrunkRev[fi.path[j-1]]
-			}
-			byFlowRev[t][f] = b.remote(b.plan.TrunkRev[t], dst, b.g.Trunks[t].From)
-		}
+		path := b.info.flows[f].path
+		first, last := path[0], path[len(path)-1]
+		byFlowFwd[last][f] = b.remote(0, b.plan.RecvShard[f], b.g.Trunks[last].To)
+		byFlowRev[first][f] = b.remote(rev, b.plan.SendShard[f], b.g.Trunks[first].From)
 	}
 	for ti := range b.g.Trunks {
-		r := b.g.Trunks[ti].To
 		var deflt *sim.Outbox
-		if r == b.g.SinkRouter {
-			deflt = b.remote(b.plan.TrunkFwd[ti], b.plan.SinkShard, r)
-		} else if nt := b.info.defaultFwd[r]; nt >= 0 {
-			deflt = b.remote(b.plan.TrunkFwd[ti], b.plan.TrunkFwd[nt], r)
+		if r := b.g.Trunks[ti].To; r == b.g.SinkRouter {
+			deflt = b.remote(0, rev, r)
 		}
 		b.fwdLinks[ti].SetRemote(netem.NewDemuxRemote(byFlowFwd[ti], deflt))
 		b.revLinks[ti].SetRemote(netem.NewDemuxRemote(byFlowRev[ti], nil))
@@ -342,20 +327,24 @@ func (b *builder) wireDemuxes() {
 }
 
 // wireFlows builds per-shard FlowTables and wires every flow in global id
-// order — the order StartFlows later draws jitter in.
+// order — the order StartFlows later draws jitter in. A shard's table holds
+// the sender halves and the receiver halves placed there, each in its own
+// slot sequence, so it is sized to the larger of the two counts.
 func (b *builder) wireFlows() error {
 	w := b.plan.Workers
-	counts := make([]int, w)
+	senders, recvs := make([]int, w), make([]int, w)
 	for f := range b.info.flows {
-		counts[b.plan.FlowShard[f]]++
+		senders[b.plan.SendShard[f]]++
+		recvs[b.plan.RecvShard[f]]++
 	}
 	b.tables = make([]*tcp.FlowTable, w)
-	b.slots = make([]int, w)
+	b.sendSlot, b.recvSlot = make([]int, w), make([]int, w)
 	for s := 0; s < w; s++ {
-		if counts[s] == 0 {
+		n := max(senders[s], recvs[s])
+		if n == 0 {
 			continue
 		}
-		table, err := tcp.NewFlowTable(b.kernels[s], b.g.TCP, counts[s])
+		table, err := tcp.NewFlowTable(b.kernels[s], b.g.TCP, n)
 		if err != nil {
 			return err
 		}
@@ -388,7 +377,7 @@ func (b *builder) wireMacroflows() error {
 			InitCwnd:  b.g.TCP.InitialCwnd,
 			MaxCwnd:   b.g.TCP.MaxWindow,
 		}
-		m, err := tcp.NewMacroflow(b.kernels[b.plan.TrunkFwd[fl.trunk]], cfg,
+		m, err := tcp.NewMacroflow(b.kernels[0], cfg,
 			b.fwdLinks[fl.trunk], b.env.Account)
 		if err != nil {
 			return fmt.Errorf("topo: group %d: %w", fl.group, err)
@@ -399,7 +388,8 @@ func (b *builder) wireMacroflows() error {
 }
 
 // wireFlow assembles one flow: four private access links, the TCP endpoint
-// pair, and its per-flow routes. The wiring order per flow (fwd-in, rev-out,
+// pair, and its per-flow routes, each half on its own shard's kernel, packet
+// pool and router replicas. The wiring order per flow (fwd-in, rev-out,
 // bind sender, bind receiver, fwd-out, rev-in, routes) mirrors the legacy
 // builders — it fixes nothing observable at runtime, but keeps construction
 // reviewable against them.
@@ -407,53 +397,51 @@ func (b *builder) wireMacroflows() error {
 //pdos:hotpath
 func (b *builder) wireFlow(f int) error {
 	fi := &b.info.flows[f]
-	s := b.plan.FlowShard[f]
-	k := b.kernels[s]
+	ss, rs := b.plan.SendShard[f], b.plan.RecvShard[f]
 	id := strconv.Itoa(f)
-	first := fi.path[0]
-	last := fi.path[len(fi.path)-1]
 
-	fwdIn, err := b.newLink(k, "acc-fwd-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue),
-		b.routers[s][fi.ingress])
+	fwdIn, err := b.newLink(b.kernels[ss], "acc-fwd-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue),
+		b.routers[ss][fi.ingress])
 	if err != nil {
 		return err
 	}
-	fwdIn.SetPool(b.pools[s])
-	if ob := b.remote(s, b.plan.TrunkFwd[first], fi.ingress); ob != nil {
+	fwdIn.SetPool(b.pools[ss])
+	if ob := b.remote(ss, 0, fi.ingress); ob != nil {
 		fwdIn.SetRemote(netem.NewDemuxRemote(nil, ob))
 	}
-	revOut, err := b.newLink(k, "acc-rev-out-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue),
-		b.routers[s][fi.egress])
+	revOut, err := b.newLink(b.kernels[rs], "acc-rev-out-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue),
+		b.routers[rs][fi.egress])
 	if err != nil {
 		return err
 	}
-	revOut.SetPool(b.pools[s])
-	if ob := b.remote(s, b.plan.TrunkRev[last], fi.egress); ob != nil {
+	revOut.SetPool(b.pools[rs])
+	if ob := b.remote(rs, b.plan.revCore(), fi.egress); ob != nil {
 		revOut.SetRemote(netem.NewDemuxRemote(nil, ob))
 	}
 
-	sender, err := b.tables[s].BindSender(b.slots[s], f, fwdIn)
+	sender, err := b.tables[ss].BindSender(b.sendSlot[ss], f, fwdIn)
 	if err != nil {
 		return err
 	}
-	receiver, err := b.tables[s].BindReceiver(b.slots[s], f, revOut, b.env.Account)
+	receiver, err := b.tables[rs].BindReceiver(b.recvSlot[rs], f, revOut, b.env.Account)
 	if err != nil {
 		return err
 	}
-	b.slots[s]++
+	b.sendSlot[ss]++
+	b.recvSlot[rs]++
 	b.env.Senders[f] = sender
 	b.env.Recvs[f] = receiver
 
-	fwdOut, err := b.newLink(k, "acc-fwd-out-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue), receiver)
+	fwdOut, err := b.newLink(b.kernels[rs], "acc-fwd-out-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue), receiver)
 	if err != nil {
 		return err
 	}
-	revIn, err := b.newLink(k, "acc-rev-in-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue), sender)
+	revIn, err := b.newLink(b.kernels[ss], "acc-rev-in-"+id, fi.rate, fi.owd, netem.NewDropTail(fi.queue), sender)
 	if err != nil {
 		return err
 	}
-	b.routers[s][fi.egress].AddRoute(f, netem.DirForward, fwdOut)
-	b.routers[s][fi.ingress].AddRoute(f, netem.DirReverse, revIn)
+	b.routers[rs][fi.egress].AddRoute(f, netem.DirForward, fwdOut)
+	b.routers[ss][fi.ingress].AddRoute(f, netem.DirReverse, revIn)
 	b.pinRoutes(f)
 	return nil
 }
@@ -467,25 +455,26 @@ func (b *builder) wireFlow(f int) error {
 func (b *builder) pinRoutes(f int) {
 	fi := &b.info.flows[f]
 	path := fi.path
+	fwd, rev := b.routers[0], b.routers[b.plan.revCore()]
 	if b.info.defaultFwd[fi.ingress] != path[0] {
-		b.routers[b.plan.TrunkFwd[path[0]]][fi.ingress].AddRoute(f, netem.DirForward, b.fwdLinks[path[0]])
+		fwd[fi.ingress].AddRoute(f, netem.DirForward, b.fwdLinks[path[0]])
 	}
 	for j := 0; j+1 < len(path); j++ {
 		r := b.g.Trunks[path[j]].To
 		next := path[j+1]
 		if b.info.defaultFwd[r] != next {
-			b.routers[b.plan.TrunkFwd[next]][r].AddRoute(f, netem.DirForward, b.fwdLinks[next])
+			fwd[r].AddRoute(f, netem.DirForward, b.fwdLinks[next])
 		}
 	}
 	if b.info.defaultRev[fi.egress] != path[len(path)-1] {
 		t := path[len(path)-1]
-		b.routers[b.plan.TrunkRev[t]][fi.egress].AddRoute(f, netem.DirReverse, b.revLinks[t])
+		rev[fi.egress].AddRoute(f, netem.DirReverse, b.revLinks[t])
 	}
 	for j := len(path) - 1; j > 0; j-- {
 		r := b.g.Trunks[path[j]].From
 		prev := path[j-1]
 		if b.info.defaultRev[r] != prev {
-			b.routers[b.plan.TrunkRev[prev]][r].AddRoute(f, netem.DirReverse, b.revLinks[prev])
+			rev[r].AddRoute(f, netem.DirReverse, b.revLinks[prev])
 		}
 	}
 }

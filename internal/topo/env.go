@@ -16,9 +16,9 @@ import (
 // behind every topology, serial or sharded. It satisfies the experiments
 // package's Environment interface structurally.
 type Environment struct {
-	// Kernel is the shard kernel owning the target trunk's forward link (the
-	// only kernel when serial). Taps, generators, and probes attached to the
-	// target run here.
+	// Kernel is the forward core's kernel, owning every forward trunk link
+	// and attack point (the only kernel when serial). Taps, generators, and
+	// probes attached to the target run here.
 	Kernel  *sim.Kernel
 	Graph   Graph
 	Plan    ShardPlan
@@ -34,10 +34,9 @@ type Environment struct {
 	links    []*netem.Link // every link Build wired, for event normalization
 	routers  [][]*netem.Router
 	attackIn []*netem.Link
-	attackK  []*sim.Kernel
 	gens     []*attack.Generator // every attached generator, for event normalization
 	rand     *rng.Source
-	tables   []*tcp.FlowTable // one per shard holding flows (for TimerTicks)
+	tables   []*tcp.FlowTable // one per shard holding flow halves (for TimerTicks)
 	macros   []*tcp.Macroflow // fluid-tier aggregates, in group order
 	effRate  []float64        // per trunk: forward rate minus the fluid carve-out
 }
@@ -101,12 +100,12 @@ func (e *Environment) StopFlows() {
 func (e *Environment) Macroflows() []*tcp.Macroflow { return e.macros }
 
 // Attach builds an attack generator feeding the first attack point's ingress
-// link, on that point's shard kernel.
+// link, on the forward core's kernel, where every attack point lives.
 func (e *Environment) Attach(train attack.Train) (*attack.Generator, error) {
 	if len(e.attackIn) == 0 {
 		return nil, errors.New("topo: attack point 0 out of range (0 points)")
 	}
-	g, err := attack.NewGenerator(e.attackK[0], e.attackIn[0], train, e.Graph.AttackPacketSize)
+	g, err := attack.NewGenerator(e.Kernel, e.attackIn[0], train, e.Graph.AttackPacketSize)
 	if err != nil {
 		return nil, err
 	}
@@ -126,8 +125,9 @@ func (e *Environment) RunUntil(t sim.Time) error {
 // Processed reports total model events fired across all shards, excluding
 // the RTO wheel's per-table heartbeat ticks and adding back the events the
 // fused link path elided. A sharded build splits one flow population across
-// per-shard tables, each running its own heartbeat chain, so the raw kernel
-// counts differ between serial and sharded builds by exactly the tick total;
+// per-shard tables, each holding senders running its own heartbeat chain, so
+// the raw kernel counts differ between serial and sharded builds by exactly
+// the tick total;
 // fused links fire one kernel event where the golden two-event reference
 // fires two, paced attack sources fire one kernel event per emission batch
 // where the reference fires one per packet, and each link and generator

@@ -6,44 +6,53 @@ import (
 	"pulsedos/internal/sim"
 )
 
-// This file generalizes the dumbbell-only PlanDumbbell of PR 3 to arbitrary
-// graphs. The partitioning keeps the topology's natural cut lines — every
-// cross-shard edge is a link propagation hop, so its delay is the lookahead:
+// This file partitions a graph over the conservative parallel engine's
+// shards. Every cross-shard edge is a link propagation hop, so its delay is
+// the lookahead, and the plan cuts each flow at the trunks:
 //
-//   - the forward core (shard 0) owns every forward trunk and the attack
-//     sink: the serialized resources all flows contend for cannot be split
+//   - the forward core (shard 0) owns every forward trunk and every attack
+//     point: the serialized resources all flows contend for cannot be split
 //     without losing the drop coupling, and keeping the whole forward chain
 //     on one shard makes multi-bottleneck hops shard-local;
 //   - the reverse core (shard 1) owns every reverse trunk (the ACK path)
-//     and the attack generators;
-//   - the flows — sender, receiver, and all four access links — are spread
-//     over every shard by a greedy balance over estimated per-packet event
-//     loads, exactly as the legacy planner did.
+//     and the attack sink;
+//   - each flow is cut in two halves: the sender half (the sender, its
+//     acc-fwd-in and acc-rev-in links) on an even shard, the receiver half
+//     (the receiver, its acc-fwd-out and acc-rev-out links) on an odd one,
+//     by a greedy balance over estimated per-segment event loads.
 //
-// The cut is minimal in the sense that matters for a conservative engine:
-// shard boundaries only cross positive-delay propagation hops (access links,
-// trunk deliveries, attacker ingress), never the zero-delay router fan-out,
-// and the engine's window is the minimum delay over the edges actually cut.
+// At 2 workers every half sits beside the core its access links feed, so
+// the only cut edges are the trunks' own propagation hops and the lookahead
+// is the trunk delay. Every data packet then fires events on both sides
+// within one trunk delay, so each window's work splits between the two
+// shards; a plan that keeps whole flows together leaves the window's
+// contended core on one of them. More workers add even shards for sender
+// halves and odd ones for receiver halves, whose access hops are then cut
+// too. Boundaries never cross the zero-delay router fan-out, and the
+// engine's window is the minimum delay over the edges actually cut.
 
-// Estimated per-data-packet event load of the fixed components, in units of
-// one flow's own per-packet work (sender, receiver, and four access-link
-// hops ~= 7 events per delivered segment). The constants seed the greedy
-// flow balance: the forward core burns ~4 events per segment per trunk hop,
-// the reverse path ~1, the attack generator ~2 at the paper's pulse rates.
+// Estimated event loads of the cores per flow-trunk crossing, in units of
+// one flow half's own work, which seed the greedy half balance. The totals
+// are fitted to the benchmark's attack-10k document at 4 workers, where a
+// sender half and a receiver half each fired about 325 events, the forward
+// core with the attacker about 363 per flow and the reverse core with the
+// sink about 236; each core's total is split two to one between its own
+// work and the attack's, unmeasured.
 const (
-	fwdCoreLoad = 4.0 / 7.0
-	revCoreLoad = 1.0 / 7.0
-	attackLoad  = 2.0 / 7.0
+	fwdCoreLoad = 0.75
+	attackLoad  = 0.375
+	revCoreLoad = 0.5
+	sinkLoad    = 0.25
 )
 
-// ShardPlan assigns every component of a graph to a shard.
+// ShardPlan assigns every component of a graph to a shard. The forward
+// core, shard 0, owns every forward trunk and attack point; the reverse
+// core, shard 1 (shard 0 when serial), every reverse trunk and the attack
+// sink.
 type ShardPlan struct {
-	Workers     int
-	TrunkFwd    []int // per trunk: shard owning the forward link
-	TrunkRev    []int // per trunk: shard owning the reverse link
-	AttackShard []int // per attack point: shard owning generator + ingress
-	SinkShard   int   // shard owning the attack sink
-	FlowShard   []int // per flow (global id): home shard
+	Workers   int
+	SendShard []int // per flow (global id): shard of the sender half
+	RecvShard []int // per flow (global id): shard of the receiver half
 
 	// Lookahead is the conservative window the engine will run with: the
 	// minimum propagation delay over all cross-shard edges. Zero when the
@@ -51,12 +60,16 @@ type ShardPlan struct {
 	Lookahead sim.Time
 }
 
+// revCore reports the reverse core's shard.
+func (p *ShardPlan) revCore() int { return min(p.Workers-1, 1) }
+
 // Plan partitions a graph over the given worker count. Workers are clamped
-// to the flow population plus the two cores — beyond that extra shards would
-// sit empty. A plan with Workers == 1 is the serial degenerate: every
-// component on shard 0, no cross-shard edges, Build wires exactly the serial
-// construction. Plans with Workers > 1 fail when any would-be cross-shard
-// edge has no positive propagation delay (no lookahead).
+// to two shards per flow, one per half (two when the graph has no packet
+// flows): beyond that extra shards would sit empty. A plan with Workers == 1 is the
+// serial degenerate: every component on shard 0, no cross-shard edges,
+// Build wires exactly the serial construction. Plans with Workers > 1 fail
+// when any cross-shard edge has no positive propagation delay (no
+// lookahead).
 func Plan(g Graph, workers int) (ShardPlan, error) {
 	info, err := analyze(&g)
 	if err != nil {
@@ -68,34 +81,17 @@ func Plan(g Graph, workers int) (ShardPlan, error) {
 // planWith is Plan over a pre-analyzed graph (Build reuses the analysis).
 func planWith(g *Graph, info *graphInfo, workers int) (ShardPlan, error) {
 	flows := len(info.flows)
-	if workers < 1 {
-		workers = 1
-	}
-	if max := flows + 2; workers > max {
-		workers = max
-	}
+	workers = min(max(workers, 1), 2*max(flows, 1))
 	p := ShardPlan{
-		Workers:     workers,
-		TrunkFwd:    make([]int, len(g.Trunks)),
-		TrunkRev:    make([]int, len(g.Trunks)),
-		AttackShard: make([]int, len(g.Attacks)),
-		FlowShard:   make([]int, flows),
+		Workers:   workers,
+		SendShard: make([]int, flows),
+		RecvShard: make([]int, flows),
 	}
-	revCore := 0
-	if workers >= 2 {
-		revCore = 1
-		for t := range p.TrunkRev {
-			p.TrunkRev[t] = revCore
-		}
-		for a := range p.AttackShard {
-			p.AttackShard[a] = revCore
-		}
-	}
+	rev := p.revCore()
 
-	// Greedy balance, seeded with the fixed components' estimated loads. The
-	// load unit generalizes from "one flow" to "one flow-trunk crossing", so
-	// a single-trunk graph reproduces the legacy dumbbell weights (and flow
-	// assignment) exactly.
+	// Greedy balance, seeded with the cores' estimated loads. The core
+	// loads scale with flow-trunk crossings, so a multi-hop path weighs on
+	// the cores once per trunk it crosses.
 	crossings := 0
 	for i := range info.flows {
 		crossings += len(info.flows[i].path)
@@ -103,24 +99,29 @@ func planWith(g *Graph, info *graphInfo, workers int) (ShardPlan, error) {
 	weight := make([]float64, workers)
 	f := float64(crossings)
 	weight[0] += fwdCoreLoad * f
-	weight[revCore] += revCoreLoad * f
+	weight[rev] += revCoreLoad * f
 	if len(g.Attacks) > 0 {
-		weight[revCore] += attackLoad * f
+		weight[0] += attackLoad * f
+		weight[rev] += sinkLoad * f
 	}
-	for i := 0; i < flows; i++ {
-		best := 0
-		for s := 1; s < workers; s++ {
+	// lightest returns the least-loaded shard of first, first+2, ...
+	lightest := func(first int) int {
+		best := first
+		for s := first + 2; s < workers; s += 2 {
 			if weight[s] < weight[best] {
 				best = s
 			}
 		}
-		p.FlowShard[i] = best
 		weight[best]++
+		return best
+	}
+	for i := 0; i < flows; i++ {
+		p.SendShard[i] = lightest(0)
+		p.RecvShard[i] = lightest(rev)
 	}
 
 	if workers > 1 {
-		edges := crossEdges(g, info, &p)
-		for _, e := range edges {
+		for _, e := range crossEdges(g, info, &p) {
 			if e.minDelay <= 0 {
 				return ShardPlan{}, fmt.Errorf(
 					"topo: cross-shard edge into router %q has zero propagation delay — no lookahead; run serial",
@@ -147,9 +148,11 @@ type crossEdge struct {
 }
 
 // crossEdges enumerates the boundary edges a build of this plan will create,
-// in a fixed deterministic order (flows, then trunk defaults, then attacks),
-// deduplicated by key with the minimum delay retained. Plan derives the
-// engine lookahead from it; Build creates one outbox per entry, in order.
+// in a fixed deterministic order (flows, then trunk defaults), deduplicated
+// by key with the minimum delay retained. Plan derives the engine lookahead
+// from it; Build creates one outbox per entry, in order. Attack ingress is
+// never cut: attack points sit on the forward core with the trunks they
+// feed.
 func crossEdges(g *Graph, info *graphInfo, p *ShardPlan) []crossEdge {
 	var edges []crossEdge
 	index := make(map[edgeKey]int)
@@ -168,46 +171,26 @@ func crossEdges(g *Graph, info *graphInfo, p *ShardPlan) []crossEdge {
 		edges = append(edges, crossEdge{key: k, minDelay: delay})
 	}
 
+	rev := p.revCore()
 	for fid := range info.flows {
 		fi := &info.flows[fid]
-		s := p.FlowShard[fid]
+		send, recv := p.SendShard[fid], p.RecvShard[fid]
 		first, last := fi.path[0], fi.path[len(fi.path)-1]
-		// Access fwd-in: flow shard -> shard of the first forward trunk.
-		add(s, p.TrunkFwd[first], fi.ingress, fi.owd)
-		// Access rev-out: flow shard -> shard of the last trunk's reverse.
-		add(s, p.TrunkRev[last], fi.egress, fi.owd)
-		for j, t := range fi.path {
-			delay := sim.FromDuration(g.Trunks[t].Delay)
-			// Forward delivery off trunk t: toward the next trunk's shard,
-			// or home to the flow shard after the last hop.
-			if j == len(fi.path)-1 {
-				add(p.TrunkFwd[t], s, g.Trunks[t].To, delay)
-			} else {
-				add(p.TrunkFwd[t], p.TrunkFwd[fi.path[j+1]], g.Trunks[t].To, delay)
-			}
-			// Reverse delivery off trunk t: toward the previous trunk's
-			// reverse shard, or home to the flow shard before the first hop.
-			if j == 0 {
-				add(p.TrunkRev[t], s, g.Trunks[t].From, delay)
-			} else {
-				add(p.TrunkRev[t], p.TrunkRev[fi.path[j-1]], g.Trunks[t].From, delay)
-			}
-		}
+		// Access hops into the cores: acc-fwd-in from the sender half,
+		// acc-rev-out from the receiver half.
+		add(send, 0, fi.ingress, fi.owd)
+		add(recv, rev, fi.egress, fi.owd)
+		// Trunk hops out of the cores: the last forward trunk delivers to
+		// the receiver half, the first reverse trunk to the sender half;
+		// hops between trunks stay on their core.
+		add(0, recv, g.Trunks[last].To, sim.FromDuration(g.Trunks[last].Delay))
+		add(rev, send, g.Trunks[first].From, sim.FromDuration(g.Trunks[first].Delay))
 	}
-	// Default (attack) traffic continuing past each trunk's head.
+	// Default (attack) traffic leaving the forward core for the sink.
 	for ti := range g.Trunks {
-		r := g.Trunks[ti].To
-		delay := sim.FromDuration(g.Trunks[ti].Delay)
-		if r == g.SinkRouter {
-			add(p.TrunkFwd[ti], p.SinkShard, r, delay)
-		} else if nt := info.defaultFwd[r]; nt >= 0 {
-			add(p.TrunkFwd[ti], p.TrunkFwd[nt], r, delay)
+		if r := g.Trunks[ti].To; r == g.SinkRouter {
+			add(0, rev, r, sim.FromDuration(g.Trunks[ti].Delay))
 		}
-	}
-	// Attacker ingress into the first trunk of its default path.
-	for ai := range g.Attacks {
-		first := info.attackPath[ai][0]
-		add(p.AttackShard[ai], p.TrunkFwd[first], g.Attacks[ai].Router, sim.FromDuration(g.Attacks[ai].Delay))
 	}
 	return edges
 }

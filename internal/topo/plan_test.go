@@ -55,7 +55,7 @@ func TestPlanSerialDegenerate(t *testing.T) {
 		if plan.Lookahead != 0 {
 			t.Errorf("serial plan has lookahead %v", plan.Lookahead)
 		}
-		for _, s := range [][]int{plan.TrunkFwd, plan.TrunkRev, plan.AttackShard, plan.FlowShard} {
+		for _, s := range [][]int{plan.SendShard, plan.RecvShard} {
 			for i, v := range s {
 				if v != 0 {
 					t.Fatalf("serial plan placed component %d on shard %d", i, v)
@@ -65,8 +65,8 @@ func TestPlanSerialDegenerate(t *testing.T) {
 	}
 }
 
-// TestPlanClamp: worker counts beyond flows+2 would leave shards empty, so
-// the planner clamps instead.
+// TestPlanClamp: worker counts beyond two per flow — one shard per half —
+// would leave shards empty, so the planner clamps instead.
 func TestPlanClamp(t *testing.T) {
 	plan, err := topo.Plan(twoRouterGraph(1), 16)
 	if err != nil {
@@ -78,8 +78,9 @@ func TestPlanClamp(t *testing.T) {
 }
 
 // TestPlanLoadBalance pins the balance invariants on a non-dumbbell graph:
-// flows land on valid shards, no non-core shard is starved, and the greedy
-// unit-increment balance keeps non-core shard populations within one flow of
+// sender halves land on even shards and receiver halves on odd ones, no
+// shard beyond the two cores is starved, and the greedy unit-increment
+// balance keeps the half counts of such shards of one parity within one of
 // each other.
 func TestPlanLoadBalance(t *testing.T) {
 	g := topo.ParkingLot(topo.DefaultParkingLotConfig()) // 6 long + 9 cross flows
@@ -89,57 +90,54 @@ func TestPlanLoadBalance(t *testing.T) {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
 		counts := make([]int, plan.Workers)
-		for i, s := range plan.FlowShard {
-			if s < 0 || s >= plan.Workers {
-				t.Fatalf("workers %d: flow %d on shard %d", workers, i, s)
-			}
-			counts[s]++
-		}
-		core := func(s int) bool {
-			return s == plan.TrunkFwd[0] || s == plan.TrunkRev[0]
-		}
-		min, max := -1, -1
-		for s, c := range counts {
-			if core(s) {
-				continue
-			}
-			if c == 0 {
-				t.Errorf("workers %d: shard %d owns no flows", workers, s)
-			}
-			if min == -1 || c < min {
-				min = c
-			}
-			if c > max {
-				max = c
+		for half, shards := range [][]int{plan.SendShard, plan.RecvShard} {
+			for i, s := range shards {
+				if s < 0 || s >= plan.Workers || s%2 != half {
+					t.Fatalf("workers %d: half %d of flow %d on shard %d", workers, half, i, s)
+				}
+				counts[s]++
 			}
 		}
-		if max-min > 1 {
-			t.Errorf("workers %d: non-core shard populations spread %d..%d", workers, min, max)
+		for parity := 0; parity < 2; parity++ {
+			min, max := -1, -1
+			for s := 2 + parity; s < plan.Workers; s += 2 {
+				c := counts[s]
+				if c == 0 {
+					t.Errorf("workers %d: shard %d owns no flow halves", workers, s)
+				}
+				if min == -1 || c < min {
+					min = c
+				}
+				if c > max {
+					max = c
+				}
+			}
+			if max-min > 1 {
+				t.Errorf("workers %d: shard populations of parity %d spread %d..%d", workers, parity, min, max)
+			}
 		}
 	}
 }
 
 // TestPlanLookahead: the plan's lookahead is the minimum propagation delay
-// over cross-shard edges. With the attacker on the reverse core, its 2 ms
-// ingress into the forward core is always cut and is the graph minimum;
-// without an attacker the 3 ms access hops become the minimum cut delay.
+// over cross-shard edges. At 2 workers every flow half sits beside the core
+// its access links feed and the attacker beside the trunk, so only the 5 ms
+// trunk hops are cut; more workers move halves off the cores and cut their
+// 3 ms access hops too.
 func TestPlanLookahead(t *testing.T) {
 	g := twoRouterGraph(4)
-	plan, err := topo.Plan(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := sim.FromDuration(2 * time.Millisecond); plan.Lookahead != want {
-		t.Errorf("lookahead %v, want %v (attacker ingress)", plan.Lookahead, want)
-	}
-
-	g.Attacks = nil
-	plan, err = topo.Plan(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := sim.FromDuration(3 * time.Millisecond); plan.Lookahead != want {
-		t.Errorf("lookahead %v, want %v (access hop)", plan.Lookahead, want)
+	for _, c := range []struct {
+		workers int
+		want    time.Duration
+		edge    string
+	}{{2, 5 * time.Millisecond, "trunk"}, {4, 3 * time.Millisecond, "access hop"}} {
+		plan, err := topo.Plan(g, c.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sim.FromDuration(c.want); plan.Lookahead != want {
+			t.Errorf("workers %d: lookahead %v, want %v (%s)", c.workers, plan.Lookahead, want, c.edge)
+		}
 	}
 }
 
@@ -163,10 +161,16 @@ func TestPlanLookaheadMatchesEngine(t *testing.T) {
 
 // TestPlanZeroLookaheadError: a cross-shard edge with no propagation delay
 // cannot exist under a conservative engine; the planner must say so rather
-// than deadlock, and the serial plan of the same graph must still work.
+// than deadlock, and the serial plan of the same graph must still work. A
+// zero-delay trunk is such an edge; a zero-delay attacker is not, since its
+// hop is never cut.
 func TestPlanZeroLookaheadError(t *testing.T) {
 	g := twoRouterGraph(4)
 	g.Attacks[0].Delay = 0
+	if _, err := topo.Plan(g, 2); err != nil {
+		t.Errorf("zero-delay attacker rejected: %v", err)
+	}
+	g.Trunks[0].Delay = 0
 	if _, err := topo.Plan(g, 2); err == nil || !strings.Contains(err.Error(), "lookahead") {
 		t.Errorf("zero-delay cross edge accepted (err %v)", err)
 	}

@@ -207,9 +207,8 @@ type graphInfo struct {
 	fluid      []fluidInfo // fluid-model groups, in group declaration order
 	effRate    []float64   // per trunk: forward rate minus the fluid carve-out
 	groupPaths [][]int
-	defaultFwd []int   // router -> first outgoing trunk, -1 = none
-	defaultRev []int   // router -> first incoming trunk, -1 = none
-	attackPath [][]int // per attack point: trunks to the sink along defaults
+	defaultFwd []int // router -> first outgoing trunk, -1 = none
+	defaultRev []int // router -> first incoming trunk, -1 = none
 }
 
 // analyze validates the graph and derives flow paths, per-flow delays, and
@@ -386,7 +385,6 @@ func analyze(g *Graph) (*graphInfo, error) {
 		}
 	}
 
-	info.attackPath = make([][]int, len(g.Attacks))
 	for ai, ap := range g.Attacks {
 		if ap.Router < 0 || ap.Router >= nr {
 			return nil, fmt.Errorf("topo: attack point %d router %d out of range", ai, ap.Router)
@@ -394,11 +392,9 @@ func analyze(g *Graph) (*graphInfo, error) {
 		if ap.Rate <= 0 {
 			return nil, fmt.Errorf("topo: attack point %d needs a positive rate", ai)
 		}
-		path, err := defaultPathToSink(g, info, ap.Router)
-		if err != nil {
+		if err := checkPathToSink(g, info, ap.Router); err != nil {
 			return nil, fmt.Errorf("topo: attack point %d: %w", ai, err)
 		}
-		info.attackPath[ai] = path
 	}
 	return info, nil
 }
@@ -446,28 +442,25 @@ func shortestPath(g *Graph, from, to int) []int {
 	return path
 }
 
-// defaultPathToSink walks the forward default chain from a router to the
+// checkPathToSink walks the forward default chain from a router to the
 // sink. Attack traffic is unrouted (negative flow id), so it can only follow
 // defaults; the walk fails loudly when the chain dead-ends or loops.
-func defaultPathToSink(g *Graph, info *graphInfo, from int) ([]int, error) {
-	var path []int
-	r := from
-	for steps := 0; r != g.SinkRouter; steps++ {
+func checkPathToSink(g *Graph, info *graphInfo, from int) error {
+	if from == g.SinkRouter {
+		return fmt.Errorf("attack router %q is the sink itself", g.Routers[from])
+	}
+	for r, steps := from, 0; r != g.SinkRouter; steps++ {
 		if steps > len(g.Trunks) {
-			return nil, fmt.Errorf("default route from router %q loops before reaching the sink", g.Routers[from])
+			return fmt.Errorf("default route from router %q loops before reaching the sink", g.Routers[from])
 		}
 		t := info.defaultFwd[r]
 		if t == -1 {
-			return nil, fmt.Errorf("default route from router %q dead-ends at %q before the sink",
+			return fmt.Errorf("default route from router %q dead-ends at %q before the sink",
 				g.Routers[from], g.Routers[r])
 		}
-		path = append(path, t)
 		r = g.Trunks[t].To
 	}
-	if len(path) == 0 {
-		return nil, fmt.Errorf("attack router %q is the sink itself", g.Routers[from])
-	}
-	return path, nil
+	return nil
 }
 
 // pathDelay sums trunk propagation delays along a path.
