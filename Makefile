@@ -38,7 +38,8 @@ lint-json:
 
 # race-assert reruns the determinism/equivalence suites and the assertion
 # tests with the pdosassert runtime invariants compiled in (pool
-# double-release and leak accounting, kernel firing-order monotonicity,
+# double-release and leak accounting, kernel firing-order monotonicity, the
+# wheel's bookkeeping and an empty run whenever nothing is pending,
 # shard-boundary conservation) under the race detector — also over the
 # paced attack source, every graph build, and pdos-trace's EventTrace, the
 # departure tap riding the fused chain event.
@@ -94,11 +95,13 @@ figure-equivalence:
 # extremes in internal/sim — BenchmarkKernelCascade (100,000 timers 1–300 ms
 # out: dense upper-level slots re-bucketed down the levels) and
 # BenchmarkKernelChainWheel (one timer at a time, filed in the wheel) —
-# and BenchmarkKernelColdHandlers (100,000 component handlers and arguments
-# larger than L2, drained several to a level-0 slot: the drain's prefetch).
+# then BenchmarkKernelColdHandlers (100,000 component handlers and arguments
+# larger than L2, drained several to a level-0 slot: the drain's prefetch)
+# and BenchmarkKernelDenseSlot (10,000 events at one instant: a run long
+# enough for the O(n log n) sort, ordered on (at, seq) alone).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelEvents|BenchmarkLinkDropTail|BenchmarkLinkRED|BenchmarkREDEnqueue|BenchmarkTCPLoopbackSecond' -benchtime 1s .
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelCascade|BenchmarkKernelChainWheel|BenchmarkKernelColdHandlers' -benchtime 1s ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelCascade|BenchmarkKernelChainWheel|BenchmarkKernelColdHandlers|BenchmarkKernelDenseSlot' -benchtime 1s ./internal/sim
 
 # study-smoke runs once every caller of the facade studies outside the test
 # suite: each example under examples/ (stdout discarded here; each example's

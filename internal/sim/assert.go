@@ -45,11 +45,17 @@ func (k *Kernel) assertFire(ev *event) {
 }
 
 // assertWheel checks the wheel's bookkeeping each time the pending set
-// empties (after the purge): wheelCount and upperCount equal the entries the
-// slots hold, a slot's occupancy bit is set exactly when it holds a block,
-// and every block ever allocated is either in a slot or on the free list. A miscount here would stop an empty wheel from
-// snapping its floor to the clock, or trip locate's corruption panic later.
+// empties (after the purge): the run is empty, wheelCount and upperCount
+// equal the entries the slots hold, a slot's occupancy bit is set exactly
+// when it holds a block, and every block ever allocated is either in a slot
+// or on the free list. A run left holding entries would be served ahead of
+// the wheel and the heap by the next locate; a miscount would stop an empty
+// wheel from snapping its floor to the clock, or trip locate's corruption
+// panic later.
 func (k *Kernel) assertWheel() {
+	if len(k.run) != 0 {
+		panic(fmt.Sprintf("sim: pdosassert: the pending set is empty, but the run holds %d entries", len(k.run)))
+	}
 	entries, upper, blocks := 0, 0, len(k.freeBlocks)
 	for lvl := range k.wheel {
 		for pos, s := range k.wheel[lvl] {

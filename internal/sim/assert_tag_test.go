@@ -91,9 +91,10 @@ func TestAssertFireOrderCleanRun(t *testing.T) {
 // TestAssertWheelBookkeeping empties the pending set five times while
 // cancelled entries sit on every wheel level, each time with the wheel
 // bookkeeping check armed. Events fire from shared and from single-entry
-// slots, and cancelled ones are released by drains and by the purge. Then
+// slots, and cancelled ones are released by the run and by the purge. Then
 // it miscounts wheelCount by one and checks that the next time the pending
-// set empties, the check trips.
+// set empties, the check trips, and that a run left holding an entry when
+// the pending set empties trips it too.
 func TestAssertWheelBookkeeping(t *testing.T) {
 	k := New()
 	for round := Time(0); round < 5; round++ {
@@ -118,6 +119,12 @@ func TestAssertWheelBookkeeping(t *testing.T) {
 	k.wheelCount++
 	msg := mustPanic(t, func() { _ = k.Run() })
 	if !strings.Contains(msg, "wheel bookkeeping") {
+		t.Fatalf("wrong panic: %q", msg)
+	}
+	k = New()
+	k.run = []slotEntry{{ev: k.take()}} // an entry the purge missed
+	msg = mustPanic(t, func() { k.emptied() })
+	if !strings.Contains(msg, "the run holds 1 entries") {
 		t.Fatalf("wrong panic: %q", msg)
 	}
 }

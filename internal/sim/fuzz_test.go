@@ -8,8 +8,8 @@ import "testing"
 // handlers with a pointer argument, stamped with Now or back-stamped and
 // optionally self-rescheduling, keyed events on a reserved seq (AtKeyed,
 // armed later unless Passed says the key has gone by), Cancel, Step,
-// PeekNext and RunUntil — and runs it on the wheel kernel and on the heap
-// kernel. Both must produce the same observation log: every firing's
+// PeekNext, RunUntil and RunBefore — and runs it on the wheel kernel and on
+// the heap kernel. Both must produce the same observation log: every firing's
 // (instant, id), every cancel's result and every peek. Offsets land on every
 // wheel boundary, and a program may open with a far-first event, the
 // startup pattern that once dragged the wheel floor ahead of the clock.
@@ -254,10 +254,10 @@ func (p *kernelProgram) scheduleKeyed() {
 
 // runKernelProgram executes prog against k and returns its observation log
 // and each timer's last handle. The first byte's low bit schedules a
-// far-first event at one second; then each op byte selects a schedule, a
-// cancel, a step, a peek, a RunUntil, a handler schedule or a keyed
-// schedule, followed by its operands. Whatever is left pending finally
-// runs out.
+// far-first event at one second; then each op byte selects, modulo 9, a
+// schedule, a cancel, a step, a peek, a RunUntil (a RunBefore when the op
+// byte is 128 or more), a handler schedule or a keyed schedule, followed by
+// its operands. Whatever is left pending finally runs out.
 func runKernelProgram(k *Kernel, prog []byte) ([]firing, []Timer) {
 	k.SetEventLimit(1 << 16)
 	p := &kernelProgram{k: k, data: prog}
@@ -272,7 +272,8 @@ func runKernelProgram(k *Kernel, prog []byte) ([]firing, []Timer) {
 		}
 	}
 	for ops := 0; len(p.data) > 0 && ops < 512; ops++ {
-		switch op := p.next() % 9; op {
+		b := p.next()
+		switch op := b % 9; op {
 		case 0, 1, 2:
 			p.schedule(op)
 		case 3:
@@ -295,7 +296,11 @@ func runKernelProgram(k *Kernel, prog []byte) ([]firing, []Timer) {
 			}
 			p.log = append(p.log, firing{at: when, id: id})
 		case 6:
-			observe(k.RunUntil(p.target()))
+			if b >= 128 {
+				observe(k.RunBefore(p.target()))
+			} else {
+				observe(k.RunUntil(p.target()))
+			}
 		case 7:
 			p.scheduleHandler()
 		default:

@@ -10,8 +10,9 @@ var ErrPastTime = errors.New("sim: event scheduled in the past")
 // the overflow heap.
 const (
 	idxNone      = -1 // not pending: fired, cancelled and released, or on the free list
-	idxWheel     = -2 // pending, filed in a timer-wheel slot
-	idxCancelled = -3 // cancelled while filed in a slot; released when its slot drains
+	idxWheel     = -2 // pending, filed in a timer-wheel slot or waiting in the run
+	idxCancelled = -3 // cancelled while filed in a slot or the run; released when the run reaches it
+	idxRun       = -4 // pending, at the head of the run: locate has chosen it to fire next
 )
 
 // Handler is what an event runs: when the event fires, the kernel calls
@@ -121,10 +122,12 @@ func (t *Timer) When() Time {
 // which leads the clock only right after a slot drain or cascade, because an
 // empty wheel snaps its floor to the clock rather than to the next event).
 // The firing order is exactly (when, at, seq) — identical to a pure heap —
-// because due wheel slots are drained through the heap before anything in
-// them fires. The heap is inlined rather than container/heap: no interface
-// dispatch, no `any` boxing on push/pop, and a shallower tree than a binary
-// heap (fewer cache-missing levels per sift).
+// because a due wheel slot with more than one entry is drained into the run,
+// a kernel-owned copy of its entries sorted into that order, and the run's
+// head fires only after it has been compared with the heap minimum. The heap
+// is inlined rather than container/heap: no interface dispatch, no `any`
+// boxing on push/pop, and a shallower tree than a binary heap (fewer
+// cache-missing levels per sift).
 //
 // The kernel's position in that order is (now, nowAt, nowSeq): inside a
 // fire, the firing event's key; after RunUntil(t), the end of instant t,
@@ -140,17 +143,19 @@ type Kernel struct {
 	seq       uint64
 	processed uint64
 	limit     uint64 // 0 = unlimited
-	pending   int    // live events: heap + uncancelled wheel entries
+	pending   int    // live events: heap + uncancelled wheel and run entries
 
 	// ---- hierarchical timing wheel (see wheel.go) ----
 	heapOnly   bool // true: bypass the wheel entirely (golden-reference mode)
-	wheelCount int  // entries in wheel slots, cancelled ones included
+	wheelCount int  // entries in wheel slots and the run, cancelled ones included
 	upperCount int  // subset of wheelCount resident in levels 1..2
-	floor      Time // wheel mapping origin: every entry has when >= floor
+	floor      Time // wheel mapping origin: every slot entry has when >= floor
 	occupied   [wheelLevels][wheelSlots / 64]uint64
 	wheel      [wheelLevels][wheelSlots]wheelSlot // slot headers: newest block and entry count
 	freeBlocks []*wheelBlock                      // recycled slot blocks
 	blocks     int                                // blocks ever allocated: each is in a slot or on freeBlocks
+	run        []slotEntry                        // a drained level-0 slot's unfired entries, in (when, at, seq) order
+	runBuf     []slotEntry                        // the run's backing array, reused by every drain
 
 	// asserts is the pdosassert invariant state: zero-size and unused in
 	// normal builds, the last fired (when, at, seq) key under -tags
@@ -341,7 +346,10 @@ func (k *Kernel) release(ev *event) {
 // enqueue adds a freshly allocated event to the pending set: it files ev in
 // the wheel when its instant maps onto a live slot, and pushes it to the
 // heap otherwise (a heap-only kernel, instants behind a floor a slot drain
-// or cascade moved past the clock, or beyond the wheel horizon).
+// or cascade moved past the clock, or beyond the wheel horizon). While the
+// run holds entries, wheelCount counts them, so the floor stays at the end
+// of the drained tick and an event scheduled into that tick goes behind the
+// floor, into the heap, where locate weighs it against the run's head.
 //
 //pdos:hotpath
 func (k *Kernel) enqueue(ev *event) {
@@ -351,8 +359,8 @@ func (k *Kernel) enqueue(ev *event) {
 		return
 	}
 	if k.wheelCount == 0 {
-		// Empty wheel: nothing constrains the mapping origin, so snap it to
-		// the clock. Every later schedule is at or after now, so none lands
+		// Empty wheel and run: nothing constrains the mapping origin, so
+		// snap it to the clock. Every later schedule is at or after now, so none lands
 		// behind the floor. Snapping to ev.when instead would let a far
 		// first event leave the floor ahead of the clock and send every
 		// nearer event to the heap until the wheel next emptied.
@@ -371,8 +379,8 @@ func (k *Kernel) enqueue(ev *event) {
 }
 
 // cancel removes a pending event. A heap-resident event leaves at once; a
-// wheel-resident one is only marked, and its entry stays in its slot until
-// locate drains the slot or the pending set empties (wheel.go).
+// wheel-resident one is only marked, and its entry stays in its slot or the
+// run until the run reaches it or the pending set empties (wheel.go).
 //
 //pdos:hotpath
 func (k *Kernel) cancel(ev *event) {
@@ -392,8 +400,8 @@ func (k *Kernel) cancel(ev *event) {
 }
 
 // emptied runs each time the pending set empties. Any entry still in the
-// wheel is a cancelled one; purging them lets the next schedule snap the
-// floor to the clock.
+// wheel or the run is a cancelled one; purging them lets the next schedule
+// snap the floor to the clock.
 //
 //pdos:hotpath
 func (k *Kernel) emptied() {
@@ -445,15 +453,20 @@ func (k *Kernel) clampDelta(delta Time) Time {
 
 // fire removes ev — which locate() just proved is the global (when, at, seq)
 // minimum — from the pending set, advances the clock, and runs its callback.
+// The event is the only entry of its level-0 slot, the heap minimum, or the
+// run's head; the single-entry case is tested first, since most events of a
+// run with few flows fire from such slots.
 //
 //pdos:hotpath
 func (k *Kernel) fire(ev *event) {
 	k.assertFire(ev)
 	k.pending-- //pdos:counter kernel-pending dec — the event fires
-	if ev.index >= 0 {
+	if ev.index == idxWheel {
+		k.unslot(ev)
+	} else if ev.index >= 0 {
 		k.remove(int(ev.index))
 	} else {
-		k.unslot(ev)
+		k.popRun()
 	}
 	if k.pending == 0 {
 		k.emptied()

@@ -6,8 +6,9 @@ import (
 )
 
 // TestEventSize pins event to one 64-byte cache line (DESIGN.md §8): a
-// drain loads index from it and a fire loads the key, the handler and the
-// argument, all from the line the drain already brought in. Adding a field
+// drain loads the handler and the argument from it, and the run's head check
+// and the fire load the index and the key from the line the drain already
+// brought in. Adding a field
 // is a layout decision; take its bits from index or gen, or shrink
 // something else first.
 func TestEventSize(t *testing.T) {

@@ -2,7 +2,7 @@
 
 package sim
 
-// The level-0 drain (Kernel.drainSlot) knows, before any of them fires, the
+// The level-0 drain (Kernel.fillRun) knows, before any of them fires, the
 // address of every event in a due slot and — once it has loaded an event —
 // of the component and argument that event's fire will load first. These
 // functions turn that knowledge into software prefetches (PREFETCHT0 on

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Hierarchical timing wheel (Varghese & Lauck), tuned for the simulator's
 // event-horizon profile: packet transmissions land microseconds out, RTT
@@ -10,10 +13,10 @@ import "math/bits"
 // Geometry: three levels of 256 slots. Level 0 buckets events by 2^10 ns
 // (1.024 µs) ticks, level 1 by 2^18 ns (262 µs), level 2 by 2^26 ns (67 ms),
 // giving the wheel a 2^34 ns (~17.2 s) horizon past its floor. Events beyond
-// the horizon — or behind the floor, which only happens to events displaced
-// by a slot drain or scheduled before the clock catches up with a floor a
-// drain or cascade advanced — live in the kernel's 4-ary heap. An empty wheel
-// snaps its floor to the clock (Kernel.enqueue), never ahead of it.
+// the horizon — or behind the floor, which only happens to events scheduled
+// before the clock catches up with a floor a drain or cascade advanced —
+// live in the kernel's 4-ary heap. An empty wheel snaps its floor to the
+// clock (Kernel.enqueue), never ahead of it.
 //
 // Slots. A slot holds {when, event} entries in blocks of seven: the slot
 // header keeps the newest block and the slot's entry count, and every older
@@ -22,26 +25,40 @@ import "math/bits"
 // without allocating, and the wheel never holds more than
 // ceil(entries/7) blocks per slot. Because an entry carries its event's
 // instant, a cascade re-buckets a slot from the copied instants without
-// loading a single event, and a drain reaches its events through
-// independent loads from the block rather than a pointer chain.
+// loading a single event, and a level-0 drain copies the entries into the
+// run and orders them there without loading one either, except to break an
+// exact instant tie.
+//
+// The run. A due level-0 slot with more than one entry is drained into the
+// run, a kernel-owned array of entries sorted by (when, at, seq): by the
+// copied instant, and by the events' (at, seq) only where two instants are
+// equal. Each event is prefetched as it is copied and first loaded once the
+// run is sorted, to prefetch what its fire loads first. The floor moves
+// to the end of the drained tick, and wheelCount keeps counting the run's
+// entries, so until the run is spent every slot entry sorts after every run
+// entry and an event scheduled into the drained tick goes behind the floor,
+// into the heap. The heap thus holds only behind-floor and beyond-horizon
+// events, and the run's head competes only with the heap minimum.
 //
 // Lazy cancel. Cancelling a wheel-resident event marks it idxCancelled and
-// invalidates its Timer handles; its entry stays where it is until locate
-// drains the slot, and only then does the event return to the free list.
-// An entry therefore outlives its cancel at most until the clock reaches its
-// slot — or until the pending set empties, when Kernel.purge releases every
-// leftover entry so the next schedule finds an empty wheel. wheelCount and
-// upperCount count entries, cancelled ones included; Kernel.pending counts
-// live events only.
+// invalidates its Timer handles; its entry stays where it is, through a
+// drain into the run, until it reaches the run's head, and only then does
+// the event return to the free list. An entry therefore outlives its cancel
+// at most until the clock reaches its slot — or until the pending set
+// empties, when Kernel.purge releases every leftover entry so the next
+// schedule finds an empty wheel and run. wheelCount and upperCount count
+// entries, cancelled ones included; Kernel.pending counts live events only.
 //
 // Ordering contract. The kernel's observable firing order is exactly
 // (when, at, seq), identical to a pure heap. Slot bucketing coarsens
 // nothing: locate() never returns an event straight out of a slot holding
-// more than one entry — it drains such slots into the heap first, and the
-// heap restores the total order. The one slot-direct path (a slot whose only
-// entry is live) compares that event against the heap minimum with the full
-// (when, at, seq) predicate before choosing it. See DESIGN.md §8 for the
-// equivalence argument.
+// more than one entry — it drains such a slot into the run, whose sort
+// restores the total order among its entries, and returns the run's first
+// live entry only after comparing it with the heap minimum (instants first,
+// then the full (when, at, seq) predicate on a tie). The one slot-direct path
+// (a slot whose only entry is live) compares that event against the heap
+// minimum with the full predicate before choosing it. See DESIGN.md §8 for
+// the equivalence argument.
 //
 // Mapping. Instead of per-level offset counters, slots are addressed by the
 // absolute instant: level l holds instants within the floor's level-l epoch
@@ -64,6 +81,10 @@ const (
 	// blockEntries fills a 120-byte block (a 128-byte allocation, two
 	// cache lines): a link and 7 entries of 16 bytes.
 	blockEntries = 7
+
+	// insertionMax is the longest run sortRun orders by insertion; longer
+	// ones, which only dense instants produce, take an O(n log n) sort.
+	insertionMax = 32
 )
 
 // levelShift[l] is the log2 of level l's slot width in nanoseconds.
@@ -204,37 +225,110 @@ func (k *Kernel) scanFrom(lvl, from int) (int, bool) {
 	}
 }
 
-// drainSlot empties a slot: live events go to the heap, which restores the
-// exact (when, at, seq) order among them and anything already heaped, and
-// cancelled ones return to the event free list. The drained events fire
-// next, so each block is prefetched before it is walked: first every
-// entry's event, then, as each live event is pushed, the component and the
-// argument its fire loads first (prefetch.go).
+// fillRun drains the due level-0 slot pos into the run and sorts the run
+// into firing order. The run's events fire next, so each is prefetched as it
+// is copied; the sort reads the copied instants and loads two events only to
+// break an exact instant tie. Then, with the event lines given the sort's
+// time to arrive, the component and argument each event fires on are
+// prefetched in firing order (prefetch.go). The entries stay counted in
+// wheelCount until they fire or are released.
 //
 //pdos:hotpath
-func (k *Kernel) drainSlot(lvl, pos int) {
-	b, n, total := k.takeSlot(lvl, pos)
+func (k *Kernel) fillRun(pos int) {
+	b, n, _ := k.takeSlot(0, pos)
+	run := k.runBuf[:0]
 	for b != nil {
-		entries := b.entries[:n]
-		for _, e := range entries {
+		for _, e := range b.entries[:n] {
 			prefetchEvent(e.ev)
-		}
-		for _, e := range entries {
-			if ev := e.ev; ev.index == idxWheel {
-				prefetchFire(ev.h, ev.arg)
-				k.push(ev)
-			} else {
-				k.release(ev)
-			}
+			run = append(run, e)
 		}
 		next := b.next
 		k.freeBlock(b)
 		b, n = next, blockEntries
 	}
-	k.wheelCount -= total
-	if lvl > 0 {
-		k.upperCount -= total
+	sortRun(run)
+	for _, e := range run {
+		prefetchFire(e.ev.h, e.ev.arg)
 	}
+	k.run, k.runBuf = run, run
+}
+
+// sortRun orders a run by (when, at, seq): by insertion up to insertionMax
+// entries, by slices.SortFunc beyond.
+//
+//pdos:hotpath
+func sortRun(run []slotEntry) {
+	if len(run) > insertionMax {
+		slices.SortFunc(run, compareEntries)
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		e := run[i]
+		j := i
+		for ; j > 0 && entryBefore(e, run[j-1]); j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = e
+	}
+}
+
+// entryBefore reports whether a fires before b. It loads the events only
+// when the copied instants tie.
+func entryBefore(a, b slotEntry) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.ev.before(b.ev)
+}
+
+// compareEntries is entryBefore as the three-way comparison
+// slices.SortFunc takes.
+func compareEntries(a, b slotEntry) int {
+	switch {
+	case entryBefore(a, b):
+		return -1
+	case entryBefore(b, a):
+		return 1
+	}
+	return 0
+}
+
+// runFront returns the earlier of the run's first live entry and the heap
+// minimum, or nil once the run is spent. The copied instants decide unless
+// they tie; a cancelled head returns to the free list on the way. Choosing
+// the head marks it idxRun, for fire.
+//
+//pdos:hotpath
+func (k *Kernel) runFront() *event {
+	for len(k.run) > 0 {
+		e := k.run[0]
+		var top *event
+		if len(k.events) > 0 {
+			if top = k.events[0]; top.when < e.when {
+				return top
+			}
+		}
+		ev := e.ev
+		if ev.index == idxCancelled {
+			k.release(ev)
+			k.popRun()
+			continue
+		}
+		if top != nil && top.before(ev) {
+			return top
+		}
+		ev.index = idxRun
+		return ev
+	}
+	return nil
+}
+
+// popRun removes the run's head, which has fired or been released.
+//
+//pdos:hotpath
+func (k *Kernel) popRun() {
+	k.run = k.run[1:]
+	k.wheelCount--
 }
 
 // cascade empties an upper-level slot and re-files each entry, which by
@@ -259,34 +353,58 @@ func (k *Kernel) cascade(lvl, pos int) {
 	}
 }
 
-// purge releases every entry left in the wheel. It runs when the pending
-// set empties, so each entry is a cancelled one, and the next schedule
-// finds an empty wheel and snaps the floor to the clock.
+// purge releases every entry left in the run and the wheel. It runs when
+// the pending set empties, so each entry is a cancelled one, and the next
+// schedule finds an empty wheel and run and snaps the floor to the clock.
 func (k *Kernel) purge() {
+	for _, e := range k.run {
+		k.release(e.ev)
+	}
+	k.wheelCount -= len(k.run)
+	k.run = nil
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		for pos, ok := k.scanFrom(lvl, 0); ok; pos, ok = k.scanFrom(lvl, pos+1) {
-			k.drainSlot(lvl, pos)
+			b, n, total := k.takeSlot(lvl, pos)
+			for b != nil {
+				for _, e := range b.entries[:n] {
+					k.release(e.ev)
+				}
+				next := b.next
+				k.freeBlock(b)
+				b, n = next, blockEntries
+			}
+			k.wheelCount -= total
+			if lvl > 0 {
+				k.upperCount -= total
+			}
 		}
 	}
 }
 
 // locate returns the pending event with the smallest (when, at, seq)
-// without detaching it, advancing the wheel (draining due slots, cascading
-// upper levels, recycling cancelled entries) as needed. It returns nil when
-// nothing is pending. The caller fires or cancels the returned event before
-// any other mutation, so the peeked pointer cannot go stale.
+// without detaching it, advancing the wheel (draining due slots into the
+// run, cascading upper levels, recycling cancelled entries) as needed. It
+// returns nil when nothing is pending. The caller fires or cancels the
+// returned event before any other mutation, so the peeked pointer cannot go
+// stale.
 //
 //pdos:hotpath
 func (k *Kernel) locate() *event {
 	if k.pending == 0 {
 		return nil
 	}
-	if k.heapOnly {
-		return k.events[0]
+	if len(k.run) > 0 {
+		// Every slot entry sorts after the run: its head competes only with
+		// the heap minimum.
+		if ev := k.runFront(); ev != nil {
+			return ev
+		}
 	}
 	for {
 		if k.wheelCount == 0 {
-			// Wheel empty and pending > 0: the heap holds the minimum.
+			// Wheel and run empty and pending > 0: the heap holds the
+			// minimum. A heap-only kernel files nothing, so it always
+			// returns here.
 			return k.events[0]
 		}
 		if k.upperCount > 0 {
@@ -327,8 +445,11 @@ func (k *Kernel) locate() *event {
 				}
 				return ev
 			}
-			k.drainSlot(0, pos)
+			k.fillRun(pos)
 			k.setFloor(base + 1<<tickShift)
+			if ev := k.runFront(); ev != nil {
+				return ev
+			}
 			continue
 		}
 		// Level 0 exhausted: cascade the next occupied upper-level slot.

@@ -385,6 +385,108 @@ func TestWheelStartupFloor(t *testing.T) {
 	t.Logf("%d identical firings, heap peak %d", fired, peak)
 }
 
+// TestKernelDenseSlot fires 100,000 events due at one instant in exactly
+// the heap kernel's order. They drain as one level-0 slot, far past the
+// insertion sort's reach, so the run is ordered by its O(n log n) sort on
+// (at, seq) alone. Plain events mix with back-stamped AtArgStamped ones and
+// AtKeyed ones, half of those on seqs reserved before everything else, and
+// every eleventh event is cancelled. One of the first to fire schedules
+// 10,000 more at the same instant, into the drained tick while the run is
+// live, where they merge with the run's tail from the heap.
+func TestKernelDenseSlot(t *testing.T) {
+	const (
+		events = 100000
+		late   = 10000
+		when   = 5 * Millisecond
+	)
+	run := func(k *Kernel) []int {
+		r := rand.New(rand.NewSource(3))
+		var log []int
+		record := handlerFunc(func(arg any) { log = append(log, arg.(int)) })
+		reserved := make([]uint64, events/8)
+		for i := range reserved {
+			reserved[i] = k.ReserveSeq()
+		}
+		schedule := func(id int) Timer {
+			var tm Timer
+			switch id % 4 {
+			case 0:
+				tm, _ = k.At(when, func() { log = append(log, id) })
+			case 1:
+				tm, _ = k.AtArgStamped(when, k.Now(), record, id)
+			case 2:
+				tm, _ = k.AtArgStamped(when, Time(r.Int63n(int64(when))), record, id)
+			default:
+				seq := k.ReserveSeq()
+				if id%8 == 3 && id < events {
+					seq = reserved[id/8]
+				}
+				tm, _ = k.AtKeyed(when, Time(r.Int63n(int64(when))), seq, record, id)
+			}
+			return tm
+		}
+		k.At(when, func() {
+			log = append(log, -1)
+			for id := events; id < events+late; id++ {
+				schedule(id)
+			}
+		})
+		var timers []Timer
+		for id := 0; id < events; id++ {
+			timers = append(timers, schedule(id))
+		}
+		for i := 0; i < len(timers); i += 11 {
+			timers[i].Cancel()
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	wk := New()
+	wheel, heap := run(wk), run(NewHeapKernel())
+	if cap(wk.runBuf) <= events {
+		t.Fatalf("the wheel kernel's largest run held %d entries, want the whole instant", cap(wk.runBuf))
+	}
+	if len(wheel) != len(heap) {
+		t.Fatalf("wheel fired %d events, heap %d", len(wheel), len(heap))
+	}
+	for i := range wheel {
+		if wheel[i] != heap[i] {
+			t.Fatalf("firing %d diverged: wheel %d, heap %d", i, wheel[i], heap[i])
+		}
+	}
+}
+
+// BenchmarkKernelDenseSlot schedules events in batches of 10,000 at one
+// instant, every other one back-stamped, and fires each batch: each drains
+// as one level-0 slot whose run is sorted on (at, seq) alone. ns/op is per
+// event scheduled and fired.
+func BenchmarkKernelDenseSlot(b *testing.B) {
+	const batch = 10000
+	k := New()
+	h := handlerFunc(func(any) {})
+	fire := func() {
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n := i % batch
+		when := k.Now() + Millisecond
+		at := k.Now()
+		if n&1 == 1 {
+			at = when - Time(n)
+		}
+		k.AtArgStamped(when, at, h, nil)
+		if n == batch-1 {
+			fire()
+		}
+	}
+	fire()
+}
+
 // Hour returns one virtual hour; a helper, not part of the Time API.
 func Hour() Time { return 3600 * Second }
 
